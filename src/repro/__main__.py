@@ -36,6 +36,7 @@ import pathlib
 import sys
 import time
 
+from repro.errors import GuardError
 from repro.harness import experiments
 
 EXPERIMENTS = {
@@ -653,6 +654,15 @@ def cmd_run(names, scale: str, csv_dir, plot: bool = False,
             print(f"[obs] trace written to {path} — open it at "
                   f"https://ui.perfetto.dev (or chrome://tracing)",
                   file=sys.stderr)
+    except GuardError:
+        # The aborted point is already failed in the manifest, and its
+        # error names the diagnostic bundle.
+        for record in service.manifest.records.values():
+            if record.status == "failed":
+                print(f"[exec] FAILED {record.label}: {record.error}",
+                      file=sys.stderr)
+        print(service.manifest.summary(), file=sys.stderr)
+        return 1
     finally:
         if tracer is not None:
             from repro import obs
@@ -828,12 +838,10 @@ def cmd_campaign(args) -> int:
                 print(f"[campaign] this run: executed={inv['executed']} "
                       f"cached={inv['cached']} skipped={inv['skipped']} "
                       f"failed={inv['failed']} "
-                      f"quarantined={inv['quarantined']} "
                       f"stolen={inv['stolen']}")
                 print(f"[campaign] cumulative: executed={totals['executed']} "
                       f"cached={totals['cached']} "
                       f"failed={totals['failed']} "
-                      f"quarantined={totals['quarantined']} "
                       f"unresolved={totals['unresolved']}")
                 print(f"[campaign] result fingerprint "
                       f"{manifest['result_fingerprint'][:16]}  "
@@ -848,7 +856,6 @@ def cmd_campaign(args) -> int:
             print(f"[campaign] worker {report.worker_id}: "
                   f"executed={report.executed} cached={report.cached} "
                   f"skipped={report.skipped} failed={report.failed} "
-                  f"quarantined={report.quarantined} "
                   f"stolen={report.stolen}"
                   f"{' (partial)' if report.partial else ''}")
             return 1 if report.errors and not report.resolved else 0
@@ -1000,7 +1007,7 @@ def cmd_serve(args) -> int:
     stats = service.stats()
     print(f"[serve] {stats['queries_served']} queries in "
           f"{stats['batches_served']} batches on {args.platform} "
-          f"({stats['degraded_batches']} degraded)", file=sys.stderr)
+          f"({stats['degraded_batches']} failed)", file=sys.stderr)
     res = stats["resilience"]
     if res["mode"] != "off":
         print(f"[serve] resilience={res['mode']}: "
@@ -1011,7 +1018,7 @@ def cmd_serve(args) -> int:
     if res["degraded_reasons"]:
         detail = ", ".join(f"{reason}={count}" for reason, count
                            in res["degraded_reasons"].items())
-        print(f"[serve] degraded batches by reason: {detail}",
+        print(f"[serve] failed batches by reason: {detail}",
               file=sys.stderr)
     return 1 if failures else 0
 
@@ -1139,7 +1146,7 @@ def cmd_loadtest(args) -> int:
         if reasons:
             detail = ", ".join(f"{reason}={count}" for reason, count
                                in sorted(reasons.items()))
-            print(f"[loadtest] {platform} degraded batches by reason: "
+            print(f"[loadtest] {platform} failed batches by reason: "
                   f"{detail}", file=sys.stderr)
     if args.out is not None:
         args.out.parent.mkdir(parents=True, exist_ok=True)

@@ -8,12 +8,14 @@ hosts join the very same directory with ``repro campaign worker --join``
 defined by records + cache entries, not by which processes it spawned.
 
 The **manifest** is the campaign's durable output: per-point axes,
-status, engine, wall time, peak RSS, cache hit/miss and lease-steal
+status, error, wall time, peak RSS, cache hit/miss and lease-steal
 flags, campaign-level totals, per-worker reports, and a
 ``repro.obs``-style metrics snapshot (``campaign.*`` namespace) built
 through the same :class:`~repro.obs.metrics.MetricsRegistry` the
 simulator uses — so campaign dashboards read the exact format run
-metrics already use.
+metrics already use.  A point the guard aborted is a plain failure:
+its record's error names the diagnostic bundle, it counts under
+``failed`` in the totals, and ``repro campaign run`` exits 1.
 
 ``result_fingerprint`` hashes each point's *result checksum* (the
 SHA-256 the exec cache recorded at put time) in key order.  Two
@@ -156,7 +158,7 @@ def _invocation_summary(directory: pathlib.Path,
                         started_unix: float) -> Dict[str, Any]:
     """Fold the worker reports written during this invocation."""
     summary = {"workers": 0, "executed": 0, "cached": 0, "failed": 0,
-               "quarantined": 0, "stolen": 0, "skipped": 0}
+               "stolen": 0, "skipped": 0}
     for path in sorted((directory / WORKERS_DIR).glob("*.json")):
         try:
             report = json.loads(path.read_text())
@@ -165,8 +167,7 @@ def _invocation_summary(directory: pathlib.Path,
         if float(report.get("finished_unix", 0.0)) < started_unix:
             continue  # stale report from an earlier invocation
         summary["workers"] += 1
-        for key in ("executed", "cached", "failed", "quarantined",
-                    "stolen", "skipped"):
+        for key in ("executed", "cached", "failed", "stolen", "skipped"):
             summary[key] += int(report.get(key, 0))
     return summary
 
@@ -187,8 +188,8 @@ def result_fingerprint(points: List[CampaignPoint],
     """Order-independent digest of every point's result bytes.
 
     Folds ``(spec key, cached payload SHA-256)`` pairs in key order.
-    Points with no cache entry (failed, quarantined-to-legacy) fold in
-    a miss marker, so two manifests agree iff they resolved the same
+    Points with no cache entry (failed, guard-aborted included) fold
+    in a miss marker, so two manifests agree iff they resolved the same
     points to the same bytes.
     """
     digest = hashlib.sha256()
@@ -215,7 +216,7 @@ def finalize(directory: pathlib.Path,
 
     reg = MetricsRegistry()
     totals = {"points": len(points), "executed": 0, "cached": 0,
-              "failed": 0, "quarantined": 0, "stolen_leases": 0,
+              "failed": 0, "stolen_leases": 0,
               "unresolved": len(points) - len(recorded)}
     wall_hist = reg.histogram("campaign.point_wall_s")
     rss_hist = reg.histogram("campaign.point_rss_kb")

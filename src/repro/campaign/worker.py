@@ -10,8 +10,8 @@ id-derived order, and for each unresolved point either
   produced the result — write a ``cached`` record, no simulation),
 * **acquires the lease** and runs the point through a serial
   :class:`~repro.exec.service.ExecutionService` (which brings the memo,
-  the content-addressed cache write, guard quarantine with the one
-  legacy-engine retry, and the metrics sidecar along for free), or
+  the content-addressed cache write, the metrics sidecar, and the guard
+  bundle of an aborted point along for free), or
 * finds the lease held by someone else and moves on.
 
 When a full pass over the table resolves nothing and unresolved points
@@ -24,8 +24,8 @@ so the result is identical).
 
 Every resolution writes an atomic per-point **record** under
 ``<campaign_dir>/records/`` carrying the run's resource metrics: wall
-seconds, peak RSS, cache hit/miss, which engine produced the result,
-and whether the guard degraded it.  Records are the resumability
+seconds, peak RSS, cache hit/miss, and the error of a failed point (a
+guard abort names its diagnostic bundle).  Records are the resumability
 ledger (a point with a record is never re-attempted) and the raw
 material :func:`repro.campaign.orchestrator.finalize` folds into the
 campaign manifest.
@@ -39,12 +39,12 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
+from repro.errors import GuardError
 from repro.exec.cache import ResultCache
 from repro.exec.service import (
     STATUS_CACHED,
     STATUS_EXECUTED,
     STATUS_FAILED,
-    STATUS_QUARANTINED,
     ExecutionService,
 )
 from repro.campaign.leases import LeaseBoard
@@ -92,7 +92,6 @@ class WorkerReport:
     executed: int = 0
     cached: int = 0
     failed: int = 0
-    quarantined: int = 0
     stolen: int = 0
     skipped: int = 0
     wall_seconds: float = 0.0
@@ -104,13 +103,13 @@ class WorkerReport:
 
     @property
     def resolved(self) -> int:
-        return self.executed + self.cached + self.failed + self.quarantined
+        return self.executed + self.cached + self.failed
 
     def to_dict(self) -> Dict[str, Any]:
         doc = {k: getattr(self, k) for k in
-               ("worker_id", "executed", "cached", "failed", "quarantined",
-                "stolen", "skipped", "wall_seconds", "peak_rss_kb",
-                "partial", "errors")}
+               ("worker_id", "executed", "cached", "failed", "stolen",
+                "skipped", "wall_seconds", "peak_rss_kb", "partial",
+                "errors")}
         doc["finished_unix"] = time.time()
         return doc
 
@@ -147,15 +146,13 @@ class CampaignWorker:
         return self._record_path(key).exists()
 
     def _write_record(self, point: CampaignPoint, status: str,
-                      wall_s: float, engine: str = "fast",
-                      error: Optional[str] = None,
+                      wall_s: float, error: Optional[str] = None,
                       stolen: bool = False) -> None:
         self._write_record_doc(point, {
             "key": point.key,
             "label": point.label,
             "axes": point.axes,
             "status": status,
-            "engine": engine,
             "wall_s": wall_s,
             "peak_rss_kb": peak_rss_kb(),
             "cache_hit": status == STATUS_CACHED,
@@ -177,27 +174,24 @@ class CampaignWorker:
         error: Optional[str] = None
         try:
             self.service.run(point.spec)
+        except GuardError:
+            # The manifest's error names the diagnostic bundle.
+            error = self.service.manifest.records[point.key].error
         except Exception as exc:  # noqa: BLE001 — one cell, not the sweep
             error = f"{type(exc).__name__}: {exc}"
         wall = time.monotonic() - started
         record = self.service.manifest.records.get(point.key)
         if error is not None:
-            status, engine = STATUS_FAILED, "fast"
-            if record is not None:
-                engine = record.engine
+            status = STATUS_FAILED
             report.failed += 1
             report.errors.append(f"{point.label}: {error}")
         else:
             status = record.status if record is not None else STATUS_EXECUTED
-            engine = record.engine if record is not None else "fast"
             if status == STATUS_CACHED:
                 report.cached += 1
-            elif status == STATUS_QUARANTINED:
-                report.quarantined += 1
             else:
                 report.executed += 1
-        self._write_record(point, status, wall, engine=engine, error=error,
-                           stolen=stolen)
+        self._write_record(point, status, wall, error=error, stolen=stolen)
         if stolen:
             report.stolen += 1
         if not self.quiet:

@@ -67,7 +67,7 @@ class QueryKeyComparator:
         if not (k1 <= k2 <= k3):
             raise ConfigurationError("key group must be sorted ascending")
         # Fig. 9 (2): route query and keys through the min/max sequences.
-        # Table I's MAXMIN degrades to a 2-input max: MAXMIN(q, k, k) =
+        # Table I's MAXMIN reduces to a 2-input max: MAXMIN(q, k, k) =
         # max(q, min(k, k)) = max(q, k); comparing the result with k by
         # equality answers "query <= k" using existing silicon.
         le_k1 = _eq(_maxmin(query, k1, k1), k1)

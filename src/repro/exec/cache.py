@@ -217,31 +217,13 @@ class ResultCache:
         if seconds is not None:
             sidecar["seconds"] = seconds
         self._atomic_write(meta, json.dumps(sidecar, indent=1).encode())
-        self.put_metrics(spec, result)
-
-    def put_metrics(self, spec: RunSpec, result: Any,
-                    extra: Optional[Dict[str, Any]] = None) -> bool:
-        """Write the flat metrics sidecar for ``spec``; True if written.
-
-        Split out of :meth:`put` so *every* path that produces a result
-        can record its metrics — including guard-degraded runs, whose
-        legacy-engine result is deliberately never :meth:`put` (the
-        entry key folds the fast-engine fingerprint) but whose metrics
-        must not vanish from reports.  ``extra`` lands in the sidecar
-        document (e.g. ``{"engine": "legacy", "degraded": True}``).
-        """
         snapshot = getattr(getattr(result, "stats", None), "metrics", None)
-        if not snapshot:
-            return False
-        doc = {"spec": spec.canonical(), "label": spec.label,
-               "metrics": snapshot.as_dict()}
-        if extra:
-            doc.update(extra)
-        path = self.metrics_path(spec.key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        self._atomic_write(path,
-                           json.dumps(doc, indent=1, default=str).encode())
-        return True
+        if snapshot:
+            doc = {"spec": spec.canonical(), "label": spec.label,
+                   "metrics": snapshot.as_dict()}
+            self._atomic_write(self.metrics_path(spec.key),
+                               json.dumps(doc, indent=1,
+                                          default=str).encode())
 
     def result_sha(self, key: str) -> Optional[str]:
         """The SHA-256 of entry ``key``'s payload, from its sidecar.

@@ -1,21 +1,22 @@
-"""Instruction-stream replay for value-independent baseline kernels.
+"""Warp-trace and launch-level replay for deterministic kernels.
 
 The software-traversal (baseline GPU) kernels are *pure* generators:
 their op stream is a function of ``(tid, args)`` alone — they never use
 the value sent back into a ``yield`` and never read simulator state.
-For those kernels the stream can be recorded once by running the
-generator to exhaustion up front, then replayed from a flat list on
-every launch over the same workload: the SIMT timing model consumes the
-identical op sequence, so cycles and statistics are byte-identical,
-but repeat runs (parameter sweeps, figure reruns, benchmark reps) skip
-the kernel body, the ``yield from`` delegation, and every descriptor
-allocation.
+For those kernels each thread's stream is recorded once by running the
+generator to exhaustion (:func:`record_stream`), and each warp's
+streams fold into a precomputed :class:`WarpTrace` the SM times without
+touching a generator (:func:`warp_trace`).  Cycles and statistics are
+byte-identical to the live path, but repeat runs (parameter sweeps,
+figure reruns, benchmark reps) skip the kernel body, the ``yield from``
+delegation, and every descriptor allocation.
 
 Kernels opt in with the :func:`value_independent` decorator; workloads
 opt in by passing a persistent ``stream_cache`` dict through their
 kernel-args object.  Kernels that bind a yield result (the ``AccelCall``
 kernels) must never be marked — the recorder sends ``None`` for every
-yield.
+yield.  Launch-level replay (below) covers every kernel marked
+:func:`launch_replayable`, accelerated ones included.
 """
 
 import dataclasses
@@ -40,38 +41,6 @@ def value_independent(kernel: Callable) -> Callable:
     return kernel
 
 
-class ReplayStream:
-    """Generator stand-in that replays a recorded op stream.
-
-    Quacks like a thread generator for :class:`~repro.gpu.warp.Warp`
-    (which only calls ``send``); values sent in are ignored, exactly as
-    the recorded kernel ignored them.  On exhaustion the recorded
-    functional result is written into *this launch's* results dict
-    before ``StopIteration`` propagates, matching the side effect the
-    kernel body performed when it was recorded.
-    """
-
-    __slots__ = ("_ops", "_i", "_n", "_tid", "_result", "_results")
-
-    def __init__(self, ops: List[Any], tid: int, result: Any,
-                 results: dict):
-        self._ops = ops
-        self._i = 0
-        self._n = len(ops)
-        self._tid = tid
-        self._result = result
-        self._results = results
-
-    def send(self, value: Any) -> Any:
-        i = self._i
-        if i == self._n:
-            if self._result is not _MISSING:
-                self._results[self._tid] = self._result
-            raise StopIteration
-        self._i = i + 1
-        return self._ops[i]
-
-
 def record_stream(kernel: Callable[[int, Any], Generator], tid: int,
                   args: Any) -> Recording:
     """Run ``kernel(tid, args)`` to exhaustion, collecting its ops."""
@@ -84,22 +53,6 @@ def record_stream(kernel: Callable[[int, Any], Generator], tid: int,
     except StopIteration:
         pass
     return ops, args.results.get(tid, _MISSING)
-
-
-def replay_threads(kernel: Callable[[int, Any], Generator],
-                   thread_ids: Sequence[int], args: Any,
-                   cache: Dict[int, Recording]) -> List[ReplayStream]:
-    """Replay threads for a warp, recording any tid seen for the first time."""
-    results = args.results
-    threads = []
-    append = threads.append
-    get = cache.get
-    for tid in thread_ids:
-        rec = get(tid)
-        if rec is None:
-            rec = cache[tid] = record_stream(kernel, tid, args)
-        append(ReplayStream(rec[0], tid, rec[1], results))
-    return threads
 
 
 class WarpTrace:

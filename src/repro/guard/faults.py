@@ -32,10 +32,12 @@ Fault kinds (:data:`KINDS`):
     The memory system records a sector request whose response vanishes.
     Caught by the end-of-run request/response balance invariant.
 
-Faults on these seams only exist on the *batched fast path*, so the
-legacy engine (``REPRO_SIM_CORE=legacy``) is naturally immune — which
-is what makes ``repro.exec``'s quarantine-then-retry-on-legacy
-degradation a genuine recovery, and what the exec-layer tests exploit.
+Faults on these seams only exist on the *batched fast path*, so they
+never arm on the legacy reference engine (``REPRO_SIM_CORE=legacy``);
+tests that inject them pin the fast engine.  A run the guard aborts
+fails: ``repro.exec`` writes its diagnostic bundle and records the
+point failed, and ``repro.serve`` fails the batch with reason
+``guard``.  Nothing retries on a second engine.
 
 Entry points: :func:`install_fault` (one core, one plan),
 :func:`faulty_factory` (wrap an ``accelerator_factory``),

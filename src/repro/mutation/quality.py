@@ -117,7 +117,7 @@ def rtree_quality(tree) -> Dict[str, float]:
 def btree_quality(tree) -> Dict[str, float]:
     """B-Tree decay = height over the ideal height: splits and
     underfull nodes only hurt once they add a level (fences stay exact,
-    so per-node work never degrades)."""
+    so per-node work never worsens)."""
     nodes = tree.nodes()
     fills = [tree._width(n) / tree.order for n in nodes]
     n = max(2, len(tree))

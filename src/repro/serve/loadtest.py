@@ -94,6 +94,8 @@ class LoadtestReport:
     served: int = 0               # measured-window completions
     rejected: int = 0
     batches: int = 0
+    #: Failed batch launches (the key name predates the single failure
+    #: path and stays for the report format).
     degraded_batches: int = 0
     batch_sizes: List[int] = field(default_factory=list)
     sim_cycles: float = 0.0       # total simulated kernel cycles
@@ -111,6 +113,8 @@ class LoadtestReport:
     retries: int = 0              # backend launch retries
     breaker_opens: int = 0        # circuit-breaker open transitions
     corrupt_results: int = 0      # integrity violations detected
+    #: Failed batch launches by reason (guard | launch_failure |
+    #: breaker_open | corrupt_result).
     degraded_reasons: Dict[str, int] = field(default_factory=dict)
     # -- mutation accounting; None unless a write stream ran, in which
     # case to_dict() grows a "mutation" block (a read-only loadtest's
@@ -323,8 +327,8 @@ def run_loadtest(platform: str,
     # Arrival index of every query still in flight, popped as virtual
     # time passes its completion (admission control's "pending" count).
     in_flight: List[float] = []
-    degraded_before = backend.degraded
-    reasons_before = dict(getattr(backend, "degraded_reasons", {}))
+    failed_before = getattr(backend, "failed_batches", 0)
+    reasons_before = dict(getattr(backend, "failed_reasons", {}))
     retries_before = getattr(backend, "retries", 0)
     corrupt_before = getattr(backend, "corrupt_detected", 0)
     opens_before = breaker.opens if breaker is not None else 0
@@ -397,11 +401,10 @@ def run_loadtest(platform: str,
         """Why this arrival must be shed right now (None = admit)."""
         if len(in_flight) + batcher.pending() >= resilience.queue_limit(cls):
             return "queue"
-        if breaker is not None and not resilience.degrades \
-                and breaker.opened_at is not None \
+        if breaker is not None and breaker.opened_at is not None \
                 and t - breaker.opened_at < breaker.cooldown_s:
-            # Breaker is hard-open and nothing will degrade: every
-            # admitted query is doomed, so refuse it up front.
+            # Breaker is hard-open: every admitted query is doomed, so
+            # refuse it up front.
             return "breaker"
         backlog = sum(max(0.0, free - t) for free in devices.free_at
                       if free != float("inf")) / n_shards
@@ -603,10 +606,11 @@ def run_loadtest(platform: str,
     for batch in batcher.flush(report.t_end):   # defensive; heap drains all
         dispatch(batch)
 
-    report.degraded_batches = backend.degraded - degraded_before
+    report.degraded_batches = \
+        getattr(backend, "failed_batches", 0) - failed_before
     report.degraded_reasons = {
         reason: delta for reason, count in
-        sorted(getattr(backend, "degraded_reasons", {}).items())
+        sorted(getattr(backend, "failed_reasons", {}).items())
         if (delta := count - reasons_before.get(reason, 0)) > 0}
     report.retries = getattr(backend, "retries", 0) - retries_before
     report.corrupt_results = \

@@ -52,7 +52,7 @@ class QueryResponse:
     batch_size: int
     cycles: float               # simulated cycles of the batch's launch
     sim_seconds: float          # cycles through the service clock
-    engine: str                 # "fast" | "legacy" (guard degradation)
+    engine: str                 # "fast" (a failed batch raises instead)
     latency_s: float            # wall-clock submit -> resolve
     error: Optional[str] = None
 
@@ -328,7 +328,7 @@ class ServeService:
             "classes": sorted(self.indexes),
             "queries_served": self.queries_served,
             "batches_served": self.batches_served,
-            "degraded_batches": self.backend.degraded,
+            "degraded_batches": self.backend.failed_batches,
             "launches": self.backend.launches,
             "policy": {"max_batch": self.policy.max_batch,
                        "max_wait_s": self.policy.max_wait_s},
@@ -340,7 +340,7 @@ class ServeService:
                 "retries": self.backend.retries,
                 "breaker_opens": self.backend.breaker.opens,
                 "degraded_reasons": dict(
-                    sorted(self.backend.degraded_reasons.items())),
+                    sorted(self.backend.failed_reasons.items())),
                 "corrupt_results": self.backend.corrupt_detected,
             },
         }

@@ -3,11 +3,13 @@
 The fault-detection tests are the guard's reason to exist: each fault
 class from :mod:`repro.guard.faults` is injected into a real TTA run
 and must be caught with a diagnostic bundle naming the stuck unit and
-job.  The exec-layer tests then check the degradation story end to
-end — a poisoned spec is quarantined and satisfied by the legacy
-engine instead of killing (or hanging) the sweep.
+job.  The exec-layer tests then check the failure path end to end — a
+poisoned spec writes its diagnostic bundle and fails on its own,
+without killing (or hanging) the rest of the sweep, and without any
+library code writing the process environment.
 """
 
+import collections.abc
 import json
 import os
 import pathlib
@@ -298,13 +300,32 @@ class TestPoolRestartLimit:
         assert outcomes[0].failure["diagnostics"] == {"reason": "test"}
 
 
-# -- exec quarantine + legacy retry -------------------------------------------------
+# -- exec quarantine: a guard abort fails the point ---------------------------------
+#: One point of this sweep is poisoned: query 40 only exists in the
+#: 64-query spec.
+_SWEEP_FAULT = "stall:query=40:sm=all"
+
+
+def _poison(monkeypatch, faults):
+    monkeypatch.setenv("REPRO_FAULTS", faults)
+    monkeypatch.setenv("REPRO_GUARD_STALL_EVENTS", "10000")
+    monkeypatch.setenv("REPRO_GUARD_CHECK_EVENTS", "2000")
+
+
+def _btree_spec(n_queries):
+    from repro.exec.spec import RunSpec
+
+    return RunSpec(kind="btree",
+                   workload={"variant": "btree", "n_keys": 512,
+                             "n_queries": n_queries, "seed": 5},
+                   platform="tta")
+
+
 class TestExecQuarantine:
     @pytest.fixture(autouse=True)
     def _fast_core(self, monkeypatch):
-        # Quarantine is exercised by a fault that only arms on the fast
-        # engine (legacy retry must genuinely recover); pin the engine
-        # so the test also passes under REPRO_SIM_CORE=legacy.
+        # The stall fault only arms on the fast engine; pin it so the
+        # abort also happens under REPRO_SIM_CORE=legacy.
         monkeypatch.setenv("REPRO_SIM_CORE", "fast")
 
     def test_stalled_spec_is_quarantined_and_sweep_completes(
@@ -313,24 +334,12 @@ class TestExecQuarantine:
         from repro.exec.service import (
             ExecutionService,
             STATUS_EXECUTED,
-            STATUS_QUARANTINED,
+            STATUS_FAILED,
         )
-        from repro.exec.spec import RunSpec
 
-        # Query 40 only exists in the 64-query spec: exactly one point
-        # of the sweep is poisoned.
-        monkeypatch.setenv("REPRO_FAULTS", "stall:query=40:sm=all")
-        monkeypatch.setenv("REPRO_GUARD_STALL_EVENTS", "10000")
-        monkeypatch.setenv("REPRO_GUARD_CHECK_EVENTS", "2000")
+        _poison(monkeypatch, _SWEEP_FAULT)
         monkeypatch.setenv("REPRO_EXEC_SERIAL", "1")
-
-        def spec_for(n_queries):
-            return RunSpec(kind="btree",
-                           workload={"variant": "btree", "n_keys": 512,
-                                     "n_queries": n_queries, "seed": 5},
-                           platform="tta")
-
-        specs = [spec_for(16), spec_for(64), spec_for(32)]
+        specs = [_btree_spec(16), _btree_spec(64), _btree_spec(32)]
         cache = ResultCache(tmp_path)
         service = ExecutionService(jobs=1, cache=cache)
         service.run_many(specs)  # must not raise and must not hang
@@ -340,77 +349,133 @@ class TestExecQuarantine:
         assert records[specs[0].key].status == STATUS_EXECUTED
         assert records[specs[2].key].status == STATUS_EXECUTED
         poisoned = records[specs[1].key]
-        assert poisoned.status == STATUS_QUARANTINED
-        assert poisoned.engine == "legacy"
+        assert poisoned.status == STATUS_FAILED
         assert "SimulationStallError" in poisoned.error
-        assert service.manifest.quarantined == 1
+        assert service.manifest.failed == 1
 
-        # The diagnostic bundle is on disk and names the stuck job.
+        # The diagnostic bundle is on disk, the failure names it, and
+        # the bundle names the stuck job.
         bundle_path = tmp_path / "quarantine" / f"{specs[1].key}.json"
         assert bundle_path.exists()
+        assert str(bundle_path) in poisoned.error
         bundle = json.loads(bundle_path.read_text())
         diag = bundle["diagnostics"]
         assert diag["reason"] == "no-progress"
         assert any(40 in core["stuck_jobs"] for core in diag["cores"])
 
-        # The legacy result satisfies the point in memory but is never
-        # written to the fast-engine-keyed disk cache.
-        assert service.run(specs[1]).cycles > 0
+        # Asking for the point again raises; nothing reaches the cache.
+        with pytest.raises(SimulationStallError):
+            service.run(specs[1])
         assert not cache.contains(specs[1])
         assert cache.contains(specs[0])
 
     def test_run_single_point_quarantines(self, tmp_path, monkeypatch):
         from repro.exec.cache import ResultCache
-        from repro.exec.service import ExecutionService, STATUS_QUARANTINED
-        from repro.exec.spec import RunSpec
+        from repro.exec.service import ExecutionService, STATUS_FAILED
 
-        monkeypatch.setenv("REPRO_FAULTS", "stall:query=3")
-        monkeypatch.setenv("REPRO_GUARD_STALL_EVENTS", "10000")
-        monkeypatch.setenv("REPRO_GUARD_CHECK_EVENTS", "2000")
-
-        spec = RunSpec(kind="btree",
-                       workload={"variant": "btree", "n_keys": 512,
-                                 "n_queries": 32, "seed": 5},
-                       platform="tta")
-        service = ExecutionService(jobs=1, cache=ResultCache(tmp_path))
-        result = service.run(spec)
-        assert result.cycles > 0
-        record = service.manifest.records[spec.key]
-        assert record.status == STATUS_QUARANTINED
-        assert record.engine == "legacy"
-
-    def test_degraded_run_still_writes_metrics_sidecar(
-            self, tmp_path, monkeypatch):
-        """A guard-quarantined point resolved by the legacy engine must
-        not vanish from metrics reporting: the per-run metrics sidecar
-        is written on the degraded path too, tagged as such."""
-        from repro.exec.cache import ResultCache
-        from repro.exec.service import ExecutionService, STATUS_QUARANTINED
-        from repro.exec.spec import RunSpec
-
-        monkeypatch.setenv("REPRO_FAULTS", "stall:query=3")
-        monkeypatch.setenv("REPRO_GUARD_STALL_EVENTS", "10000")
-        monkeypatch.setenv("REPRO_GUARD_CHECK_EVENTS", "2000")
-
-        spec = RunSpec(kind="btree",
-                       workload={"variant": "btree", "n_keys": 512,
-                                 "n_queries": 32, "seed": 5},
-                       platform="tta")
+        _poison(monkeypatch, "stall:query=3")
+        spec = _btree_spec(32)
         cache = ResultCache(tmp_path)
         service = ExecutionService(jobs=1, cache=cache)
-        service.run(spec)
-        assert service.manifest.records[spec.key].status \
-            == STATUS_QUARANTINED
-
-        sidecar = cache.metrics_path(spec.key)
-        assert sidecar.exists()
-        doc = json.loads(sidecar.read_text())
-        assert doc["engine"] == "legacy"
-        assert doc["degraded"] is True
-        assert doc["metrics"]  # a real snapshot, not an empty shell
-        # ... while the result itself still never enters the
-        # fast-engine-keyed disk cache.
+        with pytest.raises(SimulationStallError):
+            service.run(spec)
+        record = service.manifest.records[spec.key]
+        assert record.status == STATUS_FAILED
+        bundle_path = tmp_path / "quarantine" / f"{spec.key}.json"
+        assert bundle_path.exists()
+        assert str(bundle_path) in record.error
+        # No result entry and no metrics sidecar for an aborted point.
         assert not cache.contains(spec)
+        assert not cache.metrics_path(spec.key).exists()
+
+    def test_campaign_with_aborted_point_exits_1(self, tmp_path,
+                                                 monkeypatch, capsys):
+        from repro.__main__ import main
+
+        _poison(monkeypatch, _SWEEP_FAULT)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps({
+            "name": "poisoned",
+            "workloads": [{"kind": "btree",
+                           "params": {"n_keys": 512,
+                                      "n_queries": [16, 64]}}],
+            "platforms": ["tta"],
+            "reps": 1,
+        }))
+        assert main(["campaign", "run", str(table), "--quiet",
+                     "--json"]) == 1
+        manifest = json.loads(capsys.readouterr().out)
+        assert manifest["totals"]["executed"] == 1
+        assert manifest["totals"]["failed"] == 1
+        assert manifest["totals"]["unresolved"] == 0
+        failed = [r for r in manifest["points"] if r["status"] == "failed"]
+        assert len(failed) == 1
+        assert "quarantine" in failed[0]["error"]
+
+
+class _ReadOnlyEnviron(collections.abc.MutableMapping):
+    """``os.environ`` stand-in that refuses (and logs) every write."""
+
+    def __init__(self, env):
+        self._env = env
+        self.writes = []
+
+    def __getitem__(self, key):
+        return self._env[key]
+
+    def __iter__(self):
+        return iter(self._env)
+
+    def __len__(self):
+        return len(self._env)
+
+    def copy(self):
+        return dict(self._env)
+
+    def __setitem__(self, key, value):
+        self.writes.append(key)
+        raise AssertionError(f"library code wrote os.environ[{key!r}]")
+
+    def __delitem__(self, key):
+        self.writes.append(key)
+        raise AssertionError(f"library code deleted os.environ[{key!r}]")
+
+
+class TestNoEnvironmentWrites:
+    """A guard abort takes the failure path in exec and serve alike,
+    and neither touches process-global state on the way."""
+
+    def test_guard_aborts_fail_without_environment_writes(
+            self, tmp_path, monkeypatch):
+        from repro.exec.cache import ResultCache
+        from repro.exec.service import ExecutionService, STATUS_FAILED
+        from repro.guard import Guard, GuardConfig
+        from repro.serve import LaunchBackend, build_resident_index
+
+        monkeypatch.setenv("REPRO_SIM_CORE", "fast")
+        monkeypatch.setenv("REPRO_EXEC_SERIAL", "1")
+        _poison(monkeypatch, _SWEEP_FAULT)
+        index = build_resident_index("point",
+                                     dict(n_keys=512, n_queries=64))
+        specs = [_btree_spec(16), _btree_spec(64)]
+        service = ExecutionService(jobs=1, cache=ResultCache(tmp_path))
+        backend = LaunchBackend("tta", guard=Guard(GuardConfig(mode="on")))
+        env = _ReadOnlyEnviron(os.environ)
+        # Frozen only around the library calls: pytest itself writes
+        # the environment between test phases.
+        with monkeypatch.context() as frozen:
+            frozen.setattr(os, "environ", env)
+            # exec: the poisoned sweep point fails, the other completes.
+            service.run_many(specs)
+            # serve: slot 40 of a >=41-query batch trips the same stall.
+            launch = backend.launch(index, list(range(48)))
+        assert env.writes == []
+        assert service.manifest.records[specs[1].key].status \
+            == STATUS_FAILED
+        assert service.manifest.executed == 1
+        assert launch.failed
+        assert launch.notes["failed_reason"] == "guard"
 
 
 # -- guard stays out of the model --------------------------------------------------

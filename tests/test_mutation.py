@@ -490,14 +490,18 @@ class TestStalenessContracts:
     def test_backend_config_tracks_mutation_epoch(self):
         index = tiny_index("point")
         backend = LaunchBackend("tta")
-        first = backend.config_for(index)
-        assert backend.config_for(index) is first
+        from repro.harness.runner import scaled_config_for
+
+        assert backend.config_for(index) == scaled_config_for(
+            index.workload.image.size_bytes)
         mutator = make_mutator("point", index.workload)
         churn(mutator, 30, seed=0)
         refresh_workload_image("point", index.workload)
         index.mutation_epoch = getattr(index, "mutation_epoch", 0) + 1
-        second = backend.config_for(index)
-        assert second is not first
+        # Derived from the re-placed image on every call: no memo that
+        # could go stale.
+        assert backend.config_for(index) == scaled_config_for(
+            index.workload.image.size_bytes)
 
 
 # -- loadtest integration -----------------------------------------------------------

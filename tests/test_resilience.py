@@ -59,10 +59,10 @@ def assert_conserved(report):
 # -- config & primitives ------------------------------------------------------------
 class TestResilienceConfig:
     def test_mode_flags(self):
-        assert not OFF.active and not OFF.sheds and not OFF.degrades
-        assert SHED.sheds and not SHED.degrades and not SHED.hedges
-        assert DEGRADE.sheds and DEGRADE.degrades and DEGRADE.hedges
-        assert STRICT.strict and STRICT.degrades
+        assert not OFF.active and not OFF.sheds and not OFF.hedges
+        assert SHED.sheds and not SHED.hedges and not SHED.strict
+        assert DEGRADE.sheds and DEGRADE.hedges and not DEGRADE.strict
+        assert STRICT.strict and STRICT.hedges
 
     def test_rejects_bad_values(self):
         with pytest.raises(ConfigurationError):
@@ -260,16 +260,16 @@ class TestBackendRetry:
         assert backend.retries == OFF.max_retries
 
     def test_exhausted_retries_degrade_under_policy(self, point_index):
+        """The ``degrade`` policy has no second engine: exhausted
+        retries fail the batch, tagged with why."""
         backend = LaunchBackend(
             "tta", resilience=DEGRADE,
             faults=faults(ServeFaultPlan("launch_fail", times=0)))
         launch = backend.launch(point_index, [1, 2, 3])
-        assert launch.engine == "legacy" and not launch.failed
-        assert launch.notes["degraded_reason"] == "launch_failure"
-        assert backend.degraded_reasons == {"launch_failure": 1}
-        wl = point_index.workload
-        for slot, qid in enumerate([1, 2, 3]):
-            assert launch.results[slot] == wl.golden[qid]
+        assert launch.failed and launch.results == {}
+        assert launch.notes["failed_reason"] == "launch_failure"
+        assert backend.failed_reasons == {"launch_failure": 1}
+        assert backend.retries == DEGRADE.max_retries
 
 
 class TestBackendBreaker:
@@ -296,10 +296,14 @@ class TestBackendBreaker:
             "tta", resilience=cfg,
             faults=faults(ServeFaultPlan("launch_fail", times=1)))
         first = backend.launch(point_index, [1], now=0.0)
-        assert first.engine == "legacy"          # retryless: degrade
+        assert first.failed                      # retryless: fail
+        assert first.notes["failed_reason"] == "launch_failure"
         second = backend.launch(point_index, [2], now=1.0)
-        assert second.engine == "legacy"
-        assert second.notes["degraded_reason"] == "breaker_open"
+        assert second.failed
+        assert second.notes["failed_reason"] == "breaker_open"
+        assert backend.faults.fired["launch_fail"] == 1  # no attempt
+        assert backend.failed_reasons == {"launch_failure": 1,
+                                          "breaker_open": 1}
 
     def test_half_open_probe_recovers(self, point_index):
         cfg = ResilienceConfig(mode="off", max_retries=0,
@@ -325,14 +329,15 @@ class TestBackendIntegrity:
         assert check_batch_integrity(launch.results, 3) is None
 
     def test_repeat_offender_degrades_even_when_off(self, point_index):
-        """Integrity is not a policy knob: detection and the legacy
-        fallback run in every mode; only *escalation* is strict-gated."""
+        """Integrity is not a policy knob: detection and failing the
+        batch run in every mode; only *escalation* is strict-gated."""
         backend = LaunchBackend(
             "tta", resilience=OFF,
             faults=faults(ServeFaultPlan("corrupt_result", times=0)))
         launch = backend.launch(point_index, [1, 2, 3])
-        assert launch.engine == "legacy"
-        assert launch.notes["degraded_reason"] == "corrupt_result"
+        assert launch.failed
+        assert launch.notes["failed_reason"] == "corrupt_result"
+        assert launch.error == launch.notes["integrity"]
         assert backend.corrupt_detected == 2
 
     def test_repeat_offender_degrades_under_policy(self, point_index):
@@ -340,10 +345,11 @@ class TestBackendIntegrity:
             "tta", resilience=DEGRADE,
             faults=faults(ServeFaultPlan("corrupt_result", times=0)))
         launch = backend.launch(point_index, [1, 2, 3])
-        assert launch.engine == "legacy"
-        assert launch.notes["degraded_reason"] == "corrupt_result"
-        # The legacy rerun produced sound results.
-        assert check_batch_integrity(launch.results, 3) is None
+        assert launch.failed
+        assert launch.notes["failed_reason"] == "corrupt_result"
+        # No corrupt result is ever handed back.
+        assert launch.results == {}
+        assert backend.retries == 1
 
     def test_repeat_offender_raises_under_strict(self, point_index):
         backend = LaunchBackend(
@@ -414,13 +420,18 @@ class TestLoadtestFaultMatrix:
         assert report.failed > 0 and report.served == 0
         assert_conserved(report)
 
-    def test_launch_fail_storm_degrades_and_serves(self, point_index):
+    def test_launch_fail_storm_fails_under_degrade_policy(self,
+                                                          point_index):
         report = _tiny_loadtest(
-            point_index, DEGRADE, [ServeFaultPlan("launch_fail", times=0)])
-        assert report.served == report.offered > 0
+            point_index, DEGRADE, [ServeFaultPlan("launch_fail", times=0)],
+            warmup_s=0.0)
+        assert report.served == 0 and report.failed > 0
         assert report.degraded_batches > 0
         assert set(report.degraded_reasons) <= {"launch_failure",
                                                 "breaker_open"}
+        # A hard-open breaker sheds at admission under degrade too.
+        assert report.breaker_opens >= 1
+        assert report.shed_reasons.get("breaker", 0) > 0
         assert_conserved(report)
 
     def test_corrupt_result_detected_and_conserves(self, point_index):

@@ -7,6 +7,7 @@ harness, guard-triggered degradation of a poisoned batch to the legacy
 engine, and the exec build cache the resident indexes ride on.
 """
 
+import copy
 import json
 import pickle
 import random
@@ -456,32 +457,52 @@ class TestServeEquivalence:
         expected = scaled_config_for(point_index.workload.image.size_bytes)
         assert config.l2_size == expected.l2_size
         assert config.n_sms == expected.n_sms
+        # A churned deep copy served by the same backend gets the
+        # geometry of its own re-placed image, whatever its id or
+        # mutation epoch.
+        from repro.mutation import MutableResidentIndex
+        from repro.mutation.stream import WriteEvent
+
+        churned = copy.deepcopy(point_index)
+        mutable = MutableResidentIndex(churned, refit_threshold=10**6)
+        rng = random.Random(0)
+        for seq in range(200):
+            mutable.apply(WriteEvent(seq * 1e-5, "point", "insert", seq,
+                                     True), rng)
+        mutable.ensure_ready(1.0)
+        size = churned.workload.image.size_bytes
+        assert size > point_index.workload.image.size_bytes
+        assert backend.config_for(churned) == scaled_config_for(size)
+        launch = backend.launch(churned, [0, 1, 2])
+        assert not launch.failed
+        assert backend.config_for(point_index) == expected
 
 
-# -- guard degradation --------------------------------------------------------------
+# -- guard aborts fail the batch ----------------------------------------------------
 class TestGuardDegradation:
     @pytest.fixture(autouse=True)
     def _poison(self, monkeypatch):
-        # The stall fault only arms on the fast engine; legacy retry
-        # must genuinely recover (see repro/guard/faults.py).
+        # The stall fault only arms on the fast engine; pin it so the
+        # abort also happens under REPRO_SIM_CORE=legacy.
         monkeypatch.setenv("REPRO_SIM_CORE", "fast")
         monkeypatch.setenv("REPRO_FAULTS", "stall:query=3")
         monkeypatch.setenv("REPRO_GUARD_STALL_EVENTS", "10000")
         monkeypatch.setenv("REPRO_GUARD_CHECK_EVENTS", "2000")
 
-    def test_poisoned_batch_degrades_to_legacy(self, point_index):
+    def test_poisoned_batch_fails_with_guard_reason(self, point_index):
         from repro.guard import Guard, GuardConfig
 
         backend = LaunchBackend(
             "tta", guard=Guard(GuardConfig(mode="on")))
         # Slot 3 of any >=4-query batch trips the injected stall.
         launch = backend.launch(point_index, [10, 11, 12, 13, 14])
-        assert launch.engine == "legacy"
+        assert launch.failed and launch.results == {}
+        assert launch.notes["failed_reason"] == "guard"
         assert "SimulationStallError" in launch.error
-        assert backend.degraded == 1
-        wl = point_index.workload
-        for slot, qid in enumerate([10, 11, 12, 13, 14]):
-            assert launch.results[slot] == wl.golden[qid]
+        assert backend.failed_batches == 1
+        assert backend.failed_reasons == {"guard": 1}
+        # A model fault, not a backend fault: the breaker stays closed.
+        assert backend.breaker.failures == 0
 
     def test_small_batches_stay_on_fast_engine(self, point_index):
         from repro.guard import Guard, GuardConfig
@@ -490,7 +511,7 @@ class TestGuardDegradation:
             "tta", guard=Guard(GuardConfig(mode="on")))
         launch = backend.launch(point_index, [10, 11, 12])
         assert launch.engine == "fast"
-        assert backend.degraded == 0
+        assert backend.failed_batches == 0
 
     def test_loadtest_counts_degraded_batches(self, point_index):
         from repro.guard import Guard, GuardConfig
@@ -501,10 +522,12 @@ class TestGuardDegradation:
             "tta", {"point": point_index}, profile,
             policy=BatchPolicy(max_batch=8, max_wait_s=20e-3),
             guard=Guard(GuardConfig(mode="on")))
-        assert report.served > 0
+        assert report.failed > 0
         assert report.degraded_batches > 0
+        assert report.degraded_reasons == {"guard": report.degraded_batches}
         assert report.metrics.get("serve.degraded_batches") == \
             report.degraded_batches
+        assert report.offered == report.served + report.failed + report.shed
 
 
 # -- the exec build cache -----------------------------------------------------------
