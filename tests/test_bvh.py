@@ -2,6 +2,7 @@
 
 import math
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,9 @@ from repro.errors import ConfigurationError
 from repro.geometry import Ray, Sphere, Triangle, Vec3
 from repro.geometry.sphere import ray_sphere_intersect
 from repro.geometry.triangle import ray_triangle_intersect
+from repro.memsys.memory_image import AddressSpace
 from repro.trees import BVH, Instance, TwoLevelBVH
+from tests.bvh_reference import ReferenceBVH
 
 
 def random_triangles(n, seed=0, span=10.0):
@@ -107,6 +110,20 @@ class TestBVHBuild:
         bvh = BVH(random_triangles(1))
         assert bvh.root.is_leaf
         assert bvh.node_count == 1
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sphere_centre_rejected(self, bad):
+        spheres = [Sphere(Vec3(0, 0, 0), 1.0, prim_id=0),
+                   Sphere(Vec3(bad, 0, 0), 1.0, prim_id=1)]
+        with pytest.raises(ConfigurationError, match="finite"):
+            BVH(spheres, method="sah")
+
+    def test_inf_triangle_vertex_rejected(self):
+        tris = random_triangles(3)
+        tris.append(Triangle(Vec3(0, 0, 0), Vec3(1, 0, 0),
+                             Vec3(0, math.inf, 0), prim_id=3))
+        with pytest.raises(ConfigurationError, match="finite"):
+            BVH(tris)
 
     def test_sah_no_worse_node_count_blowup(self):
         tris = random_triangles(256, seed=6)
@@ -224,3 +241,143 @@ def test_property_bvh_closest_equals_brute_force(n, seed):
         result = bvh.traverse(ray, ray_triangle_intersect)
         bf_t, bf_id = brute_force_closest(ray, tris)
         assert result.closest_prim == bf_id
+
+
+# -- array builder vs the scalar reference -------------------------------------
+def _node_records(bvh):
+    """Per node in DFS order: bound bits (signed zeros included) and slice."""
+    records = []
+    for node in bvh.nodes():
+        b = node.bounds
+        records.append((struct.pack("<6d", b.lo.x, b.lo.y, b.lo.z,
+                                    b.hi.x, b.hi.y, b.hi.z),
+                        node.is_leaf, node.first_prim, node.prim_count))
+    return records
+
+
+def _image_bytes(bvh):
+    """The tree as ``place_tree`` lays it out: addresses, bounds, links."""
+    image = AddressSpace().place_tree(bvh.nodes())
+    out = bytearray()
+    for node in image.nodes:
+        b = node.bounds
+        links = ((node.first_prim, node.prim_count) if node.is_leaf
+                 else (node.left.address, node.right.address))
+        out += struct.pack("<q6d2q", node.address, b.lo.x, b.lo.y, b.lo.z,
+                           b.hi.x, b.hi.y, b.hi.z, *links)
+    return bytes(out)
+
+
+def assert_same_tree(fast, ref):
+    assert fast.node_count == ref.node_count
+    assert _node_records(fast) == _node_records(ref)
+    assert fast._prim_order == ref._prim_order
+    assert all(type(i) is int for i in fast._prim_order)
+    assert _image_bytes(fast) == _image_bytes(ref)
+
+
+def _spheres(points, radius=0.5):
+    return [Sphere(p, radius, prim_id=i) for i, p in enumerate(points)]
+
+
+def _grid_points(n, rng):
+    # Coarse coordinates make many centroid ties (stability matters).
+    return [Vec3(rng.randint(-4, 4) * 0.5, rng.randint(-4, 4) * 0.5,
+                 rng.randint(-4, 4) * 0.5) for _ in range(n)]
+
+
+def _uniform_points(n, rng):
+    return [Vec3(rng.uniform(-10, 10), rng.uniform(-3, 3),
+                 rng.uniform(-1, 1)) for _ in range(n)]
+
+
+def _duplicate_points(n, rng):
+    pool = _uniform_points(max(1, n // 7), rng)
+    return [rng.choice(pool) for _ in range(n)]
+
+
+def _flat_points(n, rng):
+    return [Vec3(rng.uniform(-5, 5), rng.uniform(-5, 5), 0.0)
+            for _ in range(n)]
+
+
+def _collinear_points(n, rng):
+    return [Vec3(rng.uniform(-5, 5), 0.0, 0.0) for _ in range(n)]
+
+
+def _sub_epsilon_points(n, rng):
+    # Centroid extents under the 1e-12 SAH cut-off on every axis.
+    return [Vec3(1.0 + rng.random() * 1e-13, 2.0, -3.0 + rng.random() * 1e-13)
+            for _ in range(n)]
+
+
+def _signed_zero_triangles(n, rng):
+    coords = (0.0, -0.0, 0.0, -0.0, 0.5, -0.5, 1.0, -2.0)
+
+    def v():
+        return Vec3(rng.choice(coords), rng.choice(coords), rng.choice(coords))
+
+    return [Triangle(v(), v(), v(), prim_id=i) for i in range(n)]
+
+
+_SIZES = list(range(1, 14)) + [17, 24, 31, 64, 100, 173, 300]
+
+
+class TestArrayBuilderMatchesReference:
+    """The array builder reproduces the scalar builder node for node."""
+
+    @pytest.mark.parametrize("leaf", [1, 2, 4])
+    @pytest.mark.parametrize("method", ["median", "sah"])
+    @pytest.mark.parametrize("points", [
+        _grid_points, _uniform_points, _duplicate_points, _flat_points,
+        _collinear_points, _sub_epsilon_points])
+    def test_point_sets(self, points, method, leaf):
+        # Spheres around the points, and point or sliver triangles whose
+        # boxes keep the set's degeneracy (zero or sub-1e-12 extents).
+        rng = random.Random(f"{points.__name__}-{method}-{leaf}")
+        for n in _SIZES:
+            pts = points(n + 2, rng)
+            spheres = _spheres(pts[:n], radius=rng.choice([0.25, 1.0]))
+            slivers = [Triangle(pts[i], pts[i + rng.randint(0, 2)],
+                                pts[i + rng.randint(0, 2)], prim_id=i)
+                       for i in range(n)]
+            for prims in (spheres, slivers):
+                assert_same_tree(
+                    BVH(prims, max_leaf_size=leaf, method=method),
+                    ReferenceBVH(prims, max_leaf_size=leaf, method=method))
+
+    @pytest.mark.parametrize("leaf", [1, 2, 4])
+    @pytest.mark.parametrize("method", ["median", "sah"])
+    def test_random_triangles(self, method, leaf):
+        for n in _SIZES:
+            tris = random_triangles(n, seed=n * 7 + leaf)
+            assert_same_tree(BVH(tris, max_leaf_size=leaf, method=method),
+                             ReferenceBVH(tris, max_leaf_size=leaf,
+                                          method=method))
+
+    @pytest.mark.parametrize("leaf", [1, 2, 4])
+    @pytest.mark.parametrize("method", ["median", "sah"])
+    def test_signed_zero_triangles(self, method, leaf):
+        # A node whose extreme is both 0.0 and -0.0 keeps the zero seen
+        # first in primitive order, as the scalar min/max fold does.
+        rng = random.Random(f"zeros-{method}-{leaf}")
+        for trial in range(60):
+            tris = _signed_zero_triangles(rng.randint(1, 40), rng)
+            assert_same_tree(BVH(tris, max_leaf_size=leaf, method=method),
+                             ReferenceBVH(tris, max_leaf_size=leaf,
+                                          method=method))
+
+    def test_two_level_tlas(self):
+        rng = random.Random("tlas")
+        blases = [BVH(random_triangles(rng.randint(1, 20), seed=s),
+                      method="sah") for s in range(4)]
+        for n in (1, 2, 3, 5, 12, 13, 40, 97):
+            instances = [
+                Instance(rng.choice(blases),
+                         translation=Vec3(rng.choice([0.0, -0.0, 3.0]),
+                                          rng.randint(-6, 6) * 2.0,
+                                          rng.uniform(-20, 20)),
+                         scale=rng.choice([0.5, 1.0, 2.0]), instance_id=i)
+                for i in range(n)]
+            assert_same_tree(TwoLevelBVH(instances).tlas,
+                             ReferenceBVH(instances, max_leaf_size=1))

@@ -8,17 +8,23 @@ Three families:
 * **Allocation-free driver** — a warm RTA core resubmitted a 4096-job
   batch must not allocate per-job Python objects: the SoA job table
   recycles its slots.
+* **Build cost** — constructing the RTNN BVH allocates ``O(node_count)``
+  vector/box objects: the builder works on packed arrays, not by
+  folding ``AABB.union`` over every candidate split.
 * **Launch-level replay** — repeat launches of a marked kernel over an
   identical workload return byte-identical stats, and replay stays off
   under every environment where a launch is not a pure function of its
   arguments (legacy engine, armed faults, guard overrides).
 """
 
+import gc
 import pathlib
 import shutil
 import tracemalloc
 
 from repro.exec.cache import build_fingerprint
+from repro.geometry.aabb import AABB
+from repro.geometry.vec import Vec3
 from repro.gpu import GPUConfig
 from repro.gpu.device import KernelStats
 from repro.gpu.replay import launch_replay_enabled
@@ -103,10 +109,18 @@ class TestAllocationFreeDriver:
         capacity = core._jobs.capacity
 
         second = _single_step_jobs("again")  # built outside the window
+        # A full collection empties the interpreter's free lists (floats,
+        # tuples, ...).  Blocks parked there stay "allocated" to
+        # tracemalloc under the line that first allocated them, so
+        # without this the counts below depend on the free-list history
+        # left by earlier tests.  Collecting on both sides of the window
+        # fixes the starting state and leaves only live objects counted.
+        gc.collect()
         tracemalloc.start()
         core.submit(sim.now, second)
         sim.run()
         _, peak = tracemalloc.get_traced_memory()
+        gc.collect()
         snapshot = tracemalloc.take_snapshot()
         tracemalloc.stop()
 
@@ -127,6 +141,31 @@ class TestAllocationFreeDriver:
         # 160 B/job separates the two regimes with margin for noise.
         assert peak < 160 * _N_JOBS, \
             f"peak {peak}B for {_N_JOBS} jobs (> 160B/job)"
+
+
+# -- BVH build cost -------------------------------------------------------------
+class TestBVHBuildCost:
+    def test_rtnn_build_allocations_scale_with_node_count(self, monkeypatch):
+        counts = {"vec3": 0, "union": 0}
+        vec3_init, aabb_union = Vec3.__init__, AABB.union
+
+        def counting_init(self, *args, **kwargs):
+            counts["vec3"] += 1
+            vec3_init(self, *args, **kwargs)
+
+        def counting_union(self, other):
+            counts["union"] += 1
+            return aabb_union(self, other)
+
+        monkeypatch.setattr(Vec3, "__init__", counting_init)
+        monkeypatch.setattr(AABB, "union", counting_union)
+        wl = make_rtnn_workload(n_points=2048, n_queries=64, seed=0)
+        nodes = wl.bvh.node_count
+        # Per point: the point, its sphere's bounds (three vectors); per
+        # node: its bounds (two).  A scalar fold over candidate splits
+        # makes ~250k unions and ~600k vectors here.
+        assert counts["union"] <= nodes
+        assert counts["vec3"] <= 4 * (nodes + len(wl.points)), counts
 
 
 # -- launch-level replay ------------------------------------------------------
