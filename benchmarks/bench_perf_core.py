@@ -23,7 +23,9 @@ Three sections:
      every per-workload cache is cold.  This is the code path the seed
      repository executed for every run.
    * ``fast_cold_s`` — fast engine, fresh workload per repetition: the
-     first-run cost including stream recording and job lowering.
+     first-run cost including warp-trace building (each warp's live
+     schedule drained into the workload's stream cache) and job
+     lowering.
    * ``fast_s`` — fast engine at steady state (persistent workload,
      warm replay/lowering caches): the parameter-sweep regime the
      ROADMAP's "interactive sweeps" north star is about.

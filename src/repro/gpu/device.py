@@ -158,9 +158,9 @@ class GPU:
         ]
 
         # Value-independent kernels over a workload that carries a stream
-        # cache are replayed from recorded warp traces (see gpu/replay.py);
-        # the op-group sequence — and therefore every cycle and statistic
-        # — is identical to running the generators.
+        # cache run from cached warp traces (see gpu/replay.py): a trace
+        # is the list of steps Warp.schedule yields, timed by the same
+        # SM loop, so every cycle and statistic matches a live warp.
         stream_cache = (getattr(args, "stream_cache", None)
                         if getattr(kernel, "value_independent", False)
                         else None)

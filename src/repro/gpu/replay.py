@@ -3,20 +3,20 @@
 The software-traversal (baseline GPU) kernels are *pure* generators:
 their op stream is a function of ``(tid, args)`` alone — they never use
 the value sent back into a ``yield`` and never read simulator state.
-For those kernels each thread's stream is recorded once by running the
-generator to exhaustion (:func:`record_stream`), and each warp's
-streams fold into a precomputed :class:`WarpTrace` the SM times without
-touching a generator (:func:`warp_trace`).  Cycles and statistics are
-byte-identical to the live path, but repeat runs (parameter sweeps,
-figure reruns, benchmark reps) skip the kernel body, the ``yield from``
-delegation, and every descriptor allocation.
+So a warp's :meth:`~repro.gpu.warp.Warp.schedule` is fixed too, and a
+:class:`WarpTrace` is simply that schedule's macro steps, drained once
+and cached (:func:`warp_trace`).  The SM times a trace with the same
+loop it uses for a live warp, so cycles and statistics are identical,
+but repeat runs (parameter sweeps, figure reruns, benchmark reps) skip
+the kernel body, the regrouping and the coalescing.
 
 Kernels opt in with the :func:`value_independent` decorator; workloads
 opt in by passing a persistent ``stream_cache`` dict through their
 kernel-args object.  Kernels that bind a yield result (the ``AccelCall``
-kernels) must never be marked — the recorder sends ``None`` for every
-yield.  Launch-level replay (below) covers every kernel marked
-:func:`launch_replayable`, accelerated ones included.
+kernels) must never be marked: building a trace sends ``None`` into
+every yield and rejects an ``AccelCall``.  Launch-level replay (below)
+covers every kernel marked :func:`launch_replayable`, accelerated ones
+included.
 """
 
 import dataclasses
@@ -25,14 +25,7 @@ import pickle
 from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError
-from repro.gpu.isa import Compute, Load, Store
-from repro.memsys.coalescer import coalesce_sectors
-
-#: Distinguishes "kernel wrote no result for this tid" from a None result.
-_MISSING = object()
-
-#: One recorded thread: (op stream, functional result or _MISSING).
-Recording = Tuple[List[Any], Any]
+from repro.gpu.warp import Warp
 
 
 def value_independent(kernel: Callable) -> Callable:
@@ -41,38 +34,12 @@ def value_independent(kernel: Callable) -> Callable:
     return kernel
 
 
-def record_stream(kernel: Callable[[int, Any], Generator], tid: int,
-                  args: Any) -> Recording:
-    """Run ``kernel(tid, args)`` to exhaustion, collecting its ops."""
-    ops: List[Any] = []
-    append = ops.append
-    send = kernel(tid, args).send
-    try:
-        while True:
-            append(send(None))
-    except StopIteration:
-        pass
-    return ops, args.results.get(tid, _MISSING)
-
-
 class WarpTrace:
-    """The precomputed group-level schedule of one warp of replayed threads.
+    """The cached :meth:`~repro.gpu.warp.Warp.schedule` of one warp.
 
-    Because every op stream in the warp is fixed, the SIMT regrouping
-    (bucket live lanes by tag, issue the lowest tag) is fixed too: the
-    whole warp reduces to a flat list of macro steps the SM can time
-    without touching a generator.  Step layouts:
-
-    * ``(0, active, max_n, kind, first_n)`` — a :class:`Compute` group;
-      ``max_n`` is the widest lane (issue cost), ``first_n`` the lowest
-      lane's ``n`` (what ``simt_issue`` samples, as in the live path).
-    * ``(1, active, sectors)`` — a :class:`Load` group with its lane
-      requests already coalesced into a sector tuple.
-    * ``(2, active, n_sectors)`` — a :class:`Store` group (fire-and-
-      forget: only the sector count matters).
-
-    ``writes`` holds the recorded functional results to apply to each
-    launch's results dict.
+    ``steps`` holds the schedule's Compute/Load/Store macro steps
+    (codes 0-2); ``writes`` holds the ``(tid, result)`` pairs the
+    kernel wrote, applied to each launch's results dict.
     """
 
     __slots__ = ("steps", "writes")
@@ -87,81 +54,32 @@ def warp_trace(kernel: Callable[[int, Any], Generator],
                cache: Dict[Any, Any], sector_size: int) -> WarpTrace:
     """Build (or fetch) the macro-step trace of one warp.
 
-    Cached under a tuple key alongside the per-tid recordings (tids are
-    ints, so the key spaces cannot collide); keyed on the sector size
-    because the pre-coalesced load/store groups depend on it.
+    Keyed on the sector size because the coalesced load/store groups
+    depend on it.  A build that raises caches nothing.
     """
     key = ("__warp__", thread_ids[0], thread_ids[-1], sector_size)
     trace = cache.get(key)
     if trace is None:
-        trace = cache[key] = _build_trace(kernel, thread_ids, args, cache,
+        trace = cache[key] = _build_trace(kernel, thread_ids, args,
                                           sector_size)
     return trace
 
 
-def _build_trace(kernel, thread_ids, args, cache, sector_size) -> WarpTrace:
-    streams = []
-    writes = []
-    get = cache.get
-    for tid in thread_ids:
-        rec = get(tid)
-        if rec is None:
-            rec = cache[tid] = record_stream(kernel, tid, args)
-        streams.append(rec[0])
-        if rec[1] is not _MISSING:
-            writes.append((tid, rec[1]))
-
-    # Replay the warp executor's regrouping rule over the fixed streams:
-    # at every step the live lanes are bucketed by tag and the lowest
-    # tag issues (see Warp.min_group); lanes advance past the issued op.
-    lengths = [len(ops) for ops in streams]
-    idx = [0] * len(streams)
-    steps: List[tuple] = []
-    while True:
-        best = None
-        members = None
-        for lane, ops in enumerate(streams):
-            i = idx[lane]
-            if i == lengths[lane]:
-                continue
-            tag = ops[i].tag
-            if best is None or tag < best:
-                best = tag
-                members = [lane]
-            elif tag == best:
-                members.append(lane)
-        if best is None:
-            break
-        first = streams[members[0]][idx[members[0]]]
-        cls = first.__class__
-        active = len(members)
-        if cls is Compute:
-            n = first.n
-            if active > 1:
-                for lane in members:
-                    m = streams[lane][idx[lane]].n
-                    if m > n:
-                        n = m
-            steps.append((0, active, n, first.kind, first.n))
-        elif cls is Load:
-            requests = [(streams[lane][idx[lane]].addr,
-                         streams[lane][idx[lane]].size) for lane in members]
-            steps.append((1, active,
-                          tuple(coalesce_sectors(requests, sector_size))))
-        elif cls is Store:
-            requests = [(streams[lane][idx[lane]].addr,
-                         streams[lane][idx[lane]].size) for lane in members]
-            steps.append((2, active,
-                          len(coalesce_sectors(requests, sector_size))))
-        else:
+def _build_trace(kernel, thread_ids, args, sector_size) -> WarpTrace:
+    warp = Warp(0, [kernel(tid, args) for tid in thread_ids])
+    steps = []
+    for step in warp.schedule(sector_size):
+        if step[0] == 3:
             raise SimulationError(
-                f"value-independent kernel yielded {first!r}; only "
-                "Compute/Load/Store streams can be replayed (AccelCall "
+                "value-independent kernel yielded an AccelCall; only "
+                "Compute/Load/Store schedules can be replayed (AccelCall "
                 "kernels must not be marked value_independent)"
             )
-        for lane in members:
-            idx[lane] += 1
-    return WarpTrace(steps, tuple(writes))
+        steps.append(step)
+    results = args.results
+    writes = tuple((tid, results[tid]) for tid in thread_ids
+                   if tid in results)
+    return WarpTrace(steps, writes)
 
 
 # -- launch-level replay -----------------------------------------------------------

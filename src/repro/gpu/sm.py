@@ -5,21 +5,21 @@ issue port keeps it for its whole compute block (greedy), and blocked
 warps re-arbitrate in FIFO order (oldest).  Warps beyond the residency
 limit (Table II: 32/SM) launch in waves as slots free up.
 
-The warp loop is the hot path of every baseline-GPU run: op dispatch is
-by exact class (kernels yield the four ISA descriptor types directly)
-and analytic completion times are quantized to whole cycles with
+There is one executor and one timing loop.  :meth:`Warp.schedule
+<repro.gpu.warp.Warp.schedule>` applies the SIMT issue rule and yields
+macro steps; :meth:`SM._run` times them.  A recorded
+:class:`~repro.gpu.replay.WarpTrace` is just the cached list of a
+schedule's steps, so the SM times a live warp and a trace with the same
+code.  Analytic completion times are quantized to whole cycles with
 :func:`~repro.sim.engine.ceil_cycles` before being yielded, so the
 engine's integer clock never sees fractional waits.
 """
 
 from typing import List
 
-from repro.errors import SimulationError
 from repro.gpu.config import GPUConfig
-from repro.gpu.isa import AccelCall, Compute, Load, Store
 from repro.gpu.replay import WarpTrace
 from repro.gpu.warp import Warp
-from repro.memsys.coalescer import coalesce_sectors
 from repro.memsys.hierarchy import MemoryHierarchy
 from repro.sim.engine import ceil_cycles
 from repro.sim.resources import Timeline
@@ -69,21 +69,22 @@ class SM:
 
     def _slot(self):
         """One residency slot: runs queued warps back to back."""
+        sector_size = self.config.sector_size
         while self.warp_queue:
             warp = self.warp_queue.pop(0)
             if warp.__class__ is WarpTrace:
-                yield from self._run_trace(warp)
+                yield from self._run(warp.steps)
             else:
-                yield from self._run_warp(warp)
+                yield from self._run(warp.schedule(sector_size))
             self._done_count += 1
 
-    # -- traced execution -----------------------------------------------------
-    def _run_trace(self, trace: WarpTrace):
-        """Time a precomputed warp trace (see :mod:`repro.gpu.replay`).
+    # -- warp execution ------------------------------------------------------
+    def _run(self, steps):
+        """Time one warp's macro steps (see :meth:`Warp.schedule`).
 
-        Mirrors :meth:`_run_warp` op for op — same resource acquisitions
-        in the same order, same statistics calls — but over macro steps
-        whose regrouping and coalescing were done once at record time.
+        ``steps`` is a live warp's schedule or a cached
+        :class:`WarpTrace`'s list of the same steps: either way the
+        resource acquisitions and statistics calls are identical.
         """
         sim = self.sim
         cfg = self.config
@@ -102,7 +103,7 @@ class SM:
         simt_issue = stats.simt_issue
         obs = self.trace
         unit = self._unit
-        for step in trace.steps:
+        for step in steps:
             code = step[0]
             if code == 0:  # Compute group
                 _, active, n, kind, first_n = step
@@ -115,7 +116,7 @@ class SM:
                 simt_issue(active, warp_size, first_n)
                 if obs is not None:
                     obs.emit("sm", unit, kind, start, service, active)
-            elif code == 1:  # Load group (sectors pre-coalesced)
+            elif code == 1:  # Load group
                 _, active, sectors = step
                 start = issue_acquire(sim.now, 1)
                 service = len(sectors) / sectors_per_cycle
@@ -127,13 +128,14 @@ class SM:
                              len(sectors))
                 wait = ceil_cycles(ready - sim.now)
                 if wait > 0:
-                    yield wait
+                    yield wait  # in-order: block until the slowest lane's data
                 simt_issue(active, warp_size, 1)
-            else:  # Store group
+            elif code == 2:  # Store group
                 _, active, n_sectors = step
                 start = issue_acquire(sim.now, 1)
                 ldst_acquire(max(sim.now, start + 1),
                              n_sectors / sectors_per_cycle)
+                # Write-through, fire-and-forget: charge DRAM bandwidth only.
                 dram_transfer(sim.now, n_sectors * sector_size)
                 count_mem(active, warp_size, n_sectors, hit_l1=False)
                 if obs is not None:
@@ -142,111 +144,17 @@ class SM:
                 if wait > 0:
                     yield wait
                 simt_issue(active, warp_size, 1)
-
-    # -- warp execution ------------------------------------------------------
-    def _run_warp(self, warp: Warp):
-        sim = self.sim
-        cfg = self.config
-        stats = self.stats
-        warp_size = cfg.warp_size
-        issue_width = cfg.issue_width
-        sector_size = cfg.sector_size
-        sectors_per_cycle = cfg.ldst_sectors_per_cycle
-        issue_acquire = self.issue_port.acquire
-        ldst_acquire = self.ldst.acquire
-        access_sectors = self.hierarchy.access_sectors
-        dram_transfer = self.hierarchy.dram.transfer
-        l1 = self.l1
-        pending = warp.pending
-        obs = self.trace
-        unit = self._unit
-        warp.prime()
-        while True:
-            group = warp.min_group()
-            if group is None:
-                break
-            tids = group[1]
-            op = pending[tids[0]]
-            active = len(tids)
-            results = None
-            cls = op.__class__
-
-            if cls is Compute:
-                n = op.n
-                if active > 1:
-                    for tid in tids:
-                        m = pending[tid].n
-                        if m > n:
-                            n = m
-                service = n / issue_width
-                start = issue_acquire(sim.now, service)
-                wait = ceil_cycles(start + service - sim.now)
-                if wait > 0:
-                    yield wait
-                stats.count_compute(op.kind, n, active, warp_size)
-                stats.simt_issue(active, warp_size, op.n)
-                if obs is not None:
-                    obs.emit("sm", unit, op.kind, start, service, active)
-
-            elif cls is Load:
-                start = issue_acquire(sim.now, 1)
-                requests = [(pending[tid].addr, pending[tid].size)
-                            for tid in tids]
-                sectors = coalesce_sectors(requests, sector_size)
-                service = len(sectors) / sectors_per_cycle
-                ldst_start = ldst_acquire(max(sim.now, start + 1), service)
-                ready = access_sectors(ldst_start + service, l1, sectors)
-                stats.count_mem(active, warp_size, len(sectors),
-                                hit_l1=False)
-                if obs is not None:
-                    obs.emit("sm", unit, "load", start, ready - start,
-                             len(sectors))
-                wait = ceil_cycles(ready - sim.now)
-                if wait > 0:
-                    yield wait  # in-order: block until the slowest lane's data
-                stats.simt_issue(active, warp_size, 1)
-
-            elif cls is Store:
-                start = issue_acquire(sim.now, 1)
-                requests = [(pending[tid].addr, pending[tid].size)
-                            for tid in tids]
-                sectors = coalesce_sectors(requests, sector_size)
-                ldst_acquire(max(sim.now, start + 1),
-                             len(sectors) / sectors_per_cycle)
-                # Write-through, fire-and-forget: charge DRAM bandwidth only.
-                dram_transfer(sim.now, len(sectors) * sector_size)
-                stats.count_mem(active, warp_size, len(sectors),
-                                hit_l1=False)
-                if obs is not None:
-                    obs.emit("sm", unit, "store", start, 1.0, len(sectors))
-                wait = ceil_cycles(start + 1 - sim.now)
-                if wait > 0:
-                    yield wait
-                stats.simt_issue(active, warp_size, 1)
-
-            elif cls is AccelCall:
+            else:  # AccelCall group
+                _, active, payloads, resume = step
                 start = issue_acquire(sim.now, 1)
                 wait = ceil_cycles(start + 1 - sim.now)
                 if wait > 0:
                     yield wait
-                payloads = [pending[tid].payload for tid in tids]
-                if obs is not None:
-                    submit_at = sim.now
-                signal = self.accelerator.submit(sim.now, payloads)
-                per_query = yield signal
-                results = {tid: per_query[i] for i, tid in enumerate(tids)}
+                submit_at = sim.now
+                per_query = yield self.accelerator.submit(submit_at, payloads)
                 stats.count_accel(active, warp_size)
-                stats.simt_issue(active, warp_size, 1)
+                simt_issue(active, warp_size, 1)
                 if obs is not None:
                     obs.emit("sm", unit, "accel_call", submit_at,
                              sim.now - submit_at, active)
-
-            else:
-                # Warp._advance validated the op, so only an exotic
-                # subclass of an ISA type can land here.
-                raise SimulationError(
-                    f"unhandled op descriptor {op!r} (subclassing the ISA "
-                    "types is not supported by the fast dispatch)"
-                )
-
-            warp.step(tids, results)
+                resume(per_query)

@@ -1,9 +1,17 @@
-"""Warps: bundles of thread generators executed in SIMT lockstep."""
+"""Warps: bundles of thread generators executed in SIMT lockstep.
 
+:meth:`Warp.schedule` is the one place the SIMT issue rule lives: the
+lowest tag issues and its lanes regroup, a Compute group is as wide as
+its widest lane, and a Load/Store group's lanes coalesce into sectors.
+The SM times its macro steps; :mod:`repro.gpu.replay` caches them.
+"""
+
+from functools import partial
 from typing import Any, Generator, List, Optional, Sequence
 
 from repro.errors import SimulationError
-from repro.gpu.isa import OP_TYPES
+from repro.gpu.isa import OP_TYPES, AccelCall, Compute, Load, Store
+from repro.memsys.coalescer import coalesce_sectors
 
 #: Exact-type set for the hot-path validity check (set membership beats
 #: an isinstance chain at ~hundreds of thousands of ops per launch).
@@ -39,20 +47,11 @@ class Warp:
             )
         return op
 
-    def live_groups(self):
-        """Bucket live threads by tag; returns {tag: [tid, ...]}."""
-        groups = {}
-        for tid, op in enumerate(self.pending):
-            if op is not None:
-                groups.setdefault(op.tag, []).append(tid)
-        return groups
-
     def min_group(self):
         """The next group to issue: ``(lowest_tag, [tid, ...])``.
 
-        Single pass over the lanes (the executor only ever needs the
-        minimum, so building the full ``live_groups`` dict per step is
-        wasted work).  Returns ``None`` when no thread is live.
+        Single pass over the lanes; returns ``None`` when no thread is
+        live.
         """
         best = None
         tids = None
@@ -69,18 +68,72 @@ class Warp:
             return None
         return best, tids
 
-    def step(self, tids: Sequence[int], results=None) -> None:
-        """Advance the given threads past their current op."""
+    def step(self, tids: Sequence[int], values=None) -> None:
+        """Advance the given threads past their current op.
+
+        ``values[i]`` is sent into thread ``tids[i]``; None sends None
+        to every thread.
+        """
         advance = self._advance
         pending = self.pending
-        if results:
-            get = results.get
-            for tid in tids:
-                pending[tid] = advance(tid, get(tid))
-        else:
+        if values is None:
             for tid in tids:
                 pending[tid] = advance(tid, None)
+        else:
+            for i, tid in enumerate(tids):
+                pending[tid] = advance(tid, values[i])
 
-    @property
-    def alive(self) -> bool:
-        return any(op is not None for op in self.pending)
+    def schedule(self, sector_size: int):
+        """Run the warp to exhaustion, yielding one macro step per group.
+
+        Step layouts (what :class:`~repro.gpu.replay.WarpTrace` stores):
+
+        * ``(0, active, n, kind, first_n)`` — a :class:`Compute` group;
+          ``n`` is the widest lane (issue cost), ``first_n`` the lowest
+          lane's ``n`` (what ``simt_issue`` samples).
+        * ``(1, active, sectors)`` — a :class:`Load` group with its lane
+          requests coalesced into a sorted sector list.
+        * ``(2, active, n_sectors)`` — a :class:`Store` group (fire-and-
+          forget: only the sector count matters).
+        * ``(3, active, payloads, resume)`` — an :class:`AccelCall`
+          group; the consumer must call ``resume(per_query)`` with one
+          result per payload before asking for the next step.
+        """
+        self.prime()
+        pending = self.pending
+        while True:
+            group = self.min_group()
+            if group is None:
+                return
+            tids = group[1]
+            op = pending[tids[0]]
+            active = len(tids)
+            cls = op.__class__
+            if cls is Compute:
+                n = op.n
+                if active > 1:
+                    for tid in tids:
+                        m = pending[tid].n
+                        if m > n:
+                            n = m
+                yield (0, active, n, op.kind, op.n)
+            elif cls is Load:
+                yield (1, active, coalesce_sectors(
+                    [(pending[tid].addr, pending[tid].size) for tid in tids],
+                    sector_size))
+            elif cls is Store:
+                yield (2, active, len(coalesce_sectors(
+                    [(pending[tid].addr, pending[tid].size) for tid in tids],
+                    sector_size)))
+            elif cls is AccelCall:
+                yield (3, active, [pending[tid].payload for tid in tids],
+                       partial(self.step, tids))
+                continue
+            else:
+                # _advance validated the op, so only an exotic subclass
+                # of an ISA type can land here.
+                raise SimulationError(
+                    f"unhandled op descriptor {op!r} (subclassing the ISA "
+                    "types is not supported by the fast dispatch)"
+                )
+            self.step(tids)

@@ -1,6 +1,6 @@
 """Performance contracts of the vectorized/batched hot paths.
 
-Three families:
+Five families:
 
 * **Model fingerprints** — geometry/rta source edits must flip both the
   exec-cache scheduler fingerprint and the build fingerprint, so stale
@@ -15,9 +15,15 @@ Three families:
   identical workload return byte-identical stats, and replay stays off
   under every environment where a launch is not a pure function of its
   arguments (legacy engine, armed faults, guard overrides).
+* **Stream-cache contents** — a baseline run caches whole-warp traces
+  and launch records only, never per-thread op recordings.
+
+The fast-driver contracts pin the fast engine and drop any guard
+override, so they hold on every CI leg.
 """
 
 import gc
+import os
 import pathlib
 import shutil
 import tracemalloc
@@ -29,19 +35,32 @@ from repro.gpu import GPUConfig
 from repro.gpu.device import KernelStats
 from repro.gpu.replay import launch_replay_enabled
 from repro.gpu.sm import SM
-from repro.harness.runner import run_btree, run_rtnn
+from repro.harness.runner import run_btree, run_nbody, run_rtnn
 from repro.kernels.radius_search import radius_query, radius_query_scalar
 from repro.memsys.hierarchy import MemoryHierarchy
 from repro.rta import Step, TraversalJob
 from repro.rta.rta import make_rta_factory
 from repro.sim import _model_source_hash, make_simulator, scheduler_fingerprint
-from repro.workloads import make_btree_workload, make_rtnn_workload
+from repro.workloads import (
+    make_btree_workload,
+    make_nbody_workload,
+    make_rtnn_workload,
+)
 
 _SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
 
 #: Packages whose sources feed either fingerprint (superset is fine:
 #: the hash functions only glob what they cover).
 _FINGERPRINT_PACKAGES = ("sim", "geometry", "rta", "trees", "workloads")
+
+
+def _pin_fast_engine(monkeypatch):
+    """Fast engine, no guard override: the contract under test is the
+    fast driver's, whatever engine and guard the environment selects."""
+    monkeypatch.delenv("REPRO_SIM_CORE", raising=False)
+    for key in list(os.environ):
+        if key.startswith("REPRO_GUARD"):
+            monkeypatch.delenv(key)
 
 
 def _copy_model_tree(tmp_path) -> pathlib.Path:
@@ -101,7 +120,9 @@ def _single_step_jobs(result):
 
 
 class TestAllocationFreeDriver:
-    def test_warm_resubmission_allocates_no_per_job_objects(self):
+    def test_warm_resubmission_allocates_no_per_job_objects(self,
+                                                            monkeypatch):
+        _pin_fast_engine(monkeypatch)
         sim, core = _make_core()
         core.submit(sim.now, _single_step_jobs("warm"))
         sim.run()
@@ -170,7 +191,8 @@ class TestBVHBuildCost:
 
 # -- launch-level replay ------------------------------------------------------
 class TestLaunchReplay:
-    def test_repeat_tta_launch_is_identical_and_recorded(self):
+    def test_repeat_tta_launch_is_identical_and_recorded(self, monkeypatch):
+        _pin_fast_engine(monkeypatch)
         wl = make_btree_workload("btree", n_keys=512, n_queries=128, seed=9)
         first = run_btree(wl, "tta")
         assert any(isinstance(key, tuple) and key and key[0] == "__launch__"
@@ -191,7 +213,8 @@ class TestLaunchReplay:
         third = run_rtnn(wl, "rta")
         assert third.stats.cycles == first.stats.cycles
 
-    def test_enabled_by_default(self):
+    def test_enabled_by_default(self, monkeypatch):
+        _pin_fast_engine(monkeypatch)
         assert launch_replay_enabled()
 
     def test_disabled_under_legacy_engine(self, monkeypatch):
@@ -205,6 +228,25 @@ class TestLaunchReplay:
     def test_disabled_under_guard_override(self, monkeypatch):
         monkeypatch.setenv("REPRO_GUARD_MAX_CYCLES", "1000")
         assert not launch_replay_enabled()
+
+
+# -- stream-cache contents -----------------------------------------------------
+class TestStreamCacheContents:
+    def test_baseline_runs_cache_only_warp_traces_and_launches(self):
+        # A workload's stream cache holds whole-warp schedules and launch
+        # records; per-thread op recordings would keep every thread's
+        # op list alive for the workload's lifetime.
+        btree = make_btree_workload("btree", n_keys=512, n_queries=100,
+                                    seed=9)
+        run_btree(btree, "gpu")
+        nbody = make_nbody_workload(n_bodies=100, dims=3, seed=2)
+        run_nbody(nbody, "gpu")
+        caches = [btree._stream_cache, *nbody._stream_caches.values()]
+        assert all(caches)
+        for cache in caches:
+            for key in cache:
+                assert isinstance(key, tuple) and \
+                    key[0] in ("__warp__", "__launch__"), key
 
 
 # -- vectorized radius query --------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.gpu.config import GPUConfig
-from repro.gpu.isa import Compute
+from repro.gpu.isa import AccelCall, Compute, Load, Store
 from repro.gpu.warp import Warp
 from repro.memsys.hierarchy import MemoryHierarchy
 from repro.rta.mem_scheduler import RTAMemScheduler
@@ -18,13 +18,15 @@ class TestWarp:
         warp.prime()
         return warp
 
-    def test_live_groups_by_tag(self):
+    def test_min_group_groups_by_tag(self):
         def thread(tag):
             yield Compute(1, tag)
 
-        warp = self.make([thread(3), thread(5), thread(3)])
-        groups = warp.live_groups()
-        assert groups == {3: [0, 2], 5: [1]}
+        warp = self.make([thread(5), thread(3), thread(5), thread(3)])
+        assert warp.min_group() == (3, [1, 3])
+        steps = list(Warp(0, [thread(5), thread(3), thread(5),
+                              thread(3)]).schedule(32))
+        assert [step[1] for step in steps] == [2, 2]
 
     def test_step_advances_only_given_threads(self):
         def thread():
@@ -32,18 +34,39 @@ class TestWarp:
             yield Compute(1, 2)
 
         warp = self.make([thread(), thread()])
-        warp.step([0], results={})
-        groups = warp.live_groups()
-        assert groups == {2: [0], 1: [1]}
+        warp.step([0])
+        assert warp.min_group() == (1, [1])
+        warp.step([1])
+        assert warp.min_group() == (2, [0, 1])
 
-    def test_alive_tracks_exhaustion(self):
+    def test_exhaustion(self):
         def thread():
             yield Compute(1, 1)
 
         warp = self.make([thread()])
-        assert warp.alive
-        warp.step([0], results={})
-        assert not warp.alive
+        assert warp.min_group() == (1, [0])
+        warp.step([0])
+        assert warp.min_group() is None
+        assert list(Warp(0, [thread()]).schedule(32)) == \
+            [(0, 1, 1, "alu", 1)]
+
+    def test_schedule_macro_steps(self):
+        def thread(lane):
+            yield Compute(1 + lane, 1, "control")
+            yield Load(0x1000 + 4 * lane, 4, 2)
+            yield Store(0x2000 + 64 * lane, 4, 3)
+            value = yield AccelCall(lane, 4)
+            yield Compute(value, 5)
+
+        steps = Warp(0, [thread(0), thread(1)]).schedule(32)
+        assert next(steps) == (0, 2, 2, "control", 1)
+        assert next(steps) == (1, 2, [0x1000])
+        assert next(steps) == (2, 2, 2)
+        code, active, payloads, resume = next(steps)
+        assert (code, active, payloads) == (3, 2, [0, 1])
+        resume([7, 9])
+        assert next(steps) == (0, 2, 9, "alu", 7)
+        assert next(steps, None) is None
 
     def test_bad_yield_rejected(self):
         def thread():
@@ -52,6 +75,8 @@ class TestWarp:
         warp = Warp(0, [thread()])
         with pytest.raises(SimulationError):
             warp.prime()
+        with pytest.raises(SimulationError):
+            next(Warp(0, [thread()]).schedule(32))
 
 
 class TestWarpBuffer:
