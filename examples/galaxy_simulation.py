@@ -21,9 +21,9 @@ DT = 0.01
 
 def leapfrog_step(tree: BarnesHutTree, dt: float) -> BarnesHutTree:
     """One kick-drift integration step; rebuilds the tree afterwards."""
+    accelerations = tree.body_walk().accelerations  # all bodies in one walk
     new_bodies = []
-    for body in tree.bodies:
-        acc = tree.force_on(body).acceleration
+    for body, acc in zip(tree.bodies, accelerations):
         vel = body.vel + acc * dt
         pos = body.position + vel * dt
         new_bodies.append(make_body(pos, body.mass, body.body_id, vel=vel))
@@ -37,8 +37,8 @@ def main() -> None:
 
     # Physics quality: Barnes-Hut against direct summation.
     worst = 0.0
-    for body in wl.tree.bodies[:32]:
-        approx = wl.tree.force_on(body).acceleration
+    accelerations = wl.tree.body_walk().accelerations
+    for body, approx in zip(wl.tree.bodies[:32], accelerations):
         exact = wl.tree.direct_force_on(body)
         worst = max(worst, (approx - exact).length()
                     / max(exact.length(), 1e-12))

@@ -41,10 +41,14 @@ def prologue(query_addr: int, setup_alu: int = 4) -> Iterator:
     yield Load(query_addr, 4, TAG_LOAD_QUERY)
 
 
+#: the per-iteration loop overhead (ISA ops are immutable and shared)
+LOOP_HEAD = (Compute(LOOP_OVERHEAD_CONTROL, TAG_LOOP_HEAD, kind="control"),
+             Compute(FETCH_ADDR_ALU, TAG_LOOP_HEAD, kind="alu"))
+
+
 def visit_header(node_address: int, node_size: int = 64) -> Iterator:
     """The per-iteration loop overhead plus the node fetch."""
-    yield Compute(LOOP_OVERHEAD_CONTROL, TAG_LOOP_HEAD, kind="control")
-    yield Compute(FETCH_ADDR_ALU, TAG_LOOP_HEAD, kind="alu")
+    yield from LOOP_HEAD
     yield Load(node_address, node_size, TAG_LOAD_NODE)
 
 

@@ -16,16 +16,25 @@ per-ray control flow, advantage (2) of §II-C):
   5-µop leaf program of Table III (3 MUL + SQRT + R-XFORM), keeping the
   whole walk on the accelerator at the price of µop overheads (the
   "particularly sensitive to TTA+ overheads" point of §V-A).
+
+Both lowerings read the tree's array walks: the baseline's per-warp op
+tuples come from :meth:`~repro.trees.BarnesHutTree.union_walk` and are
+shared by the warp's lanes; the accelerated jobs and every kernel's
+functional result come from the visit CSR and accelerations of
+:meth:`~repro.trees.BarnesHutTree.body_walk`.
 """
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Any, List
 
+import numpy as np
+
 from repro.errors import ConfigurationError
-from repro.gpu.isa import AccelCall, Compute
+from repro.gpu.isa import AccelCall, Compute, Load
 from repro.gpu.replay import launch_replayable, value_independent
 from repro.kernels import common
-from repro.kernels.common import epilogue, prologue, visit_header
+from repro.kernels.common import LOOP_HEAD, epilogue, prologue
 from repro.rta.traversal import Step, TraversalJob
 from repro.trees.layout import NODE_STRIDE
 
@@ -37,6 +46,17 @@ _OPEN_CONTROL = 4
 _FORCE_ALU = 14
 _FORCE_SFU = 2  # rsqrt on the special function unit
 
+# Per-visit op tails after the node fetch (ISA ops are immutable, so
+# every visit and lane shares them).
+_INNER_OPEN = (Compute(_DIST_TEST_ALU, common.TAG_INNER, kind="alu"),
+               Compute(_OPEN_CONTROL, common.TAG_INNER_NEXT, kind="control"))
+#: an approximated cell adds predicated force math for all lanes
+_INNER_CLOSED = _INNER_OPEN + (
+    Compute(_FORCE_ALU, common.TAG_INNER_NEXT, kind="alu"),
+    Compute(_FORCE_SFU, common.TAG_INNER_NEXT, kind="sfu"))
+_LEAF = (Compute(_FORCE_ALU, common.TAG_LEAF, kind="alu"),
+         Compute(_FORCE_SFU, common.TAG_LEAF, kind="sfu"))
+
 
 @dataclass
 class NBodyKernelArgs:
@@ -45,7 +65,7 @@ class NBodyKernelArgs:
     tree: Any
     body_buf: int
     accel_buf: int
-    #: per-warp union traces for the baseline (warp-voting walk)
+    #: per-warp union-walk op tuples for the baseline (warp-voting walk)
     warp_traces: List[tuple] = field(default_factory=list)
     jobs: List[TraversalJob] = field(default_factory=list)
     #: per-body interaction counts for the TTA post-traversal force block
@@ -63,28 +83,14 @@ class NBodyKernelArgs:
 @value_independent
 def nbody_baseline_kernel(tid: int, args: NBodyKernelArgs):
     """Warp-voting union walk: converged control flow, predicated lanes."""
-    body = args.tree.bodies[tid]
-    visits = args.warp_traces[tid // args.warp_size]
     yield from prologue(args.body_buf + tid * 16, setup_alu=6)
-    for event in visits:
-        yield from visit_header(event.node.address, NODE_STRIDE)
-        if event.kind == "inner":
-            yield Compute(_DIST_TEST_ALU, common.TAG_INNER, kind="alu")
-            yield Compute(_OPEN_CONTROL, common.TAG_INNER_NEXT,
-                          kind="control")
-            if not event.opened:
-                # Approximated cell: predicated force math for all lanes.
-                yield Compute(_FORCE_ALU, common.TAG_INNER_NEXT, kind="alu")
-                yield Compute(_FORCE_SFU, common.TAG_INNER_NEXT, kind="sfu")
-        else:
-            yield Compute(_FORCE_ALU, common.TAG_LEAF, kind="alu")
-            yield Compute(_FORCE_SFU, common.TAG_LEAF, kind="sfu")
+    yield from args.warp_traces[tid // args.warp_size]
     if args.fused_post_insts:
         yield Compute(args.fused_post_insts, common.TAG_EPILOGUE - 1,
                       kind="alu")
     yield from epilogue(args.accel_buf + tid * 12)
     # Functional result from the body's own (exact) walk.
-    args.results[tid] = args.tree.force_on(body).acceleration
+    args.results[tid] = args.tree.body_walk().accelerations[tid]
 
 
 @launch_replayable
@@ -106,12 +112,23 @@ def nbody_accel_kernel(tid: int, args: NBodyKernelArgs):
 
 
 def build_warp_traces(tree, warp_size: int = 32) -> List[tuple]:
-    """Union (warp-voting) traces, one per warp of consecutive bodies."""
-    traces = []
-    bodies = tree.bodies
-    for first in range(0, len(bodies), warp_size):
-        traces.append(tree.warp_walk(bodies[first:first + warp_size]))
-    return traces
+    """Union (warp-voting) walks as op tuples, one per warp.
+
+    Warp ``w`` covers bodies ``w * warp_size`` onwards; each visit is
+    the loop head, the node fetch and the inner or leaf tail.
+    """
+    walk = tree.union_walk(warp_size)
+    segments = []
+    for address in tree.flat().address.tolist():
+        head = LOOP_HEAD + (Load(address, NODE_STRIDE, common.TAG_LOAD_NODE),)
+        segments.append((head + _INNER_OPEN, head + _INNER_CLOSED,
+                         head + _LEAF))
+    kind = np.where(walk.leaf, 2, np.where(walk.opened, 0, 1)).tolist()
+    visits = list(zip(walk.node.tolist(), kind))
+    offsets = walk.offsets.tolist()
+    return [tuple(chain.from_iterable(segments[node][k]
+                                      for node, k in visits[lo:hi]))
+            for lo, hi in zip(offsets, offsets[1:])]
 
 
 def build_nbody_jobs(tree, flavor: str = "tta"):
@@ -120,38 +137,42 @@ def build_nbody_jobs(tree, flavor: str = "tta"):
     Returns ``(jobs, interactions)``; ``interactions[i]`` is the number
     of force interactions body ``i`` gathered (used by the TTA kernel's
     post-traversal force block; empty list for TTA+, which computes
-    forces on the accelerator).
+    forces on the accelerator).  Steps are shared between bodies: each
+    visit maps to one step per (node, kind), plus TTA+'s fetch-less
+    force step after an approximated cell.
     """
     if flavor not in ("tta", "ttaplus"):
         raise ConfigurationError(
             f"N-Body needs Point-to-Point support (got flavor {flavor!r})"
         )
-    jobs: List[TraversalJob] = []
-    interactions: List[int] = []
-    for body in tree.bodies:
-        walk = tree.force_on(body)
-        steps: List[Step] = []
-        n_force = 0
-        for event in walk.visits:
-            if event.kind == "inner":
-                op = "point_dist" if flavor == "tta" else "uop:nbody_inner"
-                steps.append(Step(event.node.address, NODE_STRIDE, op))
-                if not event.opened:
-                    n_force += 1
-                    if flavor == "ttaplus":
-                        steps.append(Step(-1, 0, "uop:nbody_leaf"))
-            else:
-                n_force += 1
-                if flavor == "tta":
-                    # Screen the candidate with the Point-to-Point unit;
-                    # the force math runs on the cores afterwards.
-                    steps.append(Step(event.node.address, NODE_STRIDE,
-                                      "point_dist"))
-                else:
-                    steps.append(Step(event.node.address, NODE_STRIDE,
-                                      "uop:nbody_leaf"))
-        jobs.append(TraversalJob(body.body_id, steps, walk.acceleration))
-        interactions.append(n_force)
+    walk = tree.body_walk()
+    visits = walk.visits
+    address = tree.flat().address.tolist()
+    n_nodes = len(address)
+    forces = ~visits.opened  # a leaf or an approximated cell
+    if flavor == "tta":
+        # Leaves are screened by the Point-to-Point unit too; their
+        # force math runs on the cores afterwards.
+        table = [Step(a, NODE_STRIDE, "point_dist") for a in address]
+        ids = visits.node
+        offsets = visits.offsets
+    else:
+        table = ([Step(a, NODE_STRIDE, "uop:nbody_inner") for a in address]
+                 + [Step(a, NODE_STRIDE, "uop:nbody_leaf") for a in address]
+                 + [Step(-1, 0, "uop:nbody_leaf")])
+        approx = forces & ~visits.leaf
+        width = 1 + approx
+        ids = np.repeat(visits.node + n_nodes * visits.leaf, width)
+        ends = np.cumsum(width)
+        ids[ends[approx] - 1] = 2 * n_nodes
+        offsets = np.concatenate(([0], ends))[visits.offsets]
+    ids = ids.tolist()
+    offsets = offsets.tolist()
+    jobs = [TraversalJob(body.body_id, map(table.__getitem__, ids[lo:hi]),
+                         acceleration)
+            for body, acceleration, lo, hi in zip(
+                tree.bodies, walk.accelerations, offsets, offsets[1:])]
     if flavor == "ttaplus":
-        interactions = []
-    return jobs, interactions
+        return jobs, []
+    gathered = np.concatenate(([0], np.cumsum(forces)))[visits.offsets]
+    return jobs, np.diff(gathered).tolist()

@@ -64,8 +64,8 @@ class NBodyWorkload:
     body_buf: int
     accel_buf: int
     # Lowering is pure per (tree, flavor); cache it across repeated runs
-    # of the same workload object (the warp traces are read-only in the
-    # kernels, so sharing one list across args instances is safe).
+    # of the same workload object (the warp op tuples are immutable, so
+    # sharing one list across args instances is safe).
     _warp_traces: Optional[List[tuple]] = field(
         default=None, init=False, repr=False, compare=False)
     _jobs_cache: Dict[str, tuple] = field(
@@ -78,13 +78,21 @@ class NBodyWorkload:
     def kernel_args(self, jobs: Sequence[TraversalJob] = (),
                     interactions: Sequence[int] = (),
                     fused_post_insts: int = 0) -> NBodyKernelArgs:
-        if self._warp_traces is None:
-            self._warp_traces = build_warp_traces(self.tree)
+        """Arguments of one launch: accelerated if ``jobs`` are given.
+
+        Only the baseline kernel (no jobs) reads the warp union walks,
+        so accelerated launches never build them.
+        """
+        warp_traces: List[tuple] = []
+        if not jobs:
+            if self._warp_traces is None:
+                self._warp_traces = build_warp_traces(self.tree)
+            warp_traces = self._warp_traces
         return NBodyKernelArgs(
             tree=self.tree,
             body_buf=self.body_buf,
             accel_buf=self.accel_buf,
-            warp_traces=self._warp_traces,
+            warp_traces=warp_traces,
             jobs=list(jobs),
             interactions=list(interactions),
             fused_post_insts=fused_post_insts,

@@ -6,9 +6,12 @@ golden references (done inside the runners), and the paper's headline
 *shapes* at smoke scale.
 """
 
+import math
+
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.geometry.vec import Vec3
 from repro.harness.runner import (
     run_btree,
     run_lumibench,
@@ -111,6 +114,18 @@ class TestNBodyEndToEnd:
         # overlaps it with traversal and gains more.
         gain_with_post = base_f.cycles / fused.cycles
         assert gain_with_post > 0.8
+
+    @pytest.mark.parametrize("platform", ["gpu", "tta", "ttaplus"])
+    def test_golden_check_catches_one_ulp_force_error(self, platform):
+        wl = make_nbody_workload(n_bodies=64, dims=3, seed=5)
+        walk = wl.tree.body_walk()
+        accelerations = list(walk.accelerations)
+        a = accelerations[0]  # body 0 is always sampled
+        accelerations[0] = Vec3(math.nextafter(a.x, math.inf), a.y, a.z)
+        wl.tree._memo["walk"] = walk._replace(
+            accelerations=tuple(accelerations))
+        with pytest.raises(AssertionError, match="body 0: force mismatch"):
+            run_nbody(wl, platform)
 
 
 class TestRTNNEndToEnd:

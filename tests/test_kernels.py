@@ -1,20 +1,71 @@
 """Tests for the software kernels and job builders."""
 
+from dataclasses import dataclass, field
+
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.gpu import GPU, GPUConfig
+from repro.gpu.isa import Compute, Load
+from repro.kernels import common
 from repro.kernels.btree_search import build_btree_jobs, btree_baseline_kernel
-from repro.kernels.nbody_walk import build_nbody_jobs, build_warp_traces
+from repro.kernels.nbody_walk import (
+    _DIST_TEST_ALU,
+    _FORCE_ALU,
+    _FORCE_SFU,
+    _OPEN_CONTROL,
+    build_nbody_jobs,
+    build_warp_traces,
+    nbody_baseline_kernel,
+)
 from repro.kernels.radius_search import build_radius_jobs, radius_query
 from repro.kernels.ray_trace import build_rt_jobs
+from repro.trees.layout import NODE_STRIDE
 from repro.workloads import (
     make_btree_workload,
     make_nbody_workload,
     make_rtnn_workload,
 )
 
+from tests.octree_reference import warp_walk
+
 CFG = GPUConfig(n_sms=2)
+
+
+@dataclass
+class _RefNBodyArgs:
+    tree: object
+    body_buf: int
+    accel_buf: int
+    fused_post_insts: int
+    warp_size: int = 32
+    results: dict = field(default_factory=dict)
+
+
+def _reference_nbody_kernel(tid, args):
+    """The baseline kernel as a per-visit generator over the scalar
+    warp walk and the scalar force walk."""
+    tree, ws = args.tree, args.warp_size
+    first = tid - tid % ws
+    visits = warp_walk(tree, tree.bodies[first:first + ws])
+    yield from common.prologue(args.body_buf + tid * 16, setup_alu=6)
+    for event in visits:
+        yield from common.visit_header(event.node.address, NODE_STRIDE)
+        if event.kind == "inner":
+            yield Compute(_DIST_TEST_ALU, common.TAG_INNER, kind="alu")
+            yield Compute(_OPEN_CONTROL, common.TAG_INNER_NEXT,
+                          kind="control")
+            if not event.opened:
+                yield Compute(_FORCE_ALU, common.TAG_INNER_NEXT, kind="alu")
+                yield Compute(_FORCE_SFU, common.TAG_INNER_NEXT, kind="sfu")
+        else:
+            yield Compute(_FORCE_ALU, common.TAG_LEAF, kind="alu")
+            yield Compute(_FORCE_SFU, common.TAG_LEAF, kind="sfu")
+    if args.fused_post_insts:
+        yield Compute(args.fused_post_insts, common.TAG_EPILOGUE - 1,
+                      kind="alu")
+    yield from common.epilogue(args.accel_buf + tid * 12)
+    args.results[tid] = tree.force_on(tree.bodies[tid]).acceleration
 
 
 class TestBTreeKernel:
@@ -54,13 +105,31 @@ class TestNBodyKernel:
         wl = make_nbody_workload(n_bodies=128, dims=2, seed=8)
         traces = build_warp_traces(wl.tree, warp_size=32)
         assert len(traces) == 4
-        # The union walk must visit at least as many nodes as any lane.
+        # The union walk must visit at least as many nodes as any lane:
+        # a warp's node fetches cover every lane's own visits.
         for w, trace in enumerate(traces):
-            union_nodes = {id(e.node) for e in trace}
+            union_addrs = {op.addr for op in trace
+                           if isinstance(op, Load)
+                           and op.tag == common.TAG_LOAD_NODE}
             for body in wl.tree.bodies[w * 32:(w + 1) * 32]:
-                lane_nodes = {id(e.node)
+                lane_addrs = {e.node.address
                               for e in wl.tree.force_on(body).visits}
-                assert lane_nodes <= union_nodes
+                assert lane_addrs <= union_addrs
+
+    @pytest.mark.parametrize("fused", [0, 120])
+    def test_baseline_kernel_matches_per_visit_reference(self, fused):
+        wl = make_nbody_workload(n_bodies=80, dims=3, seed=8)
+        args = wl.kernel_args(fused_post_insts=fused)
+        stats = GPU(CFG).launch(nbody_baseline_kernel, wl.n_bodies,
+                                args=args)
+        ref_args = _RefNBodyArgs(wl.tree, wl.body_buf, wl.accel_buf, fused)
+        ref = GPU(CFG).launch(_reference_nbody_kernel, wl.n_bodies,
+                              args=ref_args)
+        assert stats.cycles == ref.cycles
+        assert stats.warp_instructions.as_dict() == \
+            ref.warp_instructions.as_dict()
+        assert stats.metrics.as_dict() == ref.metrics.as_dict()
+        assert args.results == ref_args.results
 
     def test_tta_jobs_report_interactions(self):
         wl = make_nbody_workload(n_bodies=64, dims=3, seed=9)

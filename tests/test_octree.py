@@ -3,6 +3,7 @@
 import math
 import random
 
+import hypothesis
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 from repro.errors import ConfigurationError
 from repro.geometry import Vec3
 from repro.trees import BarnesHutTree
-from repro.trees.octree import make_body
+from repro.trees.octree import _MAX_DEPTH, make_body
+from tests.octree_reference import warp_walk
 
 
 def random_bodies(n, dims=3, seed=0, span=10.0):
@@ -145,3 +147,74 @@ def test_property_mass_and_count_conserved(n, seed):
     tree = BarnesHutTree(bodies)
     assert tree.root.count == n
     assert tree.root.mass == pytest.approx(sum(b.mass for b in bodies))
+
+
+# -- array walks vs. the scalar references ------------------------------------
+def _hex(v):
+    return (v.x.hex(), v.y.hex(), v.z.hex())
+
+
+def _csr_events(tree, csr, i):
+    lo, hi = csr.offsets[i], csr.offsets[i + 1]
+    nodes = tree.flat().nodes
+    return [(nodes[n], "leaf" if leaf else "inner", bool(opened))
+            for n, leaf, opened in zip(csr.node[lo:hi].tolist(),
+                                       csr.leaf[lo:hi].tolist(),
+                                       csr.opened[lo:hi].tolist())]
+
+
+def _events(visits):
+    return [(e.node, e.kind, e.opened) for e in visits]
+
+
+@st.composite
+def walk_cases(draw):
+    """Bodies with shuffled ids, a coincident clump (split past the
+    maximum depth) and optional zero-mass bodies and cells."""
+    n = draw(st.integers(min_value=2, max_value=300))
+    dims = draw(st.sampled_from([2, 3]))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    clump = draw(st.integers(min_value=0, max_value=min(n, 5)))
+    zero_frac = draw(st.sampled_from([0.0, 0.3, 1.0]))
+    ids = rng.sample(range(4 * n), n)
+    bodies = []
+    for i in range(n):
+        pos = Vec3(rng.uniform(-5, 5), rng.uniform(-5, 5),
+                   rng.uniform(-5, 5) if dims == 3 else 0.0)
+        if i < clump:
+            pos = Vec3(1.25, -0.5, 0.75 if dims == 3 else 0.0)
+        mass = 0.0 if rng.random() < zero_frac else rng.uniform(0.5, 2.0)
+        bodies.append(make_body(pos, mass, ids[i]))
+    rng.shuffle(bodies)
+    theta = draw(st.sampled_from([0.2, 0.5, 1.0, 1.5]))
+    return BarnesHutTree(bodies, dims=dims, theta=theta, softening=0.05)
+
+
+@hypothesis.seed(20241)
+@given(walk_cases(), st.sampled_from([4, 32]))
+@settings(max_examples=60, deadline=None)
+def test_array_walks_match_scalar_references(tree, warp_size):
+    walk = tree.body_walk()
+    for i, body in enumerate(tree.bodies):
+        ref = tree.force_on(body)
+        assert _hex(walk.accelerations[i]) == _hex(ref.acceleration)
+        assert _csr_events(tree, walk.visits, i) == _events(ref.visits)
+    union = tree.union_walk(warp_size)
+    n_warps = -(-len(tree.bodies) // warp_size)
+    assert len(union.offsets) == n_warps + 1
+    for w in range(n_warps):
+        lanes = tree.bodies[w * warp_size:(w + 1) * warp_size]
+        assert _csr_events(tree, union, w) == _events(warp_walk(tree, lanes))
+
+
+def test_coincident_clump_splits_past_max_depth():
+    # The fuzz cases' clump really reaches the shared deep leaf.
+    bodies = [make_body(Vec3(1, 1, 1), 1.0, 10 + i) for i in range(3)]
+    bodies.append(make_body(Vec3(-1, -1, -1), 0.0, 2))
+    tree = BarnesHutTree(bodies, dims=3, theta=0.5)
+    assert tree.depth() > _MAX_DEPTH
+    walk = tree.body_walk()
+    for i, body in enumerate(bodies):
+        ref = tree.force_on(body)
+        assert _hex(walk.accelerations[i]) == _hex(ref.acceleration)
+        assert _csr_events(tree, walk.visits, i) == _events(ref.visits)

@@ -28,6 +28,8 @@ import pathlib
 import shutil
 import tracemalloc
 
+import pytest
+
 from repro.exec.cache import build_fingerprint
 from repro.geometry.aabb import AABB
 from repro.geometry.vec import Vec3
@@ -187,6 +189,25 @@ class TestBVHBuildCost:
         # makes ~250k unions and ~600k vectors here.
         assert counts["union"] <= nodes
         assert counts["vec3"] <= 4 * (nodes + len(wl.points)), counts
+
+
+# -- N-Body walk cost -----------------------------------------------------------
+class TestNBodyWalkCost:
+    @pytest.mark.parametrize("platform", ["gpu", "tta", "ttaplus"])
+    def test_runs_construct_one_vector_per_body(self, monkeypatch, platform):
+        wl = make_nbody_workload(n_bodies=384, dims=3, seed=2)
+        count = [0]
+        vec3_init = Vec3.__init__
+
+        def counting_init(self, *args, **kwargs):
+            count[0] += 1
+            vec3_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Vec3, "__init__", counting_init)
+        run_nbody(wl, platform, verify=False)
+        # One acceleration per body.  Scalar per-body walks build
+        # ~256k vectors on gpu here.
+        assert count[0] <= wl.n_bodies + 64, count[0]
 
 
 # -- launch-level replay ------------------------------------------------------

@@ -81,6 +81,13 @@ class TestNBodyWorkload:
         with pytest.raises(ConfigurationError):
             make_nbody_workload(n_bodies=8, dims=1)
 
+    def test_accelerated_launches_skip_union_walks(self):
+        wl = make_nbody_workload(n_bodies=64, dims=3, seed=4)
+        args = wl.kernel_args(*wl.jobs("tta"))
+        assert args.warp_traces == []
+        assert wl._warp_traces is None
+        assert len(wl.kernel_args().warp_traces) == 2
+
 
 class TestPointCloud:
     def test_size_and_determinism(self):
