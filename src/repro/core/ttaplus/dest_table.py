@@ -3,7 +3,8 @@
 Before a kernel launch, ``ConfigI``/``ConfigL`` compile the inner- and
 leaf-node µop programs into per-unit routing entries: for each (node
 type, µop PC) executed on a unit, the table names the next unit's input
-port (Fig. 10).  The backend consults the table on every hand-off; a
+port (Fig. 10).  Each program's stage plan is compiled by following
+these hand-offs (:func:`~repro.core.ttaplus.ttaplus.compile_plan`); a
 missing entry is a configuration error, which is exactly the hardware
 failure mode of launching with stale Config Regs.
 """

@@ -8,7 +8,7 @@ the destination port.  Port contention and the serialization of µop
 chains are the latency overheads Fig. 18 (bottom) attributes to "ICNT".
 """
 
-from typing import Dict
+from typing import Dict, List
 
 from repro.errors import ConfigurationError
 from repro.core.ttaplus.uop import UNIT_TYPES
@@ -16,6 +16,8 @@ from repro.sim.resources import Timeline
 
 CROSSBAR_PORTS = 16
 PAYLOAD_BYTES = 120  # 64B node + 32B ray + 24B intermediates (§V-C2)
+#: index of the writeback port in :attr:`Crossbar.ports`
+WRITEBACK_INDEX = len(UNIT_TYPES)
 
 
 class Crossbar:
@@ -35,10 +37,13 @@ class Crossbar:
         # each unit type has S input ports; modelled as one timeline with
         # S-per-cycle acceptance.
         self._service = 1.0 / ports_per_unit
-        self._ports: Dict[str, Timeline] = {
-            unit: Timeline(f"icnt.{unit}") for unit in UNIT_TYPES
-        }
-        self._ports["writeback"] = Timeline("icnt.writeback")
+        #: input ports in ``UNIT_TYPES`` order, then the writeback port
+        #: (index :data:`WRITEBACK_INDEX`)
+        self.ports: List[Timeline] = [
+            Timeline(f"icnt.{unit}") for unit in UNIT_TYPES
+        ] + [Timeline("icnt.writeback")]
+        self._ports: Dict[str, Timeline] = dict(
+            zip(UNIT_TYPES + ("writeback",), self.ports))
         self.transfers = 0
         self.bytes_moved = 0
 
@@ -47,6 +52,10 @@ class Crossbar:
         port = self._ports.get(dst_unit)
         if port is None:
             raise ConfigurationError(f"no crossbar port for {dst_unit!r}")
+        return self.deliver(now, port)
+
+    def deliver(self, now: float, port: Timeline) -> float:
+        """Deliver one payload to input ``port``; returns arrival time."""
         self.transfers += 1
         self.bytes_moved += PAYLOAD_BYTES
         if self.perfect:
@@ -57,8 +66,8 @@ class Crossbar:
     def utilization(self, end: float) -> float:
         if end <= 0:
             return 0.0
-        busy = sum(p.busy_cycles for p in self._ports.values())
-        return min(1.0, busy / (end * len(self._ports)))
+        busy = sum(p.busy_cycles for p in self.ports)
+        return min(1.0, busy / (end * len(self.ports)))
 
     def snapshot(self, end: float) -> dict:
         return {

@@ -7,7 +7,7 @@ configurations.  µop latencies are the Agner-Fog-referenced values of
 Table I.
 """
 
-from typing import Dict
+from typing import Dict, List, Optional
 
 from repro.errors import ConfigurationError, ProgramError
 from repro.sim.resources import PipelinedUnit
@@ -29,44 +29,92 @@ OP_UNIT_LATENCIES: Dict[str, int] = {
 }
 
 
+#: Unit type -> its index in :data:`UNIT_TYPES`: the OP-unit pool and
+#: crossbar input port of that type.
+UNIT_INDEX: Dict[str, int] = {unit: i for i, unit in enumerate(UNIT_TYPES)}
+
+
 class OpUnitBank:
-    """The physical OP units of one TTA+ instance."""
+    """The physical OP units of one TTA+ instance.
+
+    Pools are indexed in :data:`UNIT_TYPES` order, and a unit type's
+    pool of copies is built on its first issue: a launch constructs
+    units only for the types its programs use.  An unbuilt pool reports
+    the statistics of never-issued units (:data:`_IDLE_STATS`).
+    """
 
     def __init__(self, copies: Dict[str, int] = None,
                  latency_scale: float = 1.0):
         if latency_scale <= 0:
             raise ConfigurationError("latency scale must be positive")
         copies = copies or {}
-        self.units: Dict[str, list] = {}
-        for unit_type in UNIT_TYPES:
-            n = copies.get(unit_type, 1)
-            if n < 1:
-                raise ConfigurationError(
-                    f"need at least one {unit_type} unit"
-                )
-            latency = max(1.0, OP_UNIT_LATENCIES[unit_type] * latency_scale)
-            self.units[unit_type] = [
+        self.copies = [copies.get(unit_type, 1) for unit_type in UNIT_TYPES]
+        short = [t for t, n in zip(UNIT_TYPES, self.copies) if n < 1]
+        if short:
+            raise ConfigurationError(f"need at least one {short[0]} unit")
+        self.latency_scale = latency_scale
+        #: per unit type: its list of copies, None until first issued
+        self.pools: List[Optional[list]] = [None] * len(UNIT_TYPES)
+        #: per unit type: the copy the next µop issues on (round robin)
+        self.rr = [0] * len(UNIT_TYPES)
+
+    def pool(self, index: int) -> list:
+        """The copies of unit type ``UNIT_TYPES[index]`` (built once)."""
+        pool = self.pools[index]
+        if pool is None:
+            unit_type = UNIT_TYPES[index]
+            latency = max(1.0,
+                          OP_UNIT_LATENCIES[unit_type] * self.latency_scale)
+            pool = self.pools[index] = [
                 PipelinedUnit(f"{unit_type}[{i}]", latency=latency,
                               strict=False)
-                for i in range(n)
+                for i in range(self.copies[index])
             ]
-        self._rr: Dict[str, int] = {u: 0 for u in UNIT_TYPES}
+        return pool
+
+    @property
+    def units(self) -> Dict[str, list]:
+        """Every unit type's pool, building those not issued yet."""
+        return {unit_type: self.pool(index)
+                for index, unit_type in enumerate(UNIT_TYPES)}
+
+    def issue_run(self, index: int, n: int, at: float, issued: list) -> float:
+        """Issue ``n`` µops at ``at`` round-robin over pool ``index``.
+
+        Appends each unit issued on to ``issued`` and returns the last
+        completion time.
+        """
+        pool = self.pool(index)
+        rr = self.rr
+        last_done = at
+        for _ in range(n):
+            idx = rr[index]
+            rr[index] = (idx + 1) % len(pool)
+            unit = pool[idx]
+            done = unit.issue(at)[1]
+            issued.append(unit)
+            if done > last_done:
+                last_done = done
+        return last_done
 
     def issue(self, unit_type: str, at: float):
         """Issue on the next copy of ``unit_type``; returns (unit, start, done)."""
-        try:
-            pool = self.units[unit_type]
-        except KeyError:
+        index = UNIT_INDEX.get(unit_type)
+        if index is None:
             raise ProgramError(f"unknown OP unit type {unit_type!r}")
-        idx = self._rr[unit_type]
-        self._rr[unit_type] = (idx + 1) % len(pool)
+        pool = self.pool(index)
+        idx = self.rr[index]
+        self.rr[index] = (idx + 1) % len(pool)
         unit = pool[idx]
         start, done = unit.issue(at)
         return unit, start, done
 
     def snapshot(self, end: float) -> Dict[str, dict]:
         out = {}
-        for unit_type, pool in self.units.items():
+        for unit_type, pool in zip(UNIT_TYPES, self.pools):
+            if pool is None:
+                out[unit_type] = dict(_IDLE_STATS)
+                continue
             out[unit_type] = {
                 "ops": sum(u.ops for u in pool),
                 "busy_cycles": sum(u.busy_cycles for u in pool),
@@ -76,3 +124,9 @@ class OpUnitBank:
                 "occupancy_peak": sum(u.occupancy.peak for u in pool),
             }
         return out
+
+
+#: What :meth:`OpUnitBank.snapshot` reports for a pool of never-issued
+#: units, value for value and type for type.
+_IDLE_STATS = {"ops": 0, "busy_cycles": 0.0, "utilization": 0.0,
+               "occupancy_avg": 0.0, "occupancy_peak": 0}

@@ -7,41 +7,98 @@ input port (queueing on contention), issues, and completes after the
 Table I latency.  The chain's end-to-end time is the *intersection
 latency* reported in Fig. 18 (bottom); per-unit busy fractions are
 Fig. 18 (top).
+
+Each program is a fixed pipeline: it is compiled once into a *stage
+plan* (:func:`stage_plan`), shared by every backend, and a chain walks
+that plan over its own backend's ports and unit pools.
 """
 
-from typing import Dict
+import weakref
+from typing import Dict, Tuple
 
 from repro.errors import ConfigurationError
-from repro.core.ttaplus.dest_table import OpDestTable
-from repro.core.ttaplus.interconnect import Crossbar
-from repro.core.ttaplus.opunits import OP_UNIT_LATENCIES, OpUnitBank
-from repro.core.ttaplus.programs import PROGRAMS, program_named
+from repro.core.ttaplus.dest_table import WRITEBACK_PORT, OpDestTable
+from repro.core.ttaplus.interconnect import WRITEBACK_INDEX, Crossbar
+from repro.core.ttaplus.opunits import (
+    OP_UNIT_LATENCIES,
+    UNIT_INDEX,
+    OpUnitBank,
+)
+from repro.core.ttaplus.programs import PROGRAMS, UopProgram, program_named
+from repro.core.ttaplus.uop import UNIT_TYPES
 from repro.gpu.config import GPUConfig
 from repro.sim.engine import ceil_cycles
 from repro.sim.stats import LatencySampler
+
+#: One stage per same-unit run of µops: ``(port, pool, n)`` — the
+#: crossbar input port the payload crosses to, the OP-unit pool the run
+#: issues on, and the run length.
+Plan = Tuple[Tuple[int, int, int], ...]
+
+#: Compiled plans shared by every backend, keyed by program object: a
+#: program replaced with ``register_program(..., replace=True)`` is a
+#: new key, and a dropped program takes its plan with it.
+_PLANS: "weakref.WeakKeyDictionary[UopProgram, Plan]" = \
+    weakref.WeakKeyDictionary()
+
+
+def compile_plan(program: UopProgram, table: OpDestTable) -> Plan:
+    """Compile ``program`` into its stage plan, routed by ``table``.
+
+    The stages follow the table's hand-offs from the program's first
+    unit to the writeback port and must spell out the program's µops.
+    A missing entry raises :class:`ConfigurationError`, as the hardware
+    fails on stale Config Regs.
+    """
+    name = program.name
+    stages = []
+    pc = 0
+    unit = table.first_unit(name)
+    while unit != WRITEBACK_PORT:
+        n = 0
+        nxt = unit
+        while nxt == unit:  # a same-unit run stays inside the unit
+            nxt = table.next_port(name, pc)
+            pc += 1
+            n += 1
+        stages.append((UNIT_INDEX[unit], UNIT_INDEX[unit], n))
+        unit = nxt
+    routed = [UNIT_TYPES[pool] for _, pool, n in stages for _ in range(n)]
+    if routed != [uop.unit for uop in program.uops]:
+        raise ConfigurationError(
+            f"OP Dest Table routes {name!r} through {routed}, not its µops"
+        )
+    return tuple(stages)
+
+
+def stage_plan(program: UopProgram) -> Plan:
+    """``program``'s stage plan, compiled on first use and then shared."""
+    plan = _PLANS.get(program)
+    if plan is None:
+        table = OpDestTable()
+        table.load_program(program.name, program)
+        plan = _PLANS[program] = compile_plan(program, table)
+    return plan
 
 
 class _Chain:
     """In-flight state of one step's µop tests (batched driver path).
 
-    ``pos`` walks the step's run list: ``pos < len(runs)`` is the next
-    same-unit run to route+issue, ``pos == len(runs)`` is the writeback
-    hand-off, ``pos == len(runs) + 1`` finalizes the test (sample
-    latency, start the next test or finish the chain).
+    ``pos`` walks the plan: ``pos < len(plan)`` is the next stage to
+    route+issue, ``pos == len(plan)`` is the writeback hand-off,
+    ``pos == len(plan) + 1`` finalizes the test (sample latency, start
+    the next test or finish the chain).
     """
 
-    __slots__ = ("name", "runs", "pos", "pc", "tests_left", "begin",
-                 "pending", "sampler")
+    __slots__ = ("plan", "sampler", "pos", "tests_left", "begin", "pending")
 
-    def __init__(self, name, runs, count, sampler):
-        self.name = name
-        self.runs = runs
+    def __init__(self, plan, count, sampler):
+        self.plan = plan
+        self.sampler = sampler
         self.pos = 0
-        self.pc = 0
         self.tests_left = count
         self.begin = None
         self.pending = []
-        self.sampler = sampler
 
 
 class TTAPlusBackend:
@@ -63,12 +120,28 @@ class TTAPlusBackend:
         self.crossbar = Crossbar(hop_latency=config.icnt_hop_latency,
                                  perfect=perfect_icnt,
                                  ports_per_unit=config.intersection_sets)
-        self.dest_table = OpDestTable()
-        for name, program in PROGRAMS.items():
-            self.dest_table.load_program(name, program)
+        # ConfigI/ConfigL: the programs configured for this launch.  A
+        # program registered later has no routing here.
+        self.programs: Dict[str, UopProgram] = dict(PROGRAMS)
         self.test_latency: Dict[str, LatencySampler] = {}
         self.tests_run = 0
-        self._runs_cache: Dict[str, list] = {}
+        self._bound: Dict[str, tuple] = {}  # step op -> (plan, sampler)
+
+    def _bind(self, op: str) -> tuple:
+        """``(plan, sampler)`` for step op ``op`` (memoized per op)."""
+        bound = self._bound.get(op)
+        if bound is None:
+            name = self._program_name(op)
+            sampler = self.test_latency.setdefault(name, LatencySampler())
+            program = self.programs.get(name)
+            if program is None:
+                program_named(name)  # a name never registered: ProgramError
+                raise ConfigurationError(
+                    f"OP Dest Table has no entry for {name!r}; ConfigI/"
+                    "ConfigL not run for this node type before the launch"
+                )
+            bound = self._bound[op] = (stage_plan(program), sampler)
+        return bound
 
     # -- execution ------------------------------------------------------------------
     def execute(self, now: float, op: str, count: int):
@@ -78,14 +151,14 @@ class TTAPlusBackend:
         computed analytically over the shared unit/port timelines, so
         contention from concurrent traversals is reflected in the result.
         """
-        name = self._program_name(op)
-        sampler = self.test_latency.setdefault(name, LatencySampler())
+        plan, sampler = self._bind(op)
         sim = self.sim
-        runs = self._runs_for(name)
+        deliver = self.crossbar.deliver
+        ports = self.crossbar.ports
+        issue_run = self.bank.issue_run
         for _ in range(count):
             begin = sim.now
-            pc = 0
-            for unit_type, n in runs:
+            for port, pool, n in plan:
                 # One interconnect crossing per same-unit run: consecutive
                 # µops on one unit execute inside it without re-crossing
                 # (§III-C: "the ADDSUB unit ... executes the first two
@@ -95,23 +168,17 @@ class TTAPlusBackend:
                 # yields keep resource acquisitions in real time order so
                 # concurrent chains interleave as the hardware's per-unit
                 # input queues do.
-                self.dest_table.next_port(name, pc)  # routing lookup
-                pc += n
-                arrival = self.crossbar.route(sim.now, unit_type)
+                arrival = deliver(sim.now, ports[port])
                 if arrival > sim.now:
                     yield ceil_cycles(arrival - sim.now)
-                last_done = sim.now
                 issued = []
-                for _i in range(n):
-                    unit, _start, done = self.bank.issue(unit_type, sim.now)
-                    issued.append((unit, done))
-                    last_done = max(last_done, done)
+                last_done = issue_run(pool, n, sim.now, issued)
                 if last_done > sim.now:
                     yield ceil_cycles(last_done - sim.now)
-                for unit, _done in issued:
+                for unit in issued:
                     unit.complete(sim.now)
             # Final writeback hand-off to the buffers / warp registers.
-            writeback = self.crossbar.route(sim.now, "writeback")
+            writeback = deliver(sim.now, ports[WRITEBACK_INDEX])
             if writeback > sim.now:
                 yield ceil_cycles(writeback - sim.now)
             sampler.sample(sim.now - begin)
@@ -126,9 +193,8 @@ class TTAPlusBackend:
         *stage* (route + issue a whole same-unit run) instead of one
         process resume per yield.
         """
-        name = self._program_name(op)
-        sampler = self.test_latency.setdefault(name, LatencySampler())
-        return _Chain(name, self._runs_for(name), count, sampler)
+        plan, sampler = self._bind(op)
+        return _Chain(plan, count, sampler)
 
     def advance_chain(self, chain: _Chain, now):
         """Advance ``chain`` at time ``now``.
@@ -145,31 +211,24 @@ class TTAPlusBackend:
             del pending[:]
         if chain.begin is None:
             chain.begin = now
-        runs = chain.runs
-        n_runs = len(runs)
-        route = self.crossbar.route
-        bank_issue = self.bank.issue
+        plan = chain.plan
+        n_stages = len(plan)
+        deliver = self.crossbar.deliver
+        ports = self.crossbar.ports
         while True:
             pos = chain.pos
-            if pos < n_runs:
-                unit_type, n = runs[pos]
-                self.dest_table.next_port(chain.name, chain.pc)
-                chain.pc += n
+            if pos < n_stages:
+                port, pool, n = plan[pos]
                 chain.pos = pos + 1
-                arrival = route(now, unit_type)
-                last_done = arrival
-                for _ in range(n):
-                    unit, _start, done = bank_issue(unit_type, arrival)
-                    pending.append(unit)
-                    if done > last_done:
-                        last_done = done
+                arrival = deliver(now, ports[port])
+                last_done = self.bank.issue_run(pool, n, arrival, pending)
                 if last_done > now:
                     return last_done
                 for unit in pending:  # zero-latency edge (perfect studies)
                     unit.complete(now)
                 del pending[:]
-            elif pos == n_runs:
-                writeback = route(now, "writeback")
+            elif pos == n_stages:
+                writeback = deliver(now, ports[WRITEBACK_INDEX])
                 chain.pos = pos + 1
                 if writeback > now:
                     return writeback
@@ -181,24 +240,6 @@ class TTAPlusBackend:
                     return None
                 chain.begin = now
                 chain.pos = 0
-                chain.pc = 0
-
-    def _runs_for(self, name: str) -> list:
-        runs = self._runs_cache.get(name)
-        if runs is None:
-            runs = self._runs_cache[name] = self._runs(program_named(name))
-        return runs
-
-    @staticmethod
-    def _runs(program):
-        """Collapse a µop list into (unit, run_length) pairs."""
-        runs = []
-        for uop in program.uops:
-            if runs and runs[-1][0] == uop.unit:
-                runs[-1][1] += 1
-            else:
-                runs.append([uop.unit, 1])
-        return [(u, n) for u, n in runs]
 
     @staticmethod
     def _program_name(op: str) -> str:

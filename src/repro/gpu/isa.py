@@ -5,7 +5,9 @@ Each descriptor carries a ``tag`` — a static program location with a
 global order — which the warp executor uses to regroup threads: at any
 step the live threads are bucketed by tag and the lowest tag issues
 first, reproducing SIMT-stack serialization and reconvergence for the
-structured control flow of tree traversals.
+structured control flow of tree traversals.  A kernel may also yield a
+tuple of Compute/Load/Store descriptors, an *op run*, which issues as
+if its ops were yielded one by one (see :mod:`repro.gpu.warp`).
 
 ``Compute.kind`` feeds the Fig. 20 dynamic-instruction breakdown
 ("alu", "control", "sfu"); loads/stores count as "mem" and accelerator

@@ -15,7 +15,7 @@ code.  Analytic completion times are quantized to whole cycles with
 engine's integer clock never sees fractional waits.
 """
 
-from typing import List
+from collections import deque
 
 from repro.gpu.config import GPUConfig
 from repro.gpu.replay import WarpTrace
@@ -43,7 +43,7 @@ class SM:
         # to the simulator before constructing the SMs.
         self.trace = getattr(sim, "tracer", None)
         self._unit = f"sm{sm_id}"
-        self.warp_queue: List[Warp] = []
+        self.warp_queue = deque()  # of Warp or WarpTrace
         self.accelerator = (accelerator_factory(self)
                             if accelerator_factory is not None else None)
         self._done_count = 0
@@ -70,8 +70,9 @@ class SM:
     def _slot(self):
         """One residency slot: runs queued warps back to back."""
         sector_size = self.config.sector_size
-        while self.warp_queue:
-            warp = self.warp_queue.pop(0)
+        queue = self.warp_queue
+        while queue:
+            warp = queue.popleft()
             if warp.__class__ is WarpTrace:
                 yield from self._run(warp.steps)
             else:

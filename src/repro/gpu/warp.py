@@ -4,6 +4,15 @@
 lowest tag issues and its lanes regroup, a Compute group is as wide as
 its widest lane, and a Load/Store group's lanes coalesce into sectors.
 The SM times its macro steps; :mod:`repro.gpu.replay` caches them.
+
+A lane may yield a tuple of Compute/Load/Store ops as one *op run*: it
+issues exactly like yielding the ops one by one (``yield from``), but
+the warp walks a per-lane cursor through the run instead of resuming
+the generator, and checks each run object once per warp.  When every
+live lane stands at the same position of the same run object, no lane
+can diverge until the run ends, so the schedule emits the rest of the
+run directly: each op is one full-width group whose macro step is the
+op's own (a Compute's ``n``, one lane's coalesced sectors).
 """
 
 from functools import partial
@@ -16,18 +25,30 @@ from repro.memsys.coalescer import coalesce_sectors
 #: Exact-type set for the hot-path validity check (set membership beats
 #: an isinstance chain at ~hundreds of thousands of ops per launch).
 _OP_CLASSES = frozenset(OP_TYPES)
+#: What an op run may hold: an AccelCall needs its own yield, because
+#: the executor sends the accelerator's result back into it.
+_RUN_CLASSES = frozenset((Compute, Load, Store))
 
 
 class Warp:
     """Up to ``warp_size`` thread generators plus their pending ops."""
 
-    __slots__ = ("warp_id", "threads", "pending", "_sends")
+    __slots__ = ("warp_id", "threads", "pending", "_sends", "_runs", "_pos",
+                 "_checked")
 
     def __init__(self, warp_id: int, threads: Sequence[Generator]):
         self.warp_id = warp_id
         self.threads: List[Generator] = list(threads)
-        self.pending: List[Optional[Any]] = [None] * len(self.threads)
+        n = len(self.threads)
+        self.pending: List[Optional[Any]] = [None] * n
         self._sends = [thread.send for thread in self.threads]
+        # Per-lane op-run cursor: the run a lane is inside (or None) and
+        # the position of its pending op in it.
+        self._runs: List[Optional[tuple]] = [None] * n
+        self._pos = [0] * n
+        # id -> run for every run checked in this warp (holding the run
+        # keeps its id from being reused by another object).
+        self._checked = {}
 
     def prime(self) -> None:
         """Advance every thread to its first op."""
@@ -37,15 +58,45 @@ class Warp:
             pending[tid] = advance(tid, None)
 
     def _advance(self, tid: int, value: Any):
-        try:
-            op = self._sends[tid](value)
-        except StopIteration:
-            return None
-        if op.__class__ not in _OP_CLASSES and not isinstance(op, OP_TYPES):
-            raise SimulationError(
-                f"thread yielded {op!r}; kernels must yield ISA descriptors"
-            )
-        return op
+        run = self._runs[tid]
+        if run is not None:
+            pos = self._pos[tid] + 1
+            if pos < len(run):
+                self._pos[tid] = pos
+                return run[pos]
+            self._runs[tid] = None
+        send = self._sends[tid]
+        while True:
+            try:
+                op = send(value)
+            except StopIteration:
+                return None
+            cls = op.__class__
+            if cls in _OP_CLASSES:
+                return op
+            if cls is not tuple:
+                if isinstance(op, OP_TYPES):
+                    return op
+                raise SimulationError(
+                    f"thread yielded {op!r}; kernels must yield ISA "
+                    "descriptors or tuples of them"
+                )
+            if id(op) not in self._checked:
+                self._check_run(op)
+            if op:
+                self._runs[tid] = op
+                self._pos[tid] = 0
+                return op[0]
+            value = None  # an empty run: resume the thread again
+
+    def _check_run(self, run: tuple) -> None:
+        for op in run:
+            if op.__class__ not in _RUN_CLASSES:
+                raise SimulationError(
+                    f"op run holds {op!r}; a run may hold only Compute, "
+                    "Load and Store ops (yield an AccelCall on its own)"
+                )
+        self._checked[id(run)] = run
 
     def min_group(self):
         """The next group to issue: ``(lowest_tag, [tid, ...])``.
@@ -83,6 +134,19 @@ class Warp:
             for i, tid in enumerate(tids):
                 pending[tid] = advance(tid, values[i])
 
+    def _in_lockstep(self, tids: List[int]) -> bool:
+        """Do all of ``tids`` (every live lane) share one run cursor?"""
+        runs = self._runs
+        run = runs[tids[0]]
+        if run is None or len(tids) != len(runs) - self.pending.count(None):
+            return False
+        positions = self._pos
+        pos = positions[tids[0]]
+        for tid in tids:
+            if runs[tid] is not run or positions[tid] != pos:
+                return False
+        return True
+
     def schedule(self, sector_size: int):
         """Run the warp to exhaustion, yielding one macro step per group.
 
@@ -106,8 +170,26 @@ class Warp:
             if group is None:
                 return
             tids = group[1]
-            op = pending[tids[0]]
+            lead = tids[0]
             active = len(tids)
+            if self._runs[lead] is not None and self._in_lockstep(tids):
+                run = self._runs[lead]
+                for i in range(self._pos[lead], len(run)):
+                    op = run[i]
+                    cls = op.__class__
+                    if cls is Compute:
+                        yield (0, active, op.n, op.kind, op.n)
+                    elif cls is Load:
+                        yield (1, active, coalesce_sectors(
+                            ((op.addr, op.size),), sector_size))
+                    else:
+                        yield (2, active, len(coalesce_sectors(
+                            ((op.addr, op.size),), sector_size)))
+                for tid in tids:
+                    self._runs[tid] = None  # the run is done: resume
+                self.step(tids)
+                continue
+            op = pending[lead]
             cls = op.__class__
             if cls is Compute:
                 n = op.n

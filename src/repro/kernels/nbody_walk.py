@@ -84,7 +84,7 @@ class NBodyKernelArgs:
 def nbody_baseline_kernel(tid: int, args: NBodyKernelArgs):
     """Warp-voting union walk: converged control flow, predicated lanes."""
     yield from prologue(args.body_buf + tid * 16, setup_alu=6)
-    yield from args.warp_traces[tid // args.warp_size]
+    yield args.warp_traces[tid // args.warp_size]  # one op run
     if args.fused_post_insts:
         yield Compute(args.fused_post_insts, common.TAG_EPILOGUE - 1,
                       kind="alu")
@@ -112,10 +112,12 @@ def nbody_accel_kernel(tid: int, args: NBodyKernelArgs):
 
 
 def build_warp_traces(tree, warp_size: int = 32) -> List[tuple]:
-    """Union (warp-voting) walks as op tuples, one per warp.
+    """Union (warp-voting) walks as op runs, one tuple per warp.
 
     Warp ``w`` covers bodies ``w * warp_size`` onwards; each visit is
-    the loop head, the node fetch and the inner or leaf tail.
+    the loop head, the node fetch and the inner or leaf tail.  All of a
+    warp's lanes yield the same tuple, so the warp issues it in lockstep
+    (see :mod:`repro.gpu.warp`).
     """
     walk = tree.union_walk(warp_size)
     segments = []

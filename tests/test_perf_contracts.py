@@ -17,11 +17,17 @@ Five families:
   arguments (legacy engine, armed faults, guard overrides).
 * **Stream-cache contents** — a baseline run caches whole-warp traces
   and launch records only, never per-thread op recordings.
+* **Static op sequences** — an N-Body warp trace build resumes each
+  lane's generator a bounded number of times however long the union
+  walk is (the walk is one op run), and a TTA+ launch constructs OP
+  units only for the unit types its programs use.
 
 The fast-driver contracts pin the fast engine and drop any guard
 override, so they hold on every CI leg.
 """
 
+import collections
+import dataclasses
 import gc
 import os
 import pathlib
@@ -33,16 +39,24 @@ import pytest
 from repro.exec.cache import build_fingerprint
 from repro.geometry.aabb import AABB
 from repro.geometry.vec import Vec3
-from repro.gpu import GPUConfig
+from repro.core.ttaplus import program_named
+from repro.gpu import GPU, GPUConfig
 from repro.gpu.device import KernelStats
-from repro.gpu.replay import launch_replay_enabled
+from repro.gpu.replay import launch_replay_enabled, value_independent
 from repro.gpu.sm import SM
-from repro.harness.runner import run_btree, run_nbody, run_rtnn
+from repro.harness.runner import (
+    run_btree,
+    run_nbody,
+    run_rtnn,
+    scaled_config_for,
+)
+from repro.kernels.nbody_walk import nbody_baseline_kernel
 from repro.kernels.radius_search import radius_query, radius_query_scalar
 from repro.memsys.hierarchy import MemoryHierarchy
 from repro.rta import Step, TraversalJob
 from repro.rta.rta import make_rta_factory
 from repro.sim import _model_source_hash, make_simulator, scheduler_fingerprint
+from repro.sim.resources import PipelinedUnit
 from repro.workloads import (
     make_btree_workload,
     make_nbody_workload,
@@ -208,6 +222,61 @@ class TestNBodyWalkCost:
         # One acceleration per body.  Scalar per-body walks build
         # ~256k vectors on gpu here.
         assert count[0] <= wl.n_bodies + 64, count[0]
+
+
+# -- static op sequences -------------------------------------------------------
+class TestStaticOpSequenceCost:
+    @pytest.mark.parametrize("n_bodies", [64, 384])
+    def test_nbody_trace_build_resumes_lanes_a_bounded_number_of_times(
+            self, n_bodies):
+        wl = make_nbody_workload(n_bodies=n_bodies, dims=3, seed=2)
+        resumes = collections.Counter()
+
+        @value_independent
+        def counting_kernel(tid, args):
+            thread = nbody_baseline_kernel(tid, args)
+            value = None
+            while True:
+                resumes[tid] += 1
+                try:
+                    op = thread.send(value)
+                except StopIteration:
+                    return
+                value = yield op
+
+        args = dataclasses.replace(wl.kernel_args(fused_post_insts=4),
+                                   results={}, stream_cache={})
+        GPU(scaled_config_for(wl.image.size_bytes)).launch(
+            counting_kernel, wl.n_bodies, args=args)
+        assert len(resumes) == wl.n_bodies
+        # Prologue (2), the union walk (1), the fused block (1), the
+        # epilogue (2) and the final return.  Resuming per op costs one
+        # resume per op of the walk.
+        assert max(resumes.values()) <= 7
+        assert min(len(trace) for trace in args.warp_traces) > 100
+
+    def test_btree_ttaplus_launch_builds_only_used_op_units(self,
+                                                           monkeypatch):
+        wl = make_btree_workload("btree", n_keys=512, n_queries=128, seed=9)
+        built = collections.Counter()
+        unit_init = PipelinedUnit.__init__
+
+        def counting_init(self, name, *args, **kwargs):
+            built[name.split("[")[0]] += 1
+            unit_init(self, name, *args, **kwargs)
+
+        monkeypatch.setattr(PipelinedUnit, "__init__", counting_init)
+        result = run_btree(wl, "ttaplus", verify=False)
+        used = {uop.unit for name in ("btree_inner", "btree_leaf")
+                for uop in program_named(name).uops}
+        assert result.stats.accel_stats["uop_tests_run"] > 0
+        assert set(built) == used, built
+        # Whole pools, on the SMs whose warps issued (4 of 8 here).
+        config = scaled_config_for(wl.image.size_bytes)
+        assert len(set(built.values())) == 1, built
+        count = built.popitem()[1]
+        assert count % config.intersection_sets == 0
+        assert count <= config.n_sms * config.intersection_sets
 
 
 # -- launch-level replay ------------------------------------------------------

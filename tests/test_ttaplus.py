@@ -11,12 +11,17 @@ from repro.core.ttaplus import (
     make_ttaplus_factory,
     program_named,
 )
+from repro.core.ttaplus import ttaplus as ttaplus_module
 from repro.core.ttaplus.dest_table import OpDestTable
 from repro.core.ttaplus.interconnect import Crossbar
+from repro.core.ttaplus.opunits import UNIT_INDEX
+from repro.core.ttaplus.programs import register_program
+from repro.core.ttaplus.ttaplus import compile_plan, stage_plan
 from repro.core.ttaplus.uop import UNIT_TYPES, Uop
 from repro.errors import ConfigurationError, ProgramError
 from repro.gpu import GPU, AccelCall, GPUConfig
 from repro.rta import Step, TraversalJob
+from repro.rta.rta import RTACore
 from repro.sim import Simulator
 
 CFG = GPUConfig(n_sms=1)
@@ -258,3 +263,130 @@ class TestBackendDirect:
         slow = self._run_chain(slow_backend, "uop:nbody_inner")
         fast = self._run_chain(fast_backend, "uop:nbody_inner")
         assert slow > fast
+
+
+class TestStagePlans:
+    """Compiled stage plans and lazily built OP-unit pools."""
+
+    @staticmethod
+    def _launch(op, eager=False, n_jobs=24):
+        """One launch of ``n_jobs`` 3-step jobs; (stats, [backend])."""
+        backends = []
+
+        def factory(sm):
+            backend = TTAPlusBackend(sm.sim, sm.config)
+            if eager:
+                backend.bank.units  # build every pool up front
+            backends.append(backend)
+            return RTACore(sm, backend)
+
+        steps = [Step(0x1000 + 64 * i, 64, op, count=1 + i % 2)
+                 for i in range(3)]
+        jobs = [TraversalJob(q, steps, q) for q in range(n_jobs)]
+
+        def kernel(tid, args):
+            args[tid] = yield AccelCall(jobs[tid], tag=1)
+
+        stats = GPU(CFG, accelerator_factory=factory).launch(
+            kernel, n_jobs, args={})
+        return stats, backends
+
+    @staticmethod
+    def _typed(snapshot):
+        return {key: (type(value), value) for key, value in snapshot.items()}
+
+    @pytest.mark.parametrize("name", sorted(TABLE3))
+    def test_snapshot_matches_eagerly_built_bank(self, name):
+        lazy, lazy_backends = self._launch(f"uop:{name}")
+        eager, eager_backends = self._launch(f"uop:{name}", eager=True)
+        assert lazy.cycles == eager.cycles
+        (lazy_backend,), (eager_backend,) = lazy_backends, eager_backends
+        used = {uop.unit for uop in program_named(name).uops}
+        built = {unit for unit, index in UNIT_INDEX.items()
+                 if lazy_backend.bank.pools[index] is not None}
+        assert built == used
+        end = lazy.cycles
+        assert self._typed(lazy_backend.snapshot(end)) == \
+            self._typed(eager_backend.snapshot(end))
+        assert list(lazy_backend.snapshot(end)) == \
+            list(eager_backend.snapshot(end))
+        assert lazy.accel_stats == eager.accel_stats
+
+    def test_plan_follows_program_runs(self):
+        program = program_named("raybox")
+        plan = stage_plan(program)
+        assert plan is stage_plan(program)  # compiled once, shared
+        assert all(port == pool for port, pool, _ in plan)
+        assert all(a[1] != b[1] for a, b in zip(plan, plan[1:]))
+        assert [UNIT_TYPES[pool] for _, pool, n in plan for _ in range(n)] \
+            == [uop.unit for uop in program.uops]
+
+    def test_replaced_program_is_used_by_next_backend(self):
+        register_program(UopProgram("plan_probe", [Uop("mul")]))
+        try:
+            first, _ = self._launch("uop:plan_probe", n_jobs=4)
+            old_plan = stage_plan(program_named("plan_probe"))
+            register_program(UopProgram("plan_probe",
+                                        [Uop("sqrt"), Uop("sqrt")]),
+                             replace=True)
+            second, _ = self._launch("uop:plan_probe", n_jobs=4)
+            assert stage_plan(program_named("plan_probe")) != old_plan
+        finally:
+            PROGRAMS.pop("plan_probe", None)
+        tests = first.accel_stats["uop_tests_run"]
+        assert second.accel_stats["uop_tests_run"] == tests
+        assert first.accel_stats["op_mul_ops"] == tests
+        assert first.accel_stats["op_sqrt_ops"] == 0
+        assert second.accel_stats["op_mul_ops"] == 0
+        assert second.accel_stats["op_sqrt_ops"] == 2 * tests
+        assert second.accel_stats["test_plan_probe_latency_mean"] > \
+            first.accel_stats["test_plan_probe_latency_mean"]
+
+    def test_missing_dest_table_entry_raises(self):
+        program = program_named("raybox")
+        table = OpDestTable()
+        table.load_program("raybox", program)
+        assert compile_plan(program, table) == stage_plan(program)
+        table.load_program("raybox", program_named("btree_leaf"))
+        with pytest.raises(ConfigurationError, match="not its µops"):
+            compile_plan(program, table)  # stale routing from ConfigI
+        table.load_program("raybox", program)
+        del table._entries[("raybox", 7)]
+        with pytest.raises(ConfigurationError, match="pc=7"):
+            compile_plan(program, table)
+
+    def test_program_registered_after_launch_setup_raises(self):
+        backend = TTAPlusBackend(Simulator(), CFG)
+        register_program(UopProgram("late_probe", [Uop("mul")]))
+        try:
+            with pytest.raises(ConfigurationError, match="late_probe"):
+                backend.begin_chain("uop:late_probe", 1)
+        finally:
+            PROGRAMS.pop("late_probe", None)
+        with pytest.raises(ProgramError):
+            backend.begin_chain("uop:never_registered", 1)
+
+    def test_launch_raising_mid_chain_leaves_plans_unchanged(self,
+                                                            monkeypatch):
+        before, _ = self._launch("uop:raybox")
+        plans = dict(ttaplus_module._PLANS.items())
+        assert program_named("raybox") in plans
+        issue_run = ttaplus_module.OpUnitBank.issue_run
+        calls = [0]
+
+        def failing(self, *args):
+            calls[0] += 1
+            if calls[0] == 40:
+                raise RuntimeError("injected mid-chain failure")
+            return issue_run(self, *args)
+
+        monkeypatch.setattr(ttaplus_module.OpUnitBank, "issue_run", failing)
+        with pytest.raises(RuntimeError, match="mid-chain"):
+            self._launch("uop:raybox")
+        monkeypatch.undo()
+        after = dict(ttaplus_module._PLANS.items())
+        assert after.keys() == plans.keys()
+        assert all(after[key] is plans[key] for key in plans)
+        again, _ = self._launch("uop:raybox")
+        assert again.cycles == before.cycles
+        assert again.accel_stats == before.accel_stats

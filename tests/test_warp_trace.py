@@ -12,10 +12,14 @@ compared, stat for stat and result for result, against a live launch
 A traced pass repeats the comparison on the emitted ``sm`` events.  A
 marked kernel that yields ``AccelCall`` cannot be replayed and must
 leave nothing behind in the cache.
+
+A seeded differential fuzz checks that yielding op runs (tuples of ops)
+schedules exactly like yielding their ops one by one.
 """
 
 import dataclasses
 import math
+import random
 from dataclasses import dataclass, field
 
 import pytest
@@ -24,8 +28,9 @@ from repro import obs
 from repro.errors import SimulationError
 from repro.gpu import GPU, GPUConfig
 from repro.gpu.config import DEFAULT_CONFIG
-from repro.gpu.isa import AccelCall, Compute, Load
-from repro.gpu.replay import value_independent
+from repro.gpu.isa import AccelCall, Compute, Load, Store
+from repro.gpu.replay import value_independent, warp_trace
+from repro.gpu.warp import Warp
 from repro.harness.runner import scaled_config_for
 from repro.kernels.btree_search import btree_baseline_kernel
 from repro.kernels.knn_search import knn_baseline_kernel
@@ -195,3 +200,105 @@ def test_mismarked_accel_kernel_raises_and_caches_no_partial_trace():
             gpu.launch(_mismarked_accel_kernel, 40,
                        args=_Args(stream_cache=cache))
         assert not _warp_traces(cache)
+
+
+# -- op runs ------------------------------------------------------------------------
+def _random_op(rng, spread):
+    # A tag is one static program location, so it never mixes op types:
+    # Compute tags are 1-4, Load 5-8, Store 9-12 and AccelCall 13-16.
+    tag = rng.randrange(spread)
+    roll = rng.random()
+    if roll < 0.5:
+        return Compute(rng.randint(1, 9), 1 + tag,
+                       rng.choice(("alu", "control", "sfu")))
+    if roll < 0.8:
+        return Load(0x1000 + 4 * rng.randrange(64), rng.choice((4, 8, 64)),
+                    5 + tag)
+    return Store(0x8000 + 4 * rng.randrange(64), 4, 9 + tag)
+
+
+def _random_programs(rng, n_lanes):
+    """Per-lane item lists: single ops and op runs (tuples of ops).
+
+    Lanes mostly follow one common program, so whole warps often reach
+    a run together; the rest diverge by tag, switch to an equal but
+    distinct run object, share a run with only some lanes, skip an
+    empty run, or stop partway through a run.
+    """
+    spread = rng.choice((1, 4))  # one tag per op type: no divergence
+    shared = [tuple(_random_op(rng, spread) for _ in range(rng.randint(1, 12)))
+              for _ in range(3)] + [()]
+    common = []
+    for _ in range(rng.randint(1, 8)):
+        roll = rng.random()
+        if roll < 0.45:
+            common.append(rng.choice(shared))
+        elif roll < 0.55:
+            common.append(AccelCall(rng.randrange(100),
+                                    13 + rng.randrange(spread)))
+        else:
+            common.append(_random_op(rng, spread))
+    programs = []
+    for _ in range(n_lanes):
+        items = []
+        for item in common:
+            roll = rng.random()
+            if roll < 0.1:
+                continue  # this lane skips the item
+            if roll < 0.2 and item.__class__ is tuple:
+                items.append(tuple(list(item)))  # equal, distinct object
+            elif roll < 0.25:
+                items.append(_random_op(rng, spread))  # a divergent op
+            elif roll < 0.3 and item.__class__ is tuple and item:
+                # Stop partway through the run: its first ops, then end.
+                items.extend(item[:rng.randrange(len(item))])
+                break
+            else:
+                items.append(item)
+        programs.append(items)
+    return programs
+
+
+def _lane(items, runs):
+    for item in items:
+        if item.__class__ is tuple and not runs:
+            yield from item
+        else:
+            yield item
+
+
+def _drain(programs, runs):
+    """Every macro step of one warp; AccelCalls answer with the payload."""
+    warp = Warp(0, [_lane(items, runs) for items in programs])
+    steps = []
+    for step in warp.schedule(32):
+        if step[0] == 3:
+            step[3]([payload + 1 for payload in step[2]])
+            step = step[:3]
+        steps.append(step)
+    return steps
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_op_runs_schedule_like_single_ops(seed):
+    rng = random.Random(seed)
+    for _ in range(10):
+        programs = _random_programs(rng, rng.choice((1, 5, 32)))
+        assert _drain(programs, runs=True) == _drain(programs, runs=False)
+
+
+@pytest.mark.parametrize("bad", [AccelCall(0, 3), "junk", (Compute(1, 3),)])
+def test_run_holding_non_run_op_raises_and_caches_nothing(bad):
+    @value_independent
+    def kernel(tid, args):
+        yield Compute(2, 1)
+        yield (Load(0x1000 + 4 * tid, 4, 2), bad, Compute(1, 4))
+
+    cache = {}
+    with pytest.raises(SimulationError, match="op run"):
+        warp_trace(kernel, range(8), _Args(), cache, 32)
+    assert not cache
+    with pytest.raises(SimulationError, match="op run"):
+        GPU(GPUConfig(n_sms=1)).launch(kernel, 8,
+                                       args=_Args(stream_cache=cache))
+    assert not _warp_traces(cache)
