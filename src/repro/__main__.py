@@ -12,7 +12,6 @@ Examples::
     python -m repro campaign run table.json --workers 4
     python -m repro campaign worker --join ~/.cache/repro/campaigns/ab-12
     python -m repro campaign status ~/.cache/repro/campaigns/ab-12
-    python -m repro bench BENCH_core.json /tmp/candidate.json --check
     python -m repro loadtest --platform gpu,tta,ttaplus --qps 500,2000
     python -m repro serve --platform tta --input queries.jsonl
     python -m repro cache stats
@@ -108,7 +107,6 @@ command groups:
     campaign worker     join an existing campaign from this (or any) host
     campaign status     progress probe over a campaign directory
     campaign expand     print the expanded run table without running it
-    bench               diff two BENCH_*.json files; --check gates CI
 
   serving (resident indexes, repro.serve):
     serve               answer JSON-lines queries over warm indexes
@@ -365,23 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
     cexpand.add_argument("table", type=pathlib.Path)
     cexpand.add_argument("--json", action="store_true")
 
-    bench = sub.add_parser(
-        "bench", help="diff two BENCH_*.json files with noise-aware "
-                      "thresholds; --check exits non-zero on regression")
-    bench.add_argument("baseline", type=pathlib.Path)
-    bench.add_argument("candidate", type=pathlib.Path)
-    bench.add_argument("--check", action="store_true",
-                       help="exit 1 when any gated leaf regressed")
-    bench.add_argument("--threshold", type=float, default=10.0,
-                       metavar="PCT",
-                       help="base regression gate in percent (default: 10)")
-    bench.add_argument("--noise-factor", type=float, default=3.0,
-                       metavar="F",
-                       help="widen each leaf's gate to F x its baseline "
-                            "rep-to-rep cv%% (default: 3)")
-    bench.add_argument("--json", action="store_true",
-                       help="print the full diff as JSON")
-
     cache = sub.add_parser(
         "cache", help="inspect, prune, or clear the on-disk caches")
     cache.add_argument("action", choices=("stats", "prune", "clear"))
@@ -526,12 +507,12 @@ def _emit_table(name: str, table, *, json_out: bool, csv_dir, json_dir,
 def _pin_tracer(rate: int = None, events: int = None, categories=None):
     """Build and pin a tracer; explicit arguments beat the env knobs."""
     from repro import obs
+    from repro.obs.tracer import trace_env_int
 
     if rate is None:
-        rate = int(os.environ.get(obs.TRACE_RATE_ENV, "1") or "1")
+        rate = trace_env_int(obs.TRACE_RATE_ENV, 1)
     if events is None:
-        events = int(os.environ.get(obs.TRACE_EVENTS_ENV, "0") or 0) \
-            or obs.DEFAULT_CAPACITY
+        events = trace_env_int(obs.TRACE_EVENTS_ENV, obs.DEFAULT_CAPACITY)
     if isinstance(categories, str):
         categories = [c.strip() for c in categories.split(",") if c.strip()]
     return obs.enable(capacity=events, rate=rate,
@@ -889,29 +870,6 @@ def cmd_campaign(args) -> int:
         return 2
 
 
-def cmd_bench(args) -> int:
-    import json
-
-    from repro.campaign import check, compare_files
-
-    try:
-        diff = compare_files(args.baseline, args.candidate,
-                             threshold_pct=args.threshold,
-                             noise_factor=args.noise_factor)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.json:
-        print(json.dumps(diff.to_dict(), indent=1, default=str))
-    else:
-        print(diff.summary())
-    if args.check:
-        code, verdict = check(diff)
-        print(verdict)
-        return code
-    return 0
-
-
 # -- serving ---------------------------------------------------------------------
 def _build_indexes(mix_text: str, scale: str, no_cache: bool):
     """Resident indexes for every class in a CLI mix string, routed
@@ -1181,8 +1139,6 @@ def main(argv=None) -> int:
         return cmd_cache(args.action, stale_leases=args.stale_leases)
     if args.command == "campaign":
         return cmd_campaign(args)
-    if args.command == "bench":
-        return cmd_bench(args)
     if args.command == "serve":
         return cmd_serve(args)
     if args.command == "loadtest":

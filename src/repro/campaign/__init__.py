@@ -14,22 +14,12 @@ The sweep engine on top of :mod:`repro.exec`:
   :func:`~repro.campaign.worker.run_worker` — the drain loop;
 * :func:`~repro.campaign.orchestrator.run_campaign` — local fan-out +
   manifest finalization;
-* :mod:`~repro.campaign.bench` — the ``repro bench`` BENCH_*.json
-  regression differ that gates CI.
 
 Interrupted campaigns are resumable for free: completion state *is* the
 exec cache plus the per-point record files, so re-running a campaign
 only executes the missing points, and a second full run executes none.
 """
 
-from repro.campaign.bench import (
-    BenchDiff,
-    Delta,
-    check,
-    compare,
-    compare_files,
-    load_bench,
-)
 from repro.campaign.leases import LeaseBoard
 from repro.campaign.orchestrator import (
     CAMPAIGNS_SUBDIR,
@@ -56,25 +46,19 @@ from repro.campaign.worker import (
 )
 
 __all__ = [
-    "BenchDiff",
     "CAMPAIGNS_SUBDIR",
     "CAMPAIGN_FILE",
     "CampaignPoint",
     "CampaignSpec",
     "CampaignWorker",
     "DEFAULT_LEASE_TTL_S",
-    "Delta",
     "KIND_PLATFORMS",
     "LeaseBoard",
     "MANIFEST_FILE",
     "WorkerReport",
     "campaign_dir_for",
-    "check",
-    "compare",
-    "compare_files",
     "finalize",
     "init_campaign",
-    "load_bench",
     "result_fingerprint",
     "run_campaign",
     "run_worker",

@@ -15,9 +15,10 @@ The observability subsystem has three parts:
   metrics JSON, terminal summaries, and ``$REPRO_OBS_DIR`` guard
   diagnostic dumps.
 
-Overhead contract (checked by ``benchmarks/bench_obs.py``): tracing off
-costs <= 1% on the ``bench_perf_core`` workload points; sampled tracing
-(rate >= 16) costs <= 10%.
+Overhead contract (checked by ``tests/test_perf_contracts.py``): with
+tracing off a launch makes no ``Tracer.emit`` call at all; sampled at
+rate N the tracer keeps at most one in N emitted events, plus one
+marker per launch.
 """
 
 from repro.obs.export import (

@@ -31,11 +31,16 @@ Environment controls (read by :func:`active_tracer`):
 ``REPRO_TRACE_CATEGORIES`` comma list of categories to keep (default: all)
 ``REPRO_TRACE_EVENTS``     ring capacity in events (default 1,000,000)
 =========================  =================================================
+
+A rate or capacity that is not an integer >= 1 raises
+:class:`~repro.errors.ConfigurationError` naming the variable.
 """
 
 import os
 from collections import deque
 from typing import List, Optional, Tuple
+
+from repro.errors import ConfigurationError
 
 TRACE_ENV = "REPRO_TRACE"
 TRACE_RATE_ENV = "REPRO_TRACE_RATE"
@@ -205,15 +210,28 @@ def trace_enabled() -> bool:
     return os.environ.get(TRACE_ENV, "").strip().lower() not in _FALSY
 
 
+def trace_env_int(name: str, default: int) -> int:
+    """``$name`` (``REPRO_TRACE_RATE`` or ``REPRO_TRACE_EVENTS``) as an
+    integer >= 1; unset or empty -> ``default``."""
+    raw = os.environ.get(name, "").strip()
+    if not raw:
+        return default
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ConfigurationError(f"{name}={raw!r} is not an integer >= 1")
+    return value
+
+
 def _tracer_from_env() -> Optional[Tracer]:
     if not trace_enabled():
         return None
-    rate = int(os.environ.get(TRACE_RATE_ENV, "1") or "1")
-    capacity = int(os.environ.get(TRACE_EVENTS_ENV, "0")
-                   or DEFAULT_CAPACITY)
     raw_cats = os.environ.get(TRACE_CATEGORIES_ENV, "")
     categories = [c.strip() for c in raw_cats.split(",") if c.strip()] or None
-    return Tracer(capacity=capacity or DEFAULT_CAPACITY, rate=rate,
+    return Tracer(capacity=trace_env_int(TRACE_EVENTS_ENV, DEFAULT_CAPACITY),
+                  rate=trace_env_int(TRACE_RATE_ENV, 1),
                   categories=categories)
 
 

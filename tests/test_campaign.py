@@ -9,9 +9,7 @@ Covers the acceptance properties of the subsystem:
 * a campaign drains to a manifest whose result fingerprint is invariant
   under worker count, interruption, and re-execution in a fresh cache;
 * a re-run executes zero simulations, and a warm-cache campaign in a
-  fresh directory resolves every point as a cache hit;
-* ``repro bench`` classifies direction, widens gates by baseline noise,
-  and flags only genuine regressions.
+  fresh directory resolves every point as a cache hit.
 """
 
 import json
@@ -29,14 +27,6 @@ from repro.campaign import (
     run_campaign,
     run_worker,
     worker_order,
-)
-from repro.campaign.bench import (
-    check,
-    classify,
-    compare,
-    flatten,
-    noise_pct,
-    _rep_arrays,
 )
 from repro.errors import ConfigurationError
 from repro.exec.cache import ResultCache
@@ -402,97 +392,3 @@ class TestCacheMaintenance:
         assert cache.stats()["quarantine"] == 1
         assert cache.prune_quarantine() == 1
         assert cache.stats()["quarantine"] == 0
-
-
-# -- bench diffing ------------------------------------------------------------------
-class TestBench:
-    def test_classify_directions(self):
-        assert classify("a.fast_s") == "lower"
-        assert classify("a.p99_ms") == "lower"
-        assert classify("a.peak_rss") == "lower"
-        assert classify("a.speedup") == "higher"
-        assert classify("a.goodput_qps") == "higher"
-        assert classify("a.n_procs") is None
-
-    def test_flatten_skips_metadata_reps_and_bools(self):
-        doc = {"schema": "v9", "generated_unix": 123,
-               "group": {"fast_s": 1.0, "fast_reps": [1.0, 1.1],
-                         "enabled": True}}
-        assert flatten(doc) == {"group.fast_s": 1.0}
-        assert _rep_arrays(doc) == {"group.fast_reps": [1.0, 1.1]}
-
-    def test_noise_widens_the_gate(self):
-        base = {"g": {"fast_s": 1.0,
-                      "fast_reps": [0.8, 1.0, 1.2]}}  # cv = 20%
-        cand = {"g": {"fast_s": 1.15}}  # +15%: inside 3x20% noise gate
-        diff = compare(base, cand)
-        assert diff.deltas[0].noise_pct == pytest.approx(20.0)
-        assert diff.deltas[0].threshold_pct == pytest.approx(60.0)
-        assert not diff.regressions
-
-    def test_tight_baseline_keeps_tight_gate(self):
-        base = {"g": {"fast_s": 1.0, "fast_reps": [1.0, 1.001, 0.999]}}
-        diff = compare(base, {"g": {"fast_s": 1.15}})
-        assert diff.regressions  # +15% > 10% base gate, cv ~ 0.1%
-
-    def test_direction_awareness(self):
-        base = {"g": {"fast_s": 1.0, "speedup": 10.0, "n_procs": 4}}
-        cand = {"g": {"fast_s": 0.7, "speedup": 13.0, "n_procs": 8}}
-        diff = compare(base, cand)
-        assert not diff.regressions
-        assert {d.path for d in diff.improvements} == \
-            {"g.fast_s", "g.speedup"}
-        # Informational leaves never gate, even at +100%.
-        assert all(d.path != "g.n_procs" for d in diff.improvements)
-
-    def test_speedup_drop_is_a_regression(self):
-        diff = compare({"g": {"speedup": 10.0}}, {"g": {"speedup": 7.0}})
-        assert [d.path for d in diff.regressions] == ["g.speedup"]
-
-    def test_missing_and_added_never_gate(self):
-        diff = compare({"g": {"fast_s": 1.0, "old_s": 2.0}},
-                       {"g": {"fast_s": 1.0, "new_s": 3.0}})
-        assert diff.missing == ["g.old_s"]
-        assert diff.added == ["g.new_s"]
-        assert check(diff)[0] == 0
-
-    def test_check_exit_codes(self):
-        clean = compare({"g": {"fast_s": 1.0}}, {"g": {"fast_s": 1.0}})
-        assert check(clean)[0] == 0
-        bad = compare({"g": {"fast_s": 1.0}}, {"g": {"fast_s": 1.5}})
-        code, verdict = check(bad)
-        assert code == 1 and "FAILED" in verdict
-
-    def test_self_compare_of_committed_baselines_passes(self):
-        import pathlib
-        root = pathlib.Path(__file__).resolve().parents[1]
-        for path in sorted(root.glob("BENCH_*.json")):
-            doc = campaign.load_bench(path)
-            diff = compare(doc, doc, path.name, path.name)
-            assert check(diff)[0] == 0, path.name
-            assert diff.deltas, f"{path.name} flattened to nothing"
-
-    def test_injected_regression_fails_check(self):
-        import pathlib
-        root = pathlib.Path(__file__).resolve().parents[1]
-        doc = campaign.load_bench(root / "BENCH_core.json")
-        regressed = json.loads(json.dumps(doc))
-
-        def inflate(node):
-            for key, value in list(node.items()):
-                if isinstance(value, dict):
-                    inflate(value)
-                elif key.endswith("_s") and \
-                        isinstance(value, (int, float)) and \
-                        not isinstance(value, bool):
-                    node[key] = value * 1.25
-        inflate(regressed)
-        diff = compare(doc, regressed)
-        assert check(diff)[0] == 1
-        assert all(d.direction == "lower" for d in diff.regressions)
-
-    def test_summary_mentions_worst_regression(self):
-        diff = compare({"g": {"fast_s": 1.0}}, {"g": {"fast_s": 2.0}})
-        text = diff.summary()
-        assert "REGRESSION g.fast_s" in text
-        assert "+100.0%" in text

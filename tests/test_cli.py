@@ -83,12 +83,7 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["campaign"])  # subcommand required
 
-    def test_bench_and_prune_parse(self):
-        args = build_parser().parse_args(
-            ["bench", "a.json", "b.json", "--check",
-             "--threshold", "15", "--noise-factor", "2.5"])
-        assert args.command == "bench" and args.check
-        assert args.threshold == 15.0 and args.noise_factor == 2.5
+    def test_cache_prune_parse(self):
         args = build_parser().parse_args(
             ["cache", "prune", "--stale-leases"])
         assert args.action == "prune" and args.stale_leases
@@ -425,34 +420,8 @@ class TestCampaignCLI:
         assert main(["cache", "prune", "--stale-leases"]) == 0
         assert "stale campaign lease" in capsys.readouterr().out
 
-    def test_bench_check_gates(self, tmp_path, capsys):
-        base = tmp_path / "base.json"
-        cand = tmp_path / "cand.json"
-        base.write_text(json.dumps({"g": {"fast_s": 1.0, "speedup": 8.0}}))
-        cand.write_text(json.dumps({"g": {"fast_s": 1.0, "speedup": 8.0}}))
-        assert main(["bench", str(base), str(cand), "--check"]) == 0
-        assert "check passed" in capsys.readouterr().out
-        cand.write_text(json.dumps({"g": {"fast_s": 1.5, "speedup": 8.0}}))
-        assert main(["bench", str(base), str(cand), "--check"]) == 1
-        out = capsys.readouterr().out
-        assert "REGRESSION g.fast_s" in out and "CHECK FAILED" in out
-        # Without --check a regression is reported but not fatal.
-        assert main(["bench", str(base), str(cand)]) == 0
-
-    def test_bench_json_output(self, tmp_path, capsys):
-        base = tmp_path / "base.json"
-        base.write_text(json.dumps({"g": {"fast_s": 1.0}}))
-        assert main(["bench", str(base), str(base), "--json"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["compared"] == 1 and doc["regressions"] == []
-
-    def test_bench_missing_file_exits_2(self, tmp_path, capsys):
-        assert main(["bench", str(tmp_path / "nope.json"),
-                     str(tmp_path / "nope.json")]) == 2
-        assert "error:" in capsys.readouterr().err
-
     def test_help_epilog_groups_campaigns(self, capsys):
         with pytest.raises(SystemExit):
             main(["--help"])
         out = capsys.readouterr().out
-        assert "campaign run" in out and "bench" in out
+        assert "campaign run" in out

@@ -7,10 +7,13 @@ observes, it never schedules or reorders.
 """
 
 import json
+import re
 
 import pytest
 
 from repro import obs
+from repro.__main__ import _pin_tracer
+from repro.errors import ConfigurationError
 from repro.harness.runner import run_btree, scaled_config_for
 from repro.workloads import make_btree_workload
 
@@ -168,6 +171,18 @@ class TestEnvControls:
         pinned = obs.install(obs.Tracer())
         monkeypatch.setenv(obs.TRACE_ENV, "1")
         assert obs.active_tracer() is pinned
+
+    @pytest.mark.parametrize("var", [obs.TRACE_RATE_ENV, obs.TRACE_EVENTS_ENV])
+    @pytest.mark.parametrize("value", ["abc", "1.5", "0", "-3"])
+    def test_bad_count_names_the_variable(self, var, value, monkeypatch):
+        monkeypatch.setenv(obs.TRACE_ENV, "1")
+        monkeypatch.setenv(var, value)
+        message = re.escape(f"{var}={value!r}")
+        with pytest.raises(ConfigurationError, match=message):
+            obs.active_tracer()
+        # The CLI's pinned tracer reads the same knobs the same way.
+        with pytest.raises(ConfigurationError, match=message):
+            _pin_tracer()
 
 
 class TestMetrics:

@@ -1,6 +1,6 @@
 """Performance contracts of the vectorized/batched hot paths.
 
-Five families:
+Contract families:
 
 * **Model fingerprints** — geometry/rta source edits must flip both the
   exec-cache scheduler fingerprint and the build fingerprint, so stale
@@ -21,6 +21,11 @@ Five families:
   lane's generator a bounded number of times however long the union
   walk is (the walk is one op run), and a TTA+ launch constructs OP
   units only for the unit types its programs use.
+* **Tracing overhead** — with tracing off a launch makes no
+  ``Tracer.emit`` call at all, and sampled tracing at rate N keeps at
+  most one emitted event in N plus the launch markers.
+* **Batch geometry** — each batch kernel runs a fixed number of Python
+  lines whatever the primitive count: the per-primitive work is numpy's.
 
 The fast-driver contracts pin the fast engine and drop any guard
 override, so they hold on every CI leg.
@@ -29,14 +34,19 @@ override, so they hold on every CI leg.
 import collections
 import dataclasses
 import gc
+import math
 import os
 import pathlib
 import shutil
+import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 
+from repro import obs
 from repro.exec.cache import build_fingerprint
+from repro.geometry import batch
 from repro.geometry.aabb import AABB
 from repro.geometry.vec import Vec3
 from repro.core.ttaplus import program_named
@@ -53,6 +63,7 @@ from repro.harness.runner import (
 from repro.kernels.nbody_walk import nbody_baseline_kernel
 from repro.kernels.radius_search import radius_query, radius_query_scalar
 from repro.memsys.hierarchy import MemoryHierarchy
+from repro.obs.tracer import Tracer
 from repro.rta import Step, TraversalJob
 from repro.rta.rta import make_rta_factory
 from repro.sim import _model_source_hash, make_simulator, scheduler_fingerprint
@@ -277,6 +288,108 @@ class TestStaticOpSequenceCost:
         count = built.popitem()[1]
         assert count % config.intersection_sets == 0
         assert count <= config.n_sms * config.intersection_sets
+
+
+# -- tracing overhead ----------------------------------------------------------
+_TRACE_RATE = 16
+
+
+def _run_btree_platforms():
+    """One fresh-workload launch per B-Tree platform (nothing replayed)."""
+    for platform in ("gpu", "tta", "ttaplus"):
+        wl = make_btree_workload("btree", n_keys=512, n_queries=256, seed=9)
+        run_btree(wl, platform, verify=False)
+
+
+class TestTracingOverhead:
+    @pytest.fixture()
+    def emit_calls(self, monkeypatch):
+        calls = [0]
+        emit = Tracer.emit
+
+        def counting_emit(self, *args, **kwargs):
+            calls[0] += 1
+            emit(self, *args, **kwargs)
+
+        monkeypatch.setattr(Tracer, "emit", counting_emit)
+        monkeypatch.delenv(obs.TRACE_ENV, raising=False)
+        return calls
+
+    def test_tracing_off_makes_no_emit_calls(self, emit_calls):
+        obs.install(None)
+        _run_btree_platforms()
+        # Off, every emit point is one is-None branch: a launch that
+        # attaches any tracer shows up here as thousands of calls.
+        assert emit_calls[0] == 0
+
+    def test_sampled_tracing_keeps_one_event_per_rate(self, emit_calls):
+        tracer = obs.enable(rate=_TRACE_RATE)
+        try:
+            _run_btree_platforms()
+        finally:
+            obs.install(None)
+        launches = len(tracer.launches)
+        assert launches == 3
+        assert emit_calls[0] > 0
+        assert tracer.events_kept <= \
+            math.ceil(emit_calls[0] / _TRACE_RATE) + launches
+
+
+# -- batch geometry ------------------------------------------------------------
+def _batch_lines(kernel, *args) -> int:
+    """Python ``line`` events executed inside ``geometry/batch.py``."""
+    lines = [0]
+
+    def local(frame, event, arg):
+        if event == "line":
+            lines[0] += 1
+        return local
+
+    def calls(frame, event, arg):
+        return local if frame.f_code.co_filename == batch.__file__ else None
+
+    previous = sys.gettrace()
+    sys.settrace(calls)
+    try:
+        kernel(*args)
+    finally:
+        sys.settrace(previous)
+    return lines[0]
+
+
+def _batch_kernel_args(name: str, n: int):
+    rng = np.random.default_rng(5)
+    origin = np.zeros(3)
+    direction = np.array((0.48, 0.64, 0.6))
+    cloud = rng.uniform(-10.0, 10.0, size=(n, 3))
+    if name == "ray_aabb_slab_batch":
+        lo = cloud - rng.uniform(0.1, 3.0, size=(n, 3))
+        return (origin, 1.0 / direction, 0.0, np.inf, lo,
+                lo + rng.uniform(0.1, 3.0, size=(n, 3)))
+    if name == "point_distance_below_batch":
+        return origin, cloud, 5.0
+    if name == "ray_sphere_batch":
+        return (origin, direction, 0.0, np.inf, cloud,
+                rng.uniform(0.1, 3.0, size=n))
+    return (origin, direction, 0.0, np.inf, cloud,
+            rng.uniform(-10.0, 10.0, size=(n, 3)),
+            rng.uniform(-10.0, 10.0, size=(n, 3)))
+
+
+class TestBatchGeometryVectorized:
+    @pytest.mark.parametrize("name", [
+        "ray_aabb_slab_batch",
+        "point_distance_below_batch",
+        "ray_sphere_batch",
+        "ray_triangle_batch",
+    ])
+    def test_python_lines_do_not_grow_with_primitive_count(self, name):
+        kernel = getattr(batch, name)
+        small = _batch_lines(kernel, *_batch_kernel_args(name, 64))
+        large = _batch_lines(kernel, *_batch_kernel_args(name, 4096))
+        # A per-primitive Python loop executes ~N lines per call.
+        assert small > 0
+        assert small == large, (small, large)
 
 
 # -- launch-level replay ------------------------------------------------------
