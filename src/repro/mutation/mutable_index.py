@@ -75,13 +75,15 @@ def refresh_workload_image(query_class: str, workload: Any) -> None:
     derived cache keyed on the old layout.
     """
     tree = workload.bvh if query_class == "radius" else workload.tree
+    # A BVH's SoA view lists its nodes in the order ``nodes()`` walks.
+    nodes = tree.soa().nodes if query_class == "radius" else tree.nodes()
     n = workload.n_queries
     q_bytes, r_bytes = _BUF_BYTES[query_class]
     if query_class == "knn":
         r_bytes *= workload.k
     space = AddressSpace()
     workload.space = space
-    workload.image = space.place_tree(tree.nodes())
+    workload.image = space.place_tree(nodes)
     workload.query_buf = space.alloc(q_bytes * n, align=128)
     workload.result_buf = space.alloc(r_bytes * n, align=128)
     workload._jobs_cache.clear()
@@ -209,13 +211,19 @@ class MutableResidentIndex:
         self._dirty = False
 
     # -- inspection --------------------------------------------------------
-    def decay_ratio(self) -> float:
-        return self.mutator.quality()["decay"] / self.baseline_decay
+    def decay_ratio(self, quality: Optional[Dict[str, float]] = None
+                    ) -> float:
+        """Current decay over the baseline; pass ``quality`` when the
+        tree was just scored, to not score it again."""
+        if quality is None:
+            quality = self.mutator.quality()
+        return quality["decay"] / self.baseline_decay
 
     def quality(self) -> Dict[str, float]:
         return self.mutator.quality()
 
-    def counters(self) -> Dict[str, Any]:
+    def counters(self, quality: Optional[Dict[str, float]] = None
+                 ) -> Dict[str, Any]:
         return {
             "writes": self.writes,
             "by_op": dict(sorted(self.writes_by_op.items())),
@@ -223,5 +231,5 @@ class MutableResidentIndex:
             "rebuilds": self.rebuilds,
             "epoch": self.epoch,
             "live_items": self.mutator.live_size,
-            "decay_ratio": round(self.decay_ratio(), 6),
+            "decay_ratio": round(self.decay_ratio(quality), 6),
         }

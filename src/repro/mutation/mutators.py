@@ -243,15 +243,7 @@ class RTreeMutator(Mutator):
         return 2 * self.wl.tree.height()
 
     def refit(self) -> int:
-        # Bottom-up exact MBR sweep.  Guttman insert/delete already keep
-        # MBRs exact, so this is the bookkeeping pass the scheduler
-        # charges, not a correctness requirement.
-        nodes = self.wl.tree.nodes()
-        for node in reversed(nodes):
-            node.recompute_mbr()
-        tree = self.wl.tree
-        tree.mutation_epoch = getattr(tree, "mutation_epoch", 0) + 1
-        return len(nodes)
+        return self.wl.tree.refit()
 
     def rebuild(self) -> None:
         tree = self.wl.tree

@@ -28,7 +28,10 @@ All pure functions of the tree — no registry, no clock.
 import math
 from typing import Dict
 
-from repro.geometry.aabb import AABB
+import numpy as np
+
+from repro.trees.bvh import first_max, first_min, surface_areas
+from repro.trees.rtree import RTreeArrays
 
 _EPS = 1e-12
 
@@ -37,32 +40,36 @@ _C_TRAVERSE = 1.0
 _C_INTERSECT = 1.0
 
 
-def _overlap_sa(a: AABB, b: AABB) -> float:
-    """Surface area of the intersection box (0 when disjoint)."""
-    box = AABB(a.lo.max_with(b.lo), a.hi.min_with(b.hi))
-    return box.surface_area()
+def _overlap_areas(a_lo: np.ndarray, a_hi: np.ndarray, b_lo: np.ndarray,
+                   b_hi: np.ndarray) -> np.ndarray:
+    """Surface area of each intersection box (0 when disjoint), with
+    the box taken as ``AABB(a.lo.max_with(b.lo), a.hi.min_with(b.hi))``."""
+    return surface_areas(first_max(a_lo, b_lo), first_min(a_hi, b_hi))
+
+
+def _fold_sum(terms: np.ndarray) -> float:
+    """``s = 0.0; for t in terms: s += t``: ``cumsum`` adds left to
+    right, unlike ``np.sum``'s pairwise tree."""
+    return float(np.cumsum(np.concatenate(([0.0], terms)))[-1])
 
 
 def bvh_quality(bvh) -> Dict[str, float]:
     """BVH decay = the SAH cost itself: loose bounds and overgrown
     leaves both raise expected visits, which is exactly what the serve
-    latency pays."""
-    nodes = bvh.nodes()
-    root_sa = max(bvh.root.bounds.surface_area(), _EPS)
-    sah = 0.0
-    overlaps = []
-    leaf_counts = []
-    for node in nodes:
-        p_hit = node.bounds.surface_area() / root_sa
-        if node.is_leaf:
-            sah += p_hit * node.prim_count * _C_INTERSECT
-            leaf_counts.append(node.prim_count)
-        else:
-            sah += p_hit * _C_TRAVERSE
-            sa = node.bounds.surface_area()
-            if sa > _EPS:
-                overlaps.append(
-                    _overlap_sa(node.left.bounds, node.right.bounds) / sa)
+    latency pays.  Read from the tree's SoA view, node order as
+    :meth:`BVH.nodes`."""
+    soa = bvh.soa()
+    sa = surface_areas(soa.lo, soa.hi)
+    root_sa = max(sa[0].item(), _EPS)
+    p_hit = sa / root_sa
+    leaf = soa.left < 0
+    sah = _fold_sum(np.where(leaf, p_hit * soa.prim_count * _C_INTERSECT,
+                             p_hit * _C_TRAVERSE))
+    inner = np.flatnonzero(~leaf & (sa > _EPS))
+    a, b = soa.left[inner], soa.right[inner]
+    overlaps = (_overlap_areas(soa.lo[a], soa.hi[a], soa.lo[b], soa.hi[b])
+                / sa[inner]).tolist()
+    leaf_counts = soa.prim_count[leaf]
     n_live = len(bvh._prim_order)
     n_leaves = max(1, len(leaf_counts))
     ideal_depth = 1 + max(0, math.ceil(
@@ -70,36 +77,43 @@ def bvh_quality(bvh) -> Dict[str, float]:
     return {
         "sah_cost": sah,
         "overlap": sum(overlaps) / max(1, len(overlaps)),
-        "fill_factor": (sum(leaf_counts) / n_leaves) / max(1, bvh.max_leaf_size),
-        "depth_skew": bvh.depth() / max(1, ideal_depth),
+        "fill_factor": (int(leaf_counts.sum()) / n_leaves)
+        / max(1, bvh.max_leaf_size),
+        "depth_skew": soa.depth / max(1, ideal_depth),
         "decay": sah,
-        "nodes": float(len(nodes)),
+        "nodes": float(soa.n_nodes),
         "items": float(n_live),
     }
 
 
+def _sibling_overlaps(flat: RTreeArrays, sa: np.ndarray) -> list:
+    """Per inner node with area above ``_EPS`` (node order): the summed
+    intersection area of every child pair ``i < j``, over its area."""
+    inner = np.flatnonzero(~flat.is_leaf & (sa > _EPS))
+    ratios = np.empty(len(flat.nodes))
+    for w in sorted(set(flat.width[inner].tolist())):
+        group = inner[flat.width[inner] == w]
+        i, j = np.triu_indices(w, 1)
+        a = flat.child_start[group][:, None] + i
+        b = flat.child_start[group][:, None] + j
+        pairs = _overlap_areas(flat.lo[a], flat.hi[a], flat.lo[b], flat.hi[b])
+        # Left fold per node: a leading 0.0 column, then cumsum.
+        table = np.concatenate((np.zeros((len(group), 1)), pairs), axis=1)
+        ratios[group] = np.cumsum(table, axis=1)[:, -1] / sa[group]
+    return ratios[inner].tolist()
+
+
 def rtree_quality(tree) -> Dict[str, float]:
     """R-Tree decay = SAH-style visit cost inflated by sibling overlap —
-    quadratic splits bloat overlap long before node counts move."""
-    nodes = tree.nodes()
-    root_sa = max(tree.root.mbr.surface_area(), _EPS)
-    sah = 0.0
-    overlaps = []
-    fills = []
-    for node in nodes:
-        p_hit = node.mbr.surface_area() / root_sa
-        sah += p_hit * node.width * _C_INTERSECT
-        fills.append(node.width / tree.max_entries)
-        if not node.is_leaf:
-            sa = node.mbr.surface_area()
-            if sa > _EPS:
-                pair = 0.0
-                kids = node.children
-                for i in range(len(kids)):
-                    for j in range(i + 1, len(kids)):
-                        pair += _overlap_sa(kids[i].mbr, kids[j].mbr)
-                overlaps.append(pair / sa)
+    quadratic splits bloat overlap long before node counts move.  One
+    pass over the tree's flat view, node order as :meth:`RTree.nodes`."""
+    flat = RTreeArrays(tree)
+    sa = surface_areas(flat.lo, flat.hi)
+    root_sa = max(sa[0].item(), _EPS)
+    sah = _fold_sum(sa / root_sa * flat.width * _C_INTERSECT)
+    overlaps = _sibling_overlaps(flat, sa)
     overlap = sum(overlaps) / max(1, len(overlaps))
+    fills = (flat.width / tree.max_entries).tolist()
     n = max(1, len(tree))
     ideal_height = 1 + max(0, math.ceil(
         math.log(max(2, n)) / math.log(max(2, tree.max_entries)))) - 1
@@ -109,7 +123,7 @@ def rtree_quality(tree) -> Dict[str, float]:
         "fill_factor": sum(fills) / max(1, len(fills)),
         "depth_skew": tree.height() / max(1, ideal_height),
         "decay": sah * (1.0 + overlap),
-        "nodes": float(len(nodes)),
+        "nodes": float(len(flat.nodes)),
         "items": float(len(tree)),
     }
 
@@ -137,7 +151,8 @@ def btree_quality(tree) -> Dict[str, float]:
 def kdtree_quality(tree) -> Dict[str, float]:
     """k-d decay = worst leaf overgrowth: online inserts append into
     fixed leaves, so the scan cost at the hottest leaf is what grows."""
-    leaves = [n for n in tree.nodes() if n.is_leaf]
+    nodes = tree.nodes()
+    leaves = [n for n in nodes if n.is_leaf]
     counts = [len(n.point_ids) for n in leaves]
     max_occ = max(counts) if counts else 0
     n_live = max(1, tree.n_live)
@@ -150,7 +165,7 @@ def kdtree_quality(tree) -> Dict[str, float]:
         / max(1, tree.max_leaf_size),
         "depth_skew": tree.depth() / max(1, ideal_depth),
         "decay": max(1.0, max_occ / max(1, tree.max_leaf_size)),
-        "nodes": float(len(tree.nodes())),
+        "nodes": float(len(nodes)),
         "items": float(n_live),
     }
 

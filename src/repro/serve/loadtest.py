@@ -652,8 +652,9 @@ def run_loadtest(platform: str,
             quality = mut.quality()
             for key in QUALITY_KEYS:
                 registry.set(f"mutation.{cls}.{key}", quality[key])
-            registry.set(f"mutation.{cls}.decay_ratio", mut.decay_ratio())
-            summary = mut.counters()
+            registry.set(f"mutation.{cls}.decay_ratio",
+                         mut.decay_ratio(quality))
+            summary = mut.counters(quality)
             summary["quality"] = {key: round(quality[key], 6)
                                   for key in QUALITY_KEYS}
             summary["maintenance"] = [

@@ -33,7 +33,7 @@ reference), which fixes these rules:
 """
 
 import math
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -50,7 +50,7 @@ _SAH_BINS = 12
 
 
 class BVHArrays:
-    """Struct-of-arrays view of a BVH, materialized once per tree.
+    """Struct-of-arrays view of a BVH, one per mutation epoch.
 
     Nodes appear in DFS order (the order :meth:`BVH.nodes` serializes,
     which is also the memory-image layout order), primitives in
@@ -59,19 +59,27 @@ class BVHArrays:
     The numpy columns feed the batch kernels in
     :mod:`repro.geometry.batch`; the plain-list mirrors keep scalar DFS
     loops free of per-element numpy indexing overhead.
+
+    A view is packed from the tree once; the online writes, which never
+    restructure the tree, derive the next epoch's view from the last
+    one (:meth:`derive`).  The node list and the structural columns
+    (``left``/``right``, ``parent``, ``leaves``, ``levels``) are then
+    shared, the changed columns are fresh copies, and no view is ever
+    written after it is made.
     """
 
     __slots__ = (
         "nodes", "lo", "hi", "left", "right", "first_prim", "prim_count",
         "left_list", "right_list", "first_list", "count_list",
-        "prim_ids", "prim_id_list", "prim_kind",
+        "parent", "leaves", "levels",
+        "prim_ids", "prim_id_list", "prim_lo", "prim_hi", "prim_kind",
         "centers", "radii", "v0", "v1", "v2",
     )
 
     def __init__(self, bvh: "BVH"):
         self.nodes = bvh.nodes()
         index_of = {id(node): i for i, node in enumerate(self.nodes)}
-        self.lo, self.hi = aabbs_soa([node.bounds for node in self.nodes])
+        self.lo, self.hi = box_columns([node.bounds for node in self.nodes])
         self.left_list = [-1 if n.is_leaf else index_of[id(n.left)]
                           for n in self.nodes]
         self.right_list = [-1 if n.is_leaf else index_of[id(n.right)]
@@ -83,18 +91,61 @@ class BVHArrays:
         self.first_prim = np.array(self.first_list, dtype=np.int32)
         self.prim_count = np.array(self.count_list, dtype=np.int32)
 
-        prims = [bvh.primitives[i] for i in bvh._prim_order]
-        self.prim_id_list = [p.prim_id for p in prims]
-        self.prim_ids = np.array(self.prim_id_list, dtype=np.int64)
-        self.centers = self.radii = self.v0 = self.v1 = self.v2 = None
-        if all(isinstance(p, Sphere) for p in prims):
-            self.prim_kind = "sphere"
-            self.centers, self.radii = spheres_soa(prims)
-        elif all(isinstance(p, Triangle) for p in prims):
-            self.prim_kind = "triangle"
-            self.v0, self.v1, self.v2 = triangles_soa(prims)
-        else:
-            self.prim_kind = None
+        inner = np.flatnonzero(self.left >= 0)
+        self.leaves = np.flatnonzero(self.left < 0)
+        self.parent = np.full(len(self.nodes), -1, dtype=np.int32)
+        self.parent[self.left[inner]] = inner
+        self.parent[self.right[inner]] = inner
+        #: inner node indexes by depth, root level first
+        self.levels: List[np.ndarray] = []
+        frontier = np.zeros(1, dtype=np.intp)
+        while True:
+            frontier = frontier[self.left[frontier] >= 0]
+            if not len(frontier):
+                break
+            self.levels.append(frontier)
+            frontier = np.concatenate((self.left[frontier],
+                                       self.right[frontier]))
+        for name, column in _prim_columns(bvh).items():
+            setattr(self, name, column)
+
+    def derive(self, **columns) -> "BVHArrays":
+        """A new view with ``columns`` replaced and every other one
+        shared; ``first_prim``/``prim_count`` bring their list mirrors."""
+        view = object.__new__(BVHArrays)
+        for name in self.__slots__:
+            setattr(view, name, columns.get(name, getattr(self, name)))
+        if "first_prim" in columns:
+            view.first_list = view.first_prim.tolist()
+        if "prim_count" in columns:
+            view.count_list = view.prim_count.tolist()
+        return view
+
+    def edit_prims(self, bvh: "BVH", pos: int, prim=None,
+                   insert: bool = False) -> Dict[str, object]:
+        """The primitive columns after a write at slice position ``pos``
+        of ``bvh``'s primitive order: ``prim`` inserted there
+        (``insert``) or put in place of the old entry, or without
+        ``prim`` the entry deleted.  The columns are re-packed from
+        ``bvh`` when their kind could change."""
+        names = ("prim_ids", "prim_lo", "prim_hi") \
+            + _KIND_COLUMNS.get(self.prim_kind, ())
+        rows = None if prim is None else _prim_rows(prim)
+        if self.prim_kind is None or (rows is None and self.n_prims == 1) \
+                or (rows is not None and not rows.keys() >= set(names)):
+            return _prim_columns(bvh)
+        columns = {}
+        for name in names:
+            column = getattr(self, name)
+            if rows is None:
+                columns[name] = np.delete(column, pos, axis=0)
+            elif insert:
+                columns[name] = np.insert(column, pos, rows[name], axis=0)
+            else:
+                columns[name] = column.copy()
+                columns[name][pos] = rows[name]
+        columns["prim_id_list"] = columns["prim_ids"].tolist()
+        return columns
 
     @property
     def n_nodes(self) -> int:
@@ -103,6 +154,138 @@ class BVHArrays:
     @property
     def n_prims(self) -> int:
         return len(self.prim_ids)
+
+    @property
+    def depth(self) -> int:
+        """:meth:`BVH.depth`: the children of the deepest inner level
+        are all leaves."""
+        return len(self.levels) + 1
+
+    def slice_pos(self, prim_id: int) -> int:
+        """Slice position of live primitive ``prim_id``."""
+        hits = np.flatnonzero(self.prim_ids == prim_id)
+        if not len(hits):
+            raise KeyError(f"prim_id {prim_id} not live in BVH")
+        return int(hits[0])
+
+    def leaf_at(self, pos: int) -> int:
+        """Index of the leaf whose slice holds slice position ``pos``."""
+        first = self.first_prim[self.leaves]
+        holds = (first <= pos) & (pos < first + self.prim_count[self.leaves])
+        return int(self.leaves[np.argmax(holds)])
+
+    def leaves_after(self, leaf: int) -> np.ndarray:
+        """The leaves after ``leaf`` in slice order (DFS order)."""
+        return self.leaves[np.searchsorted(self.leaves, leaf, side="right"):]
+
+    def path_to(self, node: int) -> List[int]:
+        """Node indexes from the root down to ``node``."""
+        path = [node]
+        while self.parent[path[-1]] >= 0:
+            path.append(int(self.parent[path[-1]]))
+        return path[::-1]
+
+
+def box_columns(boxes: Sequence[AABB]) -> Tuple[np.ndarray, np.ndarray]:
+    """``(lo, hi)`` columns of ``boxes``, shape ``(N, 3)`` even when
+    empty; one flat float list is much cheaper to convert than rows."""
+    flat = np.array([c for b in boxes for c in (b.lo.x, b.lo.y, b.lo.z,
+                                                 b.hi.x, b.hi.y, b.hi.z)],
+                    dtype=np.float64).reshape(-1, 6)
+    return np.ascontiguousarray(flat[:, :3]), np.ascontiguousarray(flat[:, 3:])
+
+
+def changed_boxes(old_lo: np.ndarray, old_hi: np.ndarray, lo: np.ndarray,
+                  hi: np.ndarray) -> List[Tuple[int, AABB]]:
+    """``(row, box)`` for each row whose ``lo``/``hi`` bits differ."""
+    changed = ((lo.view(np.int64) != old_lo.view(np.int64))
+               | (hi.view(np.int64) != old_hi.view(np.int64))).any(axis=1)
+    rows = np.flatnonzero(changed)
+    return [(i, AABB(Vec3(*l), Vec3(*h))) for i, l, h in
+            zip(rows.tolist(), lo[rows].tolist(), hi[rows].tolist())]
+
+
+def fold_extremes(rows: np.ndarray, starts: np.ndarray, ends: np.ndarray,
+                  lower: bool) -> np.ndarray:
+    """Per-segment column min (``lower``) or max of ``rows[s:e]``.
+
+    Matches a left fold of Python ``min``/``max`` from the empty box,
+    as :meth:`AABB.union` does it: an empty segment gives ``inf`` (min)
+    or ``-inf`` (max), NaN entries are skipped, and when the extreme is
+    zero the first ``0.0``/``-0.0`` in row order wins.
+    """
+    fill = np.inf if lower else -np.inf
+    out = np.full((len(starts), rows.shape[1]), fill)
+    live = ends > starts
+    if not live.any():
+        return out
+    s, e = starts[live], ends[live]
+    # Interleaved (start, end) marks reduce each segment and each gap;
+    # the extra row keeps the last end mark a valid index.
+    padded = np.concatenate((rows, rows[:1]))
+    marks = np.column_stack((s, e)).ravel()
+    reduce = np.fmin if lower else np.fmax
+    ext = reduce.reduceat(padded, marks, axis=0)[::2]
+    ext[np.isnan(ext)] = fill
+    zero = ext == 0.0
+    if zero.any():
+        n = len(rows)
+        at = np.where(rows == 0.0, np.arange(n)[:, None], n)
+        next_zero = np.minimum.accumulate(at[::-1], axis=0)[::-1]
+        first = np.minimum(next_zero[s], n - 1)
+        picked = np.take_along_axis(rows, first, axis=0)
+        ext = np.where(zero, picked, ext)
+    out[live] = ext
+    return out
+
+
+def first_min(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Python ``min(a, b)`` per element: ``a`` unless ``b < a``."""
+    return np.where(b < a, b, a)
+
+
+def first_max(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Python ``max(a, b)`` per element: ``a`` unless ``b > a``."""
+    return np.where(b > a, b, a)
+
+
+_KIND_COLUMNS = {"sphere": ("centers", "radii"),
+                 "triangle": ("v0", "v1", "v2")}
+
+
+def _prim_columns(bvh: "BVH") -> Dict[str, object]:
+    """Every primitive column of a view, packed from ``bvh``."""
+    order = bvh._prim_order
+    prims = [bvh.primitives[i] for i in order]
+    columns: Dict[str, object] = dict.fromkeys(
+        ("centers", "radii", "v0", "v1", "v2"))
+    columns["prim_lo"], columns["prim_hi"] = box_columns(
+        [bvh._prim_bounds[i] for i in order])
+    columns["prim_id_list"] = [p.prim_id for p in prims]
+    columns["prim_ids"] = np.array(columns["prim_id_list"], dtype=np.int64)
+    if all(isinstance(p, Sphere) for p in prims):
+        columns["prim_kind"] = "sphere"
+        centers, columns["radii"] = spheres_soa(prims)
+        columns["centers"] = centers.reshape(-1, 3)
+    elif all(isinstance(p, Triangle) for p in prims):
+        columns["prim_kind"] = "triangle"
+        columns["v0"], columns["v1"], columns["v2"] = (
+            v.reshape(-1, 3) for v in triangles_soa(prims))
+    else:
+        columns["prim_kind"] = None
+    return columns
+
+
+def _prim_rows(prim) -> Dict[str, object]:
+    """``prim``'s row of each primitive column it has a value for."""
+    bounds = prim.bounds()
+    rows = {"prim_ids": prim.prim_id, "prim_lo": tuple(bounds.lo),
+            "prim_hi": tuple(bounds.hi)}
+    if isinstance(prim, Sphere):
+        rows.update(centers=tuple(prim.center), radii=prim.radius)
+    elif isinstance(prim, Triangle):
+        rows.update(v0=tuple(prim.v0), v1=tuple(prim.v1), v2=tuple(prim.v2))
+    return rows
 
 
 class BVHNode:
@@ -147,9 +330,10 @@ def _first_extreme(rows: np.ndarray, reduce) -> List[float]:
     return out
 
 
-def _surface_areas(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+def surface_areas(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """:meth:`AABB.surface_area` of each ``(lo, hi)`` row pair."""
-    ex, ey, ez = (hi - lo).T
+    e = hi - lo
+    ex, ey, ez = e[..., 0], e[..., 1], e[..., 2]
     area = 2.0 * (ex * ey + ey * ez + ez * ex)
     area[(ex < 0) | (ey < 0) | (ez < 0)] = 0.0
     return area
@@ -209,9 +393,9 @@ class _ArrayBuilder:
                             for k in range(1, _SAH_BINS)) if c not in (0, count)]
         lo, hi = self.lo[first:first + count], self.hi[first:first + count]
         at = np.array(cuts, dtype=np.intp)
-        left = _surface_areas(np.minimum.accumulate(lo)[at - 1],
+        left = surface_areas(np.minimum.accumulate(lo)[at - 1],
                               np.maximum.accumulate(hi)[at - 1])
-        right = _surface_areas(np.minimum.accumulate(lo[::-1])[::-1][at],
+        right = surface_areas(np.minimum.accumulate(lo[::-1])[::-1][at],
                                np.maximum.accumulate(hi[::-1])[::-1][at])
         costs = left * at + right * (count - at)
         best_cost, best = math.inf, None
@@ -277,42 +461,59 @@ class BVH:
     # moves leave the old extents in place), so a conservative AABB can
     # cost extra visits but never miss a hit.  ``refit`` restores exact
     # bounds without restructuring; a full rebuild restores quality.
+    # None of them restructures the tree, so each derives the next
+    # epoch's SoA view from the current one instead of re-packing it.
 
-    def _invalidate(self) -> None:
+    def _advance(self, view: BVHArrays) -> None:
+        """Bump the epoch and install ``view`` as its SoA."""
         self.mutation_epoch = getattr(self, "mutation_epoch", 0) + 1
-        self._soa = None
+        self._soa, self._soa_epoch = view, self.mutation_epoch
+
+    @staticmethod
+    def _grow_rows(soa: BVHArrays, rows: Sequence[int],
+                   bounds: AABB) -> Tuple[np.ndarray, np.ndarray]:
+        """Union ``bounds`` into the boxes of node ``rows``; returns
+        copies of the view's ``lo``/``hi`` with those rows updated."""
+        lo, hi = soa.lo.copy(), soa.hi.copy()
+        for i in rows:
+            node = soa.nodes[i]
+            node.bounds = b = node.bounds.union(bounds)
+            lo[i] = (b.lo.x, b.lo.y, b.lo.z)
+            hi[i] = (b.hi.x, b.hi.y, b.hi.z)
+        return lo, hi
 
     def insert(self, prim) -> int:
         """Online insert: descend by least bound growth, append at a leaf.
 
         The leaf's primitive slice grows past ``max_leaf_size`` rather
         than splitting — exactly the decay mode per-frame RT pipelines
-        accept between rebuilds.  Returns the number of nodes touched
-        (the descent path), which the mutation cost model charges.
+        accept between rebuilds.  Only the leaves after the target in
+        slice order shift, so an empty leaf ahead of an empty target
+        keeps its place.  Returns the number of nodes touched (the
+        descent path), which the mutation cost model charges.
         """
+        soa = self.soa()
         bounds = prim.bounds()
-        node, path = self.root, []
-        while not node.is_leaf:
-            path.append(node)
+        nodes, left, right = soa.nodes, soa.left_list, soa.right_list
+        leaf, path = 0, []
+        while left[leaf] >= 0:
+            path.append(leaf)
+            node = nodes[leaf]
             grow_left = (node.left.bounds.union(bounds).surface_area()
                          - node.left.bounds.surface_area())
             grow_right = (node.right.bounds.union(bounds).surface_area()
                           - node.right.bounds.surface_area())
-            node = node.left if grow_left <= grow_right else node.right
-        prim_index = len(self.primitives)
+            leaf = left[leaf] if grow_left <= grow_right else right[leaf]
+        path.append(leaf)
+        pos = soa.first_list[leaf] + soa.count_list[leaf]
+        self._prim_order.insert(pos, len(self.primitives))
         self.primitives.append(prim)
         self._prim_bounds.append(bounds)
-        pos = node.first_prim + node.prim_count
-        self._prim_order.insert(pos, prim_index)
-        node.prim_count += 1
-        for other in self.nodes():
-            if other.is_leaf and other is not node and other.first_prim >= pos:
-                other.first_prim += 1
-        for ancestor in path:
-            ancestor.bounds = ancestor.bounds.union(bounds)
-        node.bounds = node.bounds.union(bounds)
-        self._invalidate()
-        return len(path) + 1
+        lo, hi = self._grow_rows(soa, path, bounds)
+        self._advance(soa.derive(
+            lo=lo, hi=hi, **self._shift_slices(soa, leaf, +1),
+            **soa.edit_prims(self, pos, prim, insert=True)))
+        return len(path)
 
     def remove(self, prim_id: int) -> int:
         """Online delete: drop the primitive from its leaf's slice.
@@ -321,25 +522,12 @@ class BVH:
         tombstone (slice indexes stay stable); bounds are left loose.
         Returns the number of nodes touched.
         """
-        pos = None
-        for k, i in enumerate(self._prim_order):
-            if self.primitives[i].prim_id == prim_id:
-                pos = k
-                break
-        if pos is None:
-            raise KeyError(f"prim_id {prim_id} not live in BVH")
-        leaf = None
-        for node in self.nodes():
-            if node.is_leaf and node.first_prim <= pos < (node.first_prim
-                                                          + node.prim_count):
-                leaf = node
-                break
+        soa = self.soa()
+        pos = soa.slice_pos(prim_id)
         self._prim_order.pop(pos)
-        leaf.prim_count -= 1
-        for other in self.nodes():
-            if other.is_leaf and other is not leaf and other.first_prim > pos:
-                other.first_prim -= 1
-        self._invalidate()
+        self._advance(soa.derive(
+            **self._shift_slices(soa, soa.leaf_at(pos), -1),
+            **soa.edit_prims(self, pos)))
         return 1
 
     def update(self, prim_id: int, prim) -> int:
@@ -349,63 +537,59 @@ class BVH:
         to cover the new extent while the old extent stays covered
         (conservative, so results remain exact until the next refit).
         """
-        pos = None
-        for k, i in enumerate(self._prim_order):
-            if self.primitives[i].prim_id == prim_id:
-                pos, prim_index = k, i
-                break
-        if pos is None:
-            raise KeyError(f"prim_id {prim_id} not live in BVH")
+        soa = self.soa()
+        pos = soa.slice_pos(prim_id)
+        prim_index = self._prim_order[pos]
         self.primitives[prim_index] = prim
         bounds = prim.bounds()
         self._prim_bounds[prim_index] = bounds
-        touched = self._grow_path(self.root, pos, bounds)
-        self._invalidate()
-        return touched
-
-    def _grow_path(self, node: BVHNode, pos: int, bounds: AABB) -> int:
-        """Union ``bounds`` into every node on the path to slice ``pos``."""
-        node.bounds = node.bounds.union(bounds)
-        if node.is_leaf:
-            return 1
-        # Leaf slices are laid out in-order, so the left subtree covers a
-        # contiguous prefix of positions.
-        left_end = self._subtree_end(node.left)
-        child = node.left if pos < left_end else node.right
-        return 1 + self._grow_path(child, pos, bounds)
+        path = soa.path_to(soa.leaf_at(pos))
+        lo, hi = self._grow_rows(soa, path, bounds)
+        self._advance(soa.derive(lo=lo, hi=hi,
+                                 **soa.edit_prims(self, pos, prim)))
+        return len(path)
 
     @staticmethod
-    def _subtree_end(node: BVHNode) -> int:
-        while not node.is_leaf:
-            node = node.right
-        return node.first_prim + node.prim_count
-
-    def _range_bounds(self, first: int, count: int) -> AABB:
-        box = AABB.empty()
-        for i in range(first, first + count):
-            box = box.union(self._prim_bounds[self._prim_order[i]])
-        return box
+    def _shift_slices(soa: BVHArrays, leaf: int,
+                      delta: int) -> Dict[str, np.ndarray]:
+        """Grow (or shrink) ``leaf``'s slice by ``delta`` and move the
+        slices of the leaves after it in slice order to match."""
+        first, count = soa.first_prim.copy(), soa.prim_count.copy()
+        after = soa.leaves_after(leaf)
+        first[after] += delta
+        count[leaf] += delta
+        soa.nodes[leaf].prim_count += delta
+        for i in after.tolist():
+            soa.nodes[i].first_prim += delta
+        return {"first_prim": first, "prim_count": count}
 
     def refit(self) -> int:
         """Recompute exact bounds bottom-up without restructuring.
 
-        This is the per-frame BVH refit of the RT pipelines: leaf boxes
-        are rebuilt from their (live) primitives, inner boxes from their
-        children.  Returns the number of nodes touched — the quantity
-        the cycle model charges.
+        This is the per-frame BVH refit of the RT pipelines, as one
+        array pass: each leaf box is the column min/max of its slice of
+        the primitive bounds (the empty box for an empty leaf), then
+        each inner level, deepest first, takes the box of its two
+        children.  Both follow :meth:`AABB.union`'s rules, so the bits
+        match a scalar fold of ``union``.  Nodes whose box changed get
+        a new ``bounds`` once.  Returns the number of nodes touched —
+        the quantity the cycle model charges.
         """
-        def rec(node: BVHNode) -> int:
-            if node.is_leaf:
-                node.bounds = self._range_bounds(node.first_prim,
-                                                 node.prim_count)
-                return 1
-            touched = rec(node.left) + rec(node.right)
-            node.bounds = node.left.bounds.union(node.right.bounds)
-            return touched + 1
-
-        touched = rec(self.root)
-        self._invalidate()
-        return touched
+        soa = self.soa()
+        leaves = soa.leaves
+        starts = soa.first_prim[leaves]
+        ends = starts + soa.prim_count[leaves]
+        lo, hi = np.empty_like(soa.lo), np.empty_like(soa.hi)
+        lo[leaves] = fold_extremes(soa.prim_lo, starts, ends, lower=True)
+        hi[leaves] = fold_extremes(soa.prim_hi, starts, ends, lower=False)
+        for level in reversed(soa.levels):
+            a, b = soa.left[level], soa.right[level]
+            lo[level] = first_min(lo[a], lo[b])
+            hi[level] = first_max(hi[a], hi[b])
+        for i, box in changed_boxes(soa.lo, soa.hi, lo, hi):
+            soa.nodes[i].bounds = box
+        self._advance(soa.derive(lo=lo, hi=hi))
+        return soa.n_nodes
 
     def live_prim_ids(self) -> List[int]:
         """The prim_ids still reachable from a leaf slice."""
@@ -413,11 +597,11 @@ class BVH:
 
     # -- access ---------------------------------------------------------------
     def soa(self) -> BVHArrays:
-        """The struct-of-arrays view, cached per mutation epoch.
+        """The struct-of-arrays view of the current mutation epoch.
 
-        Mutations (insert/remove/update/refit) bump ``mutation_epoch``,
-        so a stale view is rebuilt on next access instead of silently
-        serving pre-mutation bounds; callers in the kernels/workloads
+        Packed from the tree on first use (and after a rebuild, which
+        makes a new tree); the online writes install the view they
+        derive, so it is never stale.  Callers in the kernels/workloads
         feed its columns to the batch geometry tests instead of walking
         ``BVHNode`` objects scalar-style.
         """

@@ -20,9 +20,12 @@ Provided here:
 import math
 from typing import List, NamedTuple, Sequence, Tuple
 
+import numpy as np
+
 from repro.errors import ConfigurationError
 from repro.geometry.aabb import AABB
 from repro.geometry.vec import Vec3
+from repro.trees.bvh import box_columns, changed_boxes, fold_extremes
 
 DEFAULT_MAX_ENTRIES = 9  # matches the 9-wide TTA instruction
 
@@ -89,6 +92,61 @@ class RTreeVisit(NamedTuple):
 class RangeQueryResult(NamedTuple):
     ids: Tuple[int, ...]
     visits: Tuple[RTreeVisit, ...]
+
+
+class RTreeArrays:
+    """Flat view of an R-Tree from one walk in :meth:`RTree.nodes` order.
+
+    A BFS lists each node's children contiguously, so inner node ``i``
+    owns nodes ``[child_start[i], child_start[i] + width[i])``.
+    ``lo``/``hi`` are the node MBRs.  Made per use: R-Tree writes
+    restructure the tree, so there is no view to carry from one epoch
+    to the next.
+    """
+
+    __slots__ = ("nodes", "width", "is_leaf", "child_start", "depth",
+                 "lo", "hi")
+
+    def __init__(self, tree: "RTree"):
+        self.nodes = nodes = [tree.root]
+        child_start, width, depth = [], [], [0]
+        for i, node in enumerate(nodes):
+            kids = node.children
+            if kids:
+                child_start.append(len(nodes))
+                width.append(len(kids))
+                depth.extend([depth[i] + 1] * len(kids))
+                nodes.extend(kids)
+            else:
+                child_start.append(-1)
+                width.append(len(node.entries))
+        self.child_start = np.array(child_start, dtype=np.intp)
+        self.width = np.array(width, dtype=np.intp)
+        self.depth = np.array(depth, dtype=np.intp)
+        self.is_leaf = self.child_start < 0
+        self.lo, self.hi = box_columns([node.mbr for node in nodes])
+
+    def refit_mbrs(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Exact MBR columns, bottom-up: leaves fold their entries, then
+        each depth, deepest first, folds its children (the order
+        :meth:`RTreeNode.recompute_mbr` folds in)."""
+        leaves = np.flatnonzero(self.is_leaf)
+        ends = np.cumsum(self.width[leaves])
+        starts = ends - self.width[leaves]
+        entry_lo, entry_hi = box_columns(
+            [e.rect for i in leaves.tolist() for e in self.nodes[i].entries])
+        lo, hi = np.empty_like(self.lo), np.empty_like(self.hi)
+        lo[leaves] = fold_extremes(entry_lo, starts, ends, lower=True)
+        hi[leaves] = fold_extremes(entry_hi, starts, ends, lower=False)
+        inner = np.flatnonzero(~self.is_leaf)
+        for d in range(int(self.depth.max()), -1, -1):
+            level = inner[self.depth[inner] == d]
+            if len(level):
+                starts = self.child_start[level]
+                ends = starts + self.width[level]
+                lo[level] = fold_extremes(lo, starts, ends, lower=True)
+                hi[level] = fold_extremes(hi, starts, ends, lower=False)
+        return lo, hi
 
 
 class RTree:
@@ -287,6 +345,21 @@ class RTree:
             if node.is_leaf:
                 out.extend(node.entries)
         return out
+
+    def refit(self) -> int:
+        """Recompute every MBR bottom-up as one array pass.
+
+        Guttman insert/delete already keep MBRs exact, so this is the
+        bookkeeping sweep the maintenance scheduler charges, not a
+        correctness requirement; a node whose MBR bits change gets a
+        new ``mbr``.  Returns the number of nodes touched.
+        """
+        flat = RTreeArrays(self)
+        lo, hi = flat.refit_mbrs()
+        for i, box in changed_boxes(flat.lo, flat.hi, lo, hi):
+            flat.nodes[i].mbr = box
+        self.mutation_epoch = getattr(self, "mutation_epoch", 0) + 1
+        return len(flat.nodes)
 
     # -- STR bulk loading ---------------------------------------------------------
     @classmethod

@@ -474,8 +474,8 @@ class TestStalenessContracts:
             (mutator.live_size - len(cached.tree))
 
     def test_bvh_soa_refreshes_after_mutation(self):
-        """Satellite regression: ``soa()`` must re-pack after any
-        structural mutation, not serve the stale arrays."""
+        """Satellite regression: ``soa()`` must serve a new view after
+        any mutation, not the stale arrays."""
         index = tiny_index("radius")
         bvh = index.workload.bvh
         stale = bvh.soa()

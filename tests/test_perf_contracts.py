@@ -24,6 +24,9 @@ Contract families:
 * **Tracing overhead** — with tracing off a launch makes no
   ``Tracer.emit`` call at all, and sampled tracing at rate N keeps at
   most one emitted event in N plus the launch markers.
+* **Write maintenance** — a churned smoke BVH packs its SoA view once
+  per tree (writes and refits derive the next view from the last), and
+  BVH and R-Tree refits and quality scores make no ``AABB.union`` call.
 * **Batch geometry** — each batch kernel runs a fixed number of Python
   lines whatever the primitive count: the per-primitive work is numpy's.
 
@@ -37,6 +40,7 @@ import gc
 import math
 import os
 import pathlib
+import random
 import shutil
 import sys
 import tracemalloc
@@ -63,11 +67,15 @@ from repro.harness.runner import (
 from repro.kernels.nbody_walk import nbody_baseline_kernel
 from repro.kernels.radius_search import radius_query, radius_query_scalar
 from repro.memsys.hierarchy import MemoryHierarchy
+from repro.mutation import MutableResidentIndex, RebuildPolicy
+from repro.mutation.stream import WriteEvent
 from repro.obs.tracer import Tracer
 from repro.rta import Step, TraversalJob
 from repro.rta.rta import make_rta_factory
+from repro.serve import SERVE_SCALES, build_resident_index
 from repro.sim import _model_source_hash, make_simulator, scheduler_fingerprint
 from repro.sim.resources import PipelinedUnit
+from repro.trees.bvh import BVHArrays
 from repro.workloads import (
     make_btree_workload,
     make_nbody_workload,
@@ -214,6 +222,61 @@ class TestBVHBuildCost:
         # makes ~250k unions and ~600k vectors here.
         assert counts["union"] <= nodes
         assert counts["vec3"] <= 4 * (nodes + len(wl.points)), counts
+
+
+# -- write maintenance cost ------------------------------------------------------
+class TestWriteMaintenanceCost:
+    @pytest.mark.parametrize("query_class", ["radius", "range"])
+    def test_churn_derives_views_and_refits_without_unions(
+            self, monkeypatch, query_class):
+        """A seeded 30-write churn on a smoke index, refit every 3
+        writes (quality scored at each maintenance point), the read
+        path taking the BVH view after every write."""
+        index = build_resident_index(
+            query_class, dict(SERVE_SCALES["smoke"][query_class], seed=0))
+        mut = MutableResidentIndex(
+            index, policy=RebuildPolicy(mode="writes", write_threshold=12),
+            refit_threshold=3)
+        counts = {"packs": 0, "union": 0}
+        phase = [False]
+        arrays_init, aabb_union = BVHArrays.__init__, AABB.union
+
+        def counting_init(self, bvh):
+            counts["packs"] += 1
+            arrays_init(self, bvh)
+
+        def counting_union(self, other):
+            counts["union"] += phase[0]
+            return aabb_union(self, other)
+
+        def in_phase(func):
+            def wrapper(*args, **kwargs):
+                phase[0] = True
+                try:
+                    return func(*args, **kwargs)
+                finally:
+                    phase[0] = False
+            return wrapper
+
+        monkeypatch.setattr(BVHArrays, "__init__", counting_init)
+        monkeypatch.setattr(AABB, "union", counting_union)
+        for name in ("refit", "quality"):
+            monkeypatch.setattr(mut.mutator, name,
+                                in_phase(getattr(mut.mutator, name)))
+        rng = random.Random(0)
+        for k in range(30):
+            mut.apply(WriteEvent(0.01 * k, query_class,
+                                 ("insert", "insert", "delete")[k % 3],
+                                 k, True), rng)
+            mut.ensure_ready(0.01 * k)
+            if query_class == "radius":
+                wl = index.workload
+                radius_query(wl.bvh, wl.queries[k % wl.n_queries], wl.radius)
+        assert mut.refits >= 5 and mut.rebuilds >= 1
+        # One pack per tree: writes and refits derive the next view.
+        # A scalar refit of the smoke BVH makes ~1.4k unions.
+        assert counts["packs"] <= 1 + mut.rebuilds, counts
+        assert counts["union"] == 0, counts
 
 
 # -- N-Body walk cost -----------------------------------------------------------
