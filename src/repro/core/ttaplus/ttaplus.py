@@ -270,7 +270,8 @@ def make_ttaplus_factory(copies: Dict[str, int] = None,
                          latency_scale: float = 1.0,
                          perfect_node_fetch: bool = False,
                          prefetch_depth: int = 0):
-    """Factory attaching a TTA+ to every SM (use with :class:`repro.gpu.GPU`).
+    """Factory attaching a TTA+ to an SM (use with :class:`repro.gpu.GPU`,
+    which calls it for every SM that runs warps).
 
     ``perfect_icnt`` and ``perfect_node_fetch`` support the Fig. 17
     limit study (zero-cost interconnect / zero-latency node fetches);

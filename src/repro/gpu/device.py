@@ -97,8 +97,8 @@ class GPU:
     """A fresh simulated GPU per launch (cold caches, zeroed stats).
 
     ``accelerator_factory(sm) -> accelerator`` attaches an RTA/TTA/TTA+
-    model to every SM; kernels reach it by yielding
-    :class:`~repro.gpu.isa.AccelCall` ops.
+    model to every SM that runs warps in a launch; kernels reach it by
+    yielding :class:`~repro.gpu.isa.AccelCall` ops.
     """
 
     def __init__(self, config: GPUConfig = DEFAULT_CONFIG,
@@ -152,8 +152,13 @@ class GPU:
             # First-class DRAM bandwidth series (Fig. 13's substrate).
             hierarchy.dram.series = TimeSeries()
         stats = KernelStats()
+        # Warps are dealt round-robin from SM 0, so exactly the SMs
+        # i < n_warps get work; only they get an accelerator.
+        n_warps = math.ceil(n_threads / cfg.warp_size)
+        factory = self.accelerator_factory
         sms: List[SM] = [
-            SM(sim, i, cfg, hierarchy, stats, self.accelerator_factory)
+            SM(sim, i, cfg, hierarchy, stats,
+               factory if i < n_warps else None)
             for i in range(cfg.n_sms)
         ]
 
@@ -164,7 +169,6 @@ class GPU:
         stream_cache = (getattr(args, "stream_cache", None)
                         if getattr(kernel, "value_independent", False)
                         else None)
-        n_warps = math.ceil(n_threads / cfg.warp_size)
         for warp_id in range(n_warps):
             first = warp_id * cfg.warp_size
             thread_ids = range(first, min(first + cfg.warp_size, n_threads))
@@ -230,20 +234,17 @@ class GPU:
 
     @staticmethod
     def _merge_accel_stats(accels, end: float) -> Dict[str, Any]:
+        """Sum the accelerators' snapshot scalars; rate-like keys
+        (``*_avg``, ``*_util``, ``*_mean``) are means over the
+        accelerators that report them, all of which ran warps."""
         merged: Dict[str, Any] = {}
         contributors: Dict[str, int] = {}
-        per_accel = [a.snapshot(end) for a in accels]
-        for snap in per_accel:
-            for key, value in snap.items():
+        for accel in accels:
+            for key, value in accel.snapshot(end).items():
                 if isinstance(value, (int, float)):
                     merged[key] = merged.get(key, 0.0) + value
                     contributors[key] = contributors.get(key, 0) + 1
-        for key in list(merged):
-            if key.endswith("_avg") or key.endswith("_util") or \
-                    key.endswith("_mean"):
-                # Rate-like metrics: average over the accelerators that
-                # actually reported them (idle accelerators would skew
-                # the mean toward zero).
+        for key in merged:
+            if key.endswith(("_avg", "_util", "_mean")):
                 merged[key] /= contributors[key]
-        merged["per_accel"] = per_accel
         return merged

@@ -11,14 +11,18 @@ used by *RTNN, *WKND_PT and LumiBench in Table III, where crossing from
 the top level into an instance costs an R-XFORM µop.
 
 Construction packs the primitive bounds once into ``(N, 3)`` arrays and
-splits top-down.  Each node's box is the column min/max of its segment;
-a split sorts the segment (stably) by centroid along the box's longest
-axis.  ``median`` splits at the middle; ``sah`` scores the 11
-equal-count splits at ``k/12`` of the sorted segment — there are no
-spatial bins — from prefix/suffix min/max, and takes the cheapest if it
-beats the leaf cost, else the median.  The trees are bit-identical to
-those of a scalar fold of ``AABB.union`` (kept in the tests as the
-reference), which fixes these rules:
+splits top-down, one tree level at a time: every open segment of a
+level is handled by the same few numpy passes, so the Python cost
+grows with the depth, not the node count.  Each node's box is the
+column min/max of its segment; a split sorts the segment (stably) by
+centroid along the box's longest axis.  ``median`` splits at the
+middle; ``sah`` scores the 11 equal-count splits at ``k/12`` of the
+sorted segment — there are no spatial bins — from the boxes of its 12
+chunks, accumulated from each end, and takes the cheapest if it beats
+the leaf cost, else the median.  The trees are bit-identical to those
+of a scalar fold of ``AABB.union`` and of the earlier recursive array
+builder (both kept in the tests as references), which fixes these
+rules:
 
 * first zero wins: when a box extreme is zero, the first ``0.0`` or
   ``-0.0`` in primitive order is kept, as Python's ``min``/``max`` do;
@@ -33,6 +37,7 @@ reference), which fixes these rules:
 """
 
 import math
+from itertools import compress
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -315,21 +320,6 @@ class BVHNode:
         return "BVHNode(inner)"
 
 
-def _first_extreme(rows: np.ndarray, reduce) -> List[float]:
-    """Column ``np.min``/``np.max`` of ``rows`` as Python floats.
-
-    A left fold of Python ``min``/``max`` keeps the first-seen value on
-    ties, so when the extreme is zero the first ``0.0``/``-0.0`` in row
-    order wins; numpy makes no promise about which zero it returns.
-    """
-    out = reduce(rows, axis=0).tolist()
-    for j, value in enumerate(out):
-        if value == 0.0:
-            column = rows[:, j]
-            out[j] = column[int(np.argmax(column == 0.0))].item()
-    return out
-
-
 def surface_areas(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """:meth:`AABB.surface_area` of each ``(lo, hi)`` row pair."""
     e = hi - lo
@@ -339,72 +329,101 @@ def surface_areas(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return area
 
 
-class _ArrayBuilder:
-    """Top-down median/SAH construction over packed primitive bounds.
+def _build_levels(lo: np.ndarray, hi: np.ndarray, max_leaf_size: int,
+                  sah: bool) -> Tuple[BVHNode, np.ndarray, int]:
+    """Top-down median/SAH construction, one tree level at a time.
 
     ``lo``/``hi`` are the ``(N, 3)`` primitive bounds, permuted in step
-    with ``order`` so a node's primitives are always the contiguous rows
-    ``[first, first + count)``.  The arrays live only for one build.
+    with the returned order so each open segment of a level is a run of
+    contiguous rows; the arrays live only for one build.  Each level
+    boxes all its segments with :func:`fold_extremes`, sorts the rows of
+    every segment that splits with one stable ``lexsort`` keyed by
+    (segment, centroid on the segment's longest axis), and picks all
+    its cuts at once (:func:`_sah_cuts`).  Returns the root, the
+    primitive order and the node count.
     """
+    order = np.arange(len(lo))
+    first = np.zeros(1, dtype=np.intp)
+    count = np.array([len(lo)], dtype=np.intp)
+    root, parents, node_count = None, [], 0
+    while len(first):
+        box_lo = fold_extremes(lo, first, first + count, lower=True)
+        box_hi = fold_extremes(hi, first, first + count, lower=False)
+        nodes = [BVHNode(AABB(Vec3(*l), Vec3(*h)))
+                 for l, h in zip(box_lo.tolist(), box_hi.tolist())]
+        node_count += len(nodes)
+        if root is None:
+            root = nodes[0]
+        for parent, left, right in zip(parents, nodes[::2], nodes[1::2]):
+            parent.left, parent.right = left, right
+        # AABB.longest_axis, ties to the lower axis.
+        e = box_hi - box_lo
+        axis = np.where((e[:, 0] >= e[:, 1]) & (e[:, 0] >= e[:, 2]), 0,
+                        np.where(e[:, 1] >= e[:, 2], 1, 2))
+        split = count > max_leaf_size
+        if split.any():
+            seg_first, seg_count = first[split], count[split]
+            seg = np.repeat(np.arange(len(seg_first)), seg_count)
+            rows = np.arange(len(seg)) + np.repeat(
+                seg_first - (np.cumsum(seg_count) - seg_count), seg_count)
+            on = np.repeat(axis[split], seg_count)
+            key = (lo[rows, on] + hi[rows, on]) * 0.5
+            moved = rows[np.lexsort((key, seg))]
+            lo[rows], hi[rows], order[rows] = lo[moved], hi[moved], order[moved]
+        cut = count // 2
+        if sah:
+            span = np.take_along_axis(e, axis[:, None], axis=1)[:, 0]
+            scored = split & (span >= 1e-12)
+            if scored.any():
+                cut[scored] = _sah_cuts(
+                    lo, hi, first[scored], count[scored], cut[scored],
+                    count[scored] * surface_areas(box_lo[scored],
+                                                  box_hi[scored]))
+        split &= (cut > 0) & (cut < count)
+        inner = split.tolist()
+        for node, f, c, s in zip(nodes, first.tolist(), count.tolist(),
+                                 inner):
+            if not s:
+                node.first_prim, node.prim_count = f, c
+        parents = list(compress(nodes, inner))
+        first, count, cut = first[split], count[split], cut[split]
+        first = np.column_stack((first, first + cut)).ravel()
+        count = np.column_stack((cut, count - cut)).ravel()
+    return root, order, node_count
 
-    def __init__(self, lo: np.ndarray, hi: np.ndarray, max_leaf_size: int,
-                 sah: bool):
-        self.lo, self.hi = lo, hi
-        self.order = np.arange(len(lo))
-        self.max_leaf_size = max_leaf_size
-        self.sah = sah
-        self.node_count = 0
 
-    def build(self, first: int, count: int) -> BVHNode:
-        end = first + count
-        lo = _first_extreme(self.lo[first:end], np.min)
-        hi = _first_extreme(self.hi[first:end], np.max)
-        bounds = AABB(Vec3(*lo), Vec3(*hi))
-        node = BVHNode(bounds)
-        self.node_count += 1
-        if count <= self.max_leaf_size:
-            node.first_prim, node.prim_count = first, count
-            return node
-        axis = bounds.longest_axis()
-        self._sort(first, end, axis)
-        split = first + count // 2
-        if self.sah and hi[axis] - lo[axis] >= 1e-12:
-            split = self._sah_split(first, count,
-                                    count * bounds.surface_area())
-        if split in (first, end):
-            node.first_prim, node.prim_count = first, count
-            return node
-        node.left = self.build(first, split - first)
-        node.right = self.build(split, end - split)
-        return node
+def _sah_cuts(lo: np.ndarray, hi: np.ndarray, first: np.ndarray,
+              count: np.ndarray, median: np.ndarray,
+              leaf_cost: np.ndarray) -> np.ndarray:
+    """Per sorted segment, the offset of the best of its equal-count
+    splits at ``k/12``, or ``median`` when none beats ``leaf_cost``.
 
-    def _sort(self, first: int, end: int, axis: int) -> None:
-        """Stable sort of the segment by centroid along ``axis``."""
-        lo, hi = self.lo[first:end], self.hi[first:end]
-        perm = np.argsort((lo[:, axis] + hi[:, axis]) * 0.5, kind="stable")
-        self.lo[first:end] = lo[perm]
-        self.hi[first:end] = hi[perm]
-        self.order[first:end] = self.order[first:end][perm]
-
-    def _sah_split(self, first: int, count: int, leaf_cost: float) -> int:
-        """Best of the equal-count splits of the sorted segment, or its
-        median when none beats ``leaf_cost``."""
-        cuts = [c for c in ((count * k) // _SAH_BINS
-                            for k in range(1, _SAH_BINS)) if c not in (0, count)]
-        lo, hi = self.lo[first:first + count], self.hi[first:first + count]
-        at = np.array(cuts, dtype=np.intp)
-        left = surface_areas(np.minimum.accumulate(lo)[at - 1],
-                              np.maximum.accumulate(hi)[at - 1])
-        right = surface_areas(np.minimum.accumulate(lo[::-1])[::-1][at],
-                               np.maximum.accumulate(hi[::-1])[::-1][at])
-        costs = left * at + right * (count - at)
-        best_cost, best = math.inf, None
-        for cut, cost in zip(cuts, costs.tolist()):
-            if cost < best_cost:
-                best_cost, best = cost, cut
-        if best is None or best_cost >= leaf_cost:
-            return first + count // 2
-        return first + best
+    The boxes left and right of each split accumulate the boxes of the
+    segment's 12 chunks.  Splits at the segment ends are skipped, and
+    the first minimum wins, as in a strict ``<`` scan.
+    """
+    cuts = count[:, None] * np.arange(_SAH_BINS + 1) // _SAH_BINS
+    starts = (first[:, None] + cuts[:, :-1]).ravel()
+    ends = (first[:, None] + cuts[:, 1:]).ravel()
+    shape = (len(first), _SAH_BINS, 3)
+    chunk_lo = fold_extremes(lo, starts, ends, lower=True).reshape(shape)
+    chunk_hi = fold_extremes(hi, starts, ends, lower=False).reshape(shape)
+    left_lo = np.minimum.accumulate(chunk_lo, axis=1)[:, :-1]
+    left_hi = np.maximum.accumulate(chunk_hi, axis=1)[:, :-1]
+    right_lo = np.minimum.accumulate(chunk_lo[:, ::-1], axis=1)[:, -2::-1]
+    right_hi = np.maximum.accumulate(chunk_hi[:, ::-1], axis=1)[:, -2::-1]
+    left, right = surface_areas(np.stack((left_lo, right_lo)),
+                                np.stack((left_hi, right_hi)))
+    at = cuts[:, 1:-1]
+    costs = left * at + right * (count[:, None] - at)
+    # A NaN cost (0 * inf area terms) never wins a strict ``<`` scan,
+    # and a NaN leaf cost loses to any finite split.
+    costs[(at == 0) | ~(costs < np.inf)] = np.inf
+    best = np.argmin(costs, axis=1)
+    rows = np.arange(len(first))
+    best_cost = costs[rows, best]
+    wins = (best_cost < np.inf) & ~(best_cost >= leaf_cost)
+    return np.where(wins, at[rows, best], median)
 
 
 class VisitEvent(NamedTuple):
@@ -444,10 +463,9 @@ class BVH:
         if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
             raise ConfigurationError(
                 "BVH primitive bounds must be finite (NaN or inf found)")
-        builder = _ArrayBuilder(lo, hi, max_leaf_size, sah=method == "sah")
-        self.root = builder.build(0, len(self.primitives))
-        self._prim_order = builder.order.tolist()
-        self.node_count = builder.node_count
+        self.root, order, self.node_count = _build_levels(
+            lo, hi, max_leaf_size, sah=method == "sah")
+        self._prim_order = order.tolist()
         self._soa: Optional[BVHArrays] = None
         #: bumped by every mutating operation; derived views (the SoA
         #: arrays, memory images, lowered jobs) key their validity on it.

@@ -1,17 +1,25 @@
-"""Scalar reference BVH builder for the array builder's differential test.
+"""Reference BVH builders for the level-synchronous builder's tests.
 
-This is the object-at-a-time construction :class:`repro.trees.BVH` used
-before it moved to packed arrays, kept verbatim as the oracle the
-array builder must match node for node: bound bits, leaf slices,
-``_prim_order`` and ``node_count``.
+Two constructions :class:`repro.trees.BVH` used before, each kept
+verbatim as an oracle the current builder must match node for node:
+bound bits, leaf slices, ``_prim_order`` and ``node_count``.
+
+* :class:`ReferenceBVH` — the object-at-a-time scalar builder, a fold
+  of ``AABB.union`` over every candidate split.
+* :class:`RecursiveBVH` — the recursive array builder
+  (``_ArrayBuilder``), one node per call over packed bounds.
 """
 
 import math
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
+
+import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.geometry.aabb import AABB
-from repro.trees.bvh import _SAH_BINS, BVH, BVHNode
+from repro.geometry.batch import aabbs_soa
+from repro.geometry.vec import Vec3
+from repro.trees.bvh import _SAH_BINS, BVH, BVHNode, surface_areas
 
 
 class ReferenceBVH(BVH):
@@ -98,3 +106,104 @@ class ReferenceBVH(BVH):
         if node.is_leaf:
             return 1
         return 1 + self._count_nodes(node.left) + self._count_nodes(node.right)
+
+
+class RecursiveBVH(BVH):
+    """A :class:`BVH` whose tree comes from the recursive array builder."""
+
+    def __init__(self, primitives: Sequence, max_leaf_size: int = 2,
+                 method: str = "median"):
+        self.primitives = list(primitives)
+        self.max_leaf_size = max_leaf_size
+        self._prim_bounds = [p.bounds() for p in self.primitives]
+        lo, hi = aabbs_soa(self._prim_bounds)
+        builder = _ArrayBuilder(lo, hi, max_leaf_size, sah=method == "sah")
+        self.root = builder.build(0, len(self.primitives))
+        self._prim_order = builder.order.tolist()
+        self.node_count = builder.node_count
+        self._soa = None
+        self.mutation_epoch = 0
+        self._soa_epoch = 0
+
+
+def _first_extreme(rows: np.ndarray, reduce) -> List[float]:
+    """Column ``np.min``/``np.max`` of ``rows`` as Python floats.
+
+    A left fold of Python ``min``/``max`` keeps the first-seen value on
+    ties, so when the extreme is zero the first ``0.0``/``-0.0`` in row
+    order wins; numpy makes no promise about which zero it returns.
+    """
+    out = reduce(rows, axis=0).tolist()
+    for j, value in enumerate(out):
+        if value == 0.0:
+            column = rows[:, j]
+            out[j] = column[int(np.argmax(column == 0.0))].item()
+    return out
+
+
+class _ArrayBuilder:
+    """Top-down median/SAH construction over packed primitive bounds.
+
+    ``lo``/``hi`` are the ``(N, 3)`` primitive bounds, permuted in step
+    with ``order`` so a node's primitives are always the contiguous rows
+    ``[first, first + count)``.  The arrays live only for one build.
+    """
+
+    def __init__(self, lo: np.ndarray, hi: np.ndarray, max_leaf_size: int,
+                 sah: bool):
+        self.lo, self.hi = lo, hi
+        self.order = np.arange(len(lo))
+        self.max_leaf_size = max_leaf_size
+        self.sah = sah
+        self.node_count = 0
+
+    def build(self, first: int, count: int) -> BVHNode:
+        end = first + count
+        lo = _first_extreme(self.lo[first:end], np.min)
+        hi = _first_extreme(self.hi[first:end], np.max)
+        bounds = AABB(Vec3(*lo), Vec3(*hi))
+        node = BVHNode(bounds)
+        self.node_count += 1
+        if count <= self.max_leaf_size:
+            node.first_prim, node.prim_count = first, count
+            return node
+        axis = bounds.longest_axis()
+        self._sort(first, end, axis)
+        split = first + count // 2
+        if self.sah and hi[axis] - lo[axis] >= 1e-12:
+            split = self._sah_split(first, count,
+                                    count * bounds.surface_area())
+        if split in (first, end):
+            node.first_prim, node.prim_count = first, count
+            return node
+        node.left = self.build(first, split - first)
+        node.right = self.build(split, end - split)
+        return node
+
+    def _sort(self, first: int, end: int, axis: int) -> None:
+        """Stable sort of the segment by centroid along ``axis``."""
+        lo, hi = self.lo[first:end], self.hi[first:end]
+        perm = np.argsort((lo[:, axis] + hi[:, axis]) * 0.5, kind="stable")
+        self.lo[first:end] = lo[perm]
+        self.hi[first:end] = hi[perm]
+        self.order[first:end] = self.order[first:end][perm]
+
+    def _sah_split(self, first: int, count: int, leaf_cost: float) -> int:
+        """Best of the equal-count splits of the sorted segment, or its
+        median when none beats ``leaf_cost``."""
+        cuts = [c for c in ((count * k) // _SAH_BINS
+                            for k in range(1, _SAH_BINS)) if c not in (0, count)]
+        lo, hi = self.lo[first:first + count], self.hi[first:first + count]
+        at = np.array(cuts, dtype=np.intp)
+        left = surface_areas(np.minimum.accumulate(lo)[at - 1],
+                              np.maximum.accumulate(hi)[at - 1])
+        right = surface_areas(np.minimum.accumulate(lo[::-1])[::-1][at],
+                               np.maximum.accumulate(hi[::-1])[::-1][at])
+        costs = left * at + right * (count - at)
+        best_cost, best = math.inf, None
+        for cut, cost in zip(cuts, costs.tolist()):
+            if cost < best_cost:
+                best_cost, best = cost, cut
+        if best is None or best_cost >= leaf_cost:
+            return first + count // 2
+        return first + best

@@ -2,9 +2,14 @@
 
 import pytest
 
+from repro.core.ttaplus import make_ttaplus_factory
 from repro.errors import ConfigurationError
 from repro.gpu import GPU, AccelCall, Compute, GPUConfig, Load
 from repro.gpu.isa import Store
+from repro.harness.runner import scaled_config_for
+from repro.kernels.btree_search import btree_accel_kernel
+from repro.rta.rta import make_rta_factory
+from repro.workloads import make_btree_workload
 
 CFG = GPUConfig(n_sms=1, max_warps_per_sm=4)
 
@@ -198,3 +203,69 @@ class TestAccelCall:
         stats = GPU(CFG, accelerator_factory=FakeAccel).launch(kernel, 64)
         # Accel (50 cycles) and the other warp's compute overlap.
         assert stats.cycles < 50 + 40
+
+
+# -- accelerators only on SMs that run warps -----------------------------------
+def eager_merge(accels, end):
+    """The merge every launch made when each SM had an accelerator,
+    working or idle: sums, with rate-like keys averaged over every
+    accelerator that reported them (``per_accel`` dropped)."""
+    merged = {}
+    contributors = {}
+    per_accel = [a.snapshot(end) for a in accels]
+    for snap in per_accel:
+        for key, value in snap.items():
+            if isinstance(value, (int, float)):
+                merged[key] = merged.get(key, 0.0) + value
+                contributors[key] = contributors.get(key, 0) + 1
+    for key in list(merged):
+        if key.endswith("_avg") or key.endswith("_util") or \
+                key.endswith("_mean"):
+            merged[key] /= contributors[key]
+    return merged
+
+
+def _btree_accel_launch(platform, n_warps):
+    """One btree launch of ``n_warps`` full warps; returns the stats,
+    the config and every accelerator core the launch built."""
+    base = (make_rta_factory(tta=True) if platform == "tta"
+            else make_ttaplus_factory())
+    cores = []
+
+    def factory(sm):
+        cores.append(base(sm))
+        return cores[-1]
+
+    config = scaled_config_for(1 << 16)
+    wl = make_btree_workload("btree", n_keys=256,
+                             n_queries=n_warps * config.warp_size, seed=4)
+    stats = GPU(config, accelerator_factory=factory).launch(
+        btree_accel_kernel, wl.n_queries,
+        args=wl.kernel_args(jobs=wl.jobs(platform)))
+    return stats, config, cores
+
+
+class TestAcceleratorsOnBusySMs:
+    @pytest.mark.parametrize("platform", ["tta", "ttaplus"])
+    @pytest.mark.parametrize("n_warps", [1, 3, "n_sms-1"])
+    def test_rates_are_means_over_the_built_cores(self, platform, n_warps):
+        if n_warps == "n_sms-1":
+            n_warps = GPUConfig().n_sms - 1
+        stats, _, cores = _btree_accel_launch(platform, n_warps)
+        assert [core.sm.sm_id for core in cores] == list(range(n_warps))
+        snaps = [core.snapshot(stats.cycles) for core in cores]
+        rates = [key for key in snaps[0]
+                 if key.endswith(("_avg", "_util", "_mean"))]
+        assert "traversal_latency_mean" in rates
+        for key in rates:
+            mean = sum(snap[key] for snap in snaps) / len(snaps)
+            assert stats.accel_stats[key] == pytest.approx(mean, rel=1e-12)
+        assert all(snap["jobs_completed"] > 0 for snap in snaps)
+        assert "per_accel" not in stats.accel_stats
+
+    @pytest.mark.parametrize("platform", ["tta", "ttaplus"])
+    def test_full_launch_matches_the_eager_merge(self, platform):
+        n_sms = GPUConfig().n_sms
+        stats, config, cores = _btree_accel_launch(platform, 2 * n_sms)
+        assert len(cores) == config.n_sms
+        assert stats.accel_stats == eager_merge(cores, stats.cycles)

@@ -10,7 +10,10 @@ Contract families:
   recycles its slots.
 * **Build cost** — constructing the RTNN BVH allocates ``O(node_count)``
   vector/box objects: the builder works on packed arrays, not by
-  folding ``AABB.union`` over every candidate split.
+  folding ``AABB.union`` over every candidate split.  It also makes a
+  bounded number of Python calls per tree level, not per node.
+* **Accelerators where warps run** — a 3-query serve launch builds and
+  snapshots one accelerator, not one per SM.
 * **Launch-level replay** — repeat launches of a marked kernel over an
   identical workload return byte-identical stats, and replay stays off
   under every environment where a launch is not a pure function of its
@@ -71,11 +74,13 @@ from repro.mutation import MutableResidentIndex, RebuildPolicy
 from repro.mutation.stream import WriteEvent
 from repro.obs.tracer import Tracer
 from repro.rta import Step, TraversalJob
-from repro.rta.rta import make_rta_factory
+from repro.rta.rta import RTACore, make_rta_factory
 from repro.serve import SERVE_SCALES, build_resident_index
+from repro.serve.backends import LaunchBackend
 from repro.sim import _model_source_hash, make_simulator, scheduler_fingerprint
 from repro.sim.resources import PipelinedUnit
-from repro.trees.bvh import BVHArrays
+from repro.trees import bvh as bvh_module
+from repro.trees.bvh import BVH, BVHArrays
 from repro.workloads import (
     make_btree_workload,
     make_nbody_workload,
@@ -222,6 +227,55 @@ class TestBVHBuildCost:
         # makes ~250k unions and ~600k vectors here.
         assert counts["union"] <= nodes
         assert counts["vec3"] <= 4 * (nodes + len(wl.points)), counts
+
+    def test_sah_build_makes_a_bounded_number_of_calls_per_level(self):
+        wl = make_rtnn_workload(n_points=2048, n_queries=64, seed=0)
+        spheres = wl.bvh.primitives
+        calls = [0]
+
+        def profile(frame, event, arg):
+            code = frame.f_code
+            if event == "call" and code.co_filename == bvh_module.__file__ \
+                    and code.co_name != "__init__":
+                calls[0] += 1
+
+        sys.setprofile(profile)
+        try:
+            bvh = BVH(spheres, max_leaf_size=wl.bvh.max_leaf_size,
+                      method="sah")
+        finally:
+            sys.setprofile(None)
+        assert bvh.node_count > 1000 and len(spheres) == 2048
+        # At least one call per level (the profile hook sees the
+        # module); a builder that recurses per node makes ~16k here.
+        assert bvh.depth() <= calls[0] <= 10 * bvh.depth(), \
+            (calls[0], bvh.depth())
+
+
+# -- accelerators only where warps run ------------------------------------------
+class TestAcceleratorsWhereWarpsRun:
+    @pytest.mark.parametrize("platform", ["tta", "ttaplus"])
+    def test_three_query_serve_launch_builds_one_accelerator(
+            self, monkeypatch, platform):
+        index = build_resident_index(
+            "point", dict(SERVE_SCALES["smoke"]["point"], seed=0))
+        counts = collections.Counter()
+        core_init, core_snapshot = RTACore.__init__, RTACore.snapshot
+
+        def counting_init(self, *args, **kwargs):
+            counts["factory"] += 1
+            core_init(self, *args, **kwargs)
+
+        def counting_snapshot(self, end):
+            counts["snapshot"] += 1
+            return core_snapshot(self, end)
+
+        monkeypatch.setattr(RTACore, "__init__", counting_init)
+        monkeypatch.setattr(RTACore, "snapshot", counting_snapshot)
+        launch = LaunchBackend(platform).launch(index, [0, 1, 2])
+        assert not launch.failed and launch.stats.cycles > 0
+        # One warp runs, on SM 0: one core, one snapshot (not 8 each).
+        assert counts == {"factory": 1, "snapshot": 1}, counts
 
 
 # -- write maintenance cost ------------------------------------------------------
