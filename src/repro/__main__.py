@@ -37,21 +37,7 @@ import time
 
 from repro.errors import GuardError
 from repro.harness import experiments
-
-EXPERIMENTS = {
-    "fig01": experiments.fig01_motivation,
-    "fig06": experiments.fig06_roofline,
-    "fig12": experiments.fig12_speedup,
-    "fig13": experiments.fig13_dram,
-    "fig14": experiments.fig14_sensitivity,
-    "fig15": experiments.fig15_unit_util,
-    "fig16": experiments.fig16_lumibench,
-    "fig17": experiments.fig17_limit_study,
-    "fig18": experiments.fig18_opunits,
-    "fig19": experiments.fig19_energy,
-    "fig20": experiments.fig20_instructions,
-    "nbody_fusion": experiments.nbody_fusion,
-}
+from repro.harness.experiments import EXPERIMENTS
 
 from repro.campaign.spec import KIND_PLATFORMS
 
@@ -372,25 +358,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-DESCRIPTIONS = {
-    "fig01": "SIMT efficiency and DRAM bandwidth utilization (motivation)",
-    "fig06": "roofline placement of tree-traversal workloads",
-    "fig12": "speedups of TTA/TTA+ over the baselines",
-    "fig13": "DRAM bandwidth utilization per platform",
-    "fig14": "TTA sensitivity: warp buffer size, intersection latency",
-    "fig15": "TTA intersection-unit concurrency (avg/peak)",
-    "fig16": "LumiBench + WKND_PT on TTA+ vs baseline RTA",
-    "fig17": "WKND_PT limit study (perfect RT / perfect memory)",
-    "fig18": "TTA+ OP-unit utilization and intersection latency",
-    "fig19": "energy normalized to the baseline GPU",
-    "fig20": "dynamic instruction breakdown (91% eliminated)",
-    "nbody_fusion": "N-Body kernel-fusion optimization (§V-A)",
-}
-
-
 def cmd_list() -> int:
     for name in sorted(EXPERIMENTS):
-        print(f"{name:14s} {DESCRIPTIONS.get(name, '')}")
+        print(f"{name:16s} {EXPERIMENTS[name].description}")
     return 0
 
 
@@ -582,6 +552,7 @@ def cmd_run(names, scale: str, csv_dir, plot: bool = False,
         tracer = _pin_tracer()
     service = _configure_service(jobs, no_cache, timeout)
     metrics_report = {}
+    claims_hold = True
     try:
         for name in names:
             started = time.time()
@@ -589,20 +560,21 @@ def cmd_run(names, scale: str, csv_dir, plot: bool = False,
                 import cProfile
                 profiler = cProfile.Profile()
                 profiler.enable()
-                table = service.run_figure(EXPERIMENTS[name], scale)
+                table = service.run_figure(EXPERIMENTS[name].fn, scale)
                 profiler.disable()
             else:
-                table = service.run_figure(EXPERIMENTS[name], scale)
+                table = service.run_figure(EXPERIMENTS[name].fn, scale)
             _emit_table(name, table, json_out=json_out, csv_dir=csv_dir,
                         json_dir=json_dir, plot=plot)
+            # With --json, stdout must stay parseable
+            # (repro run fig --json | jq): route the claims, manifest
+            # and timing chatter to stderr.
+            chatter = sys.stderr if json_out else sys.stdout
+            claims_hold &= _report_claims(name, table, chatter)
             if metrics_out is not None:
                 # run_figure resets the manifest, so fold each figure's
                 # report in as it completes.
                 metrics_report.update(service.metrics_report())
-            # With --json, stdout must stay parseable
-            # (repro run fig --json | jq): route the manifest/timing
-            # chatter to stderr.
-            chatter = sys.stderr if json_out else sys.stdout
             if profile:
                 print(_hotspot_summary(profiler), file=sys.stderr)
             if profile and profile_out is not None:
@@ -648,7 +620,19 @@ def cmd_run(names, scale: str, csv_dir, plot: bool = False,
         if tracer is not None:
             from repro import obs
             obs.reset()
-    return 0
+    return 0 if claims_hold else 1
+
+
+def _report_claims(name: str, table, stream) -> bool:
+    """Print how many of ``name``'s claims ``table`` keeps, and each
+    broken one with its rows; True when all hold."""
+    total = len(EXPERIMENTS[name].claims)
+    broken = experiments.broken_claims(name, table)
+    print(f"[claims] {name}: {total - len(broken)}/{total} hold", file=stream)
+    for claim, rows in broken:
+        print(f"[claims]   BROKEN {name}.{claim.name}: {claim.text} "
+              f"— rows: {'; '.join(rows)}", file=stream)
+    return not broken
 
 
 def cmd_trace(name: str, scale: str, out, rate: int, events,
@@ -664,7 +648,7 @@ def cmd_trace(name: str, scale: str, out, rate: int, events,
     service = _configure_service(1, True, None)
     try:
         started = time.time()
-        table = service.run_figure(EXPERIMENTS[name], scale)
+        table = service.run_figure(EXPERIMENTS[name].fn, scale)
         print(table.format())
         print(service.manifest.summary())
         path = obs.write_chrome_trace(out, tracer)

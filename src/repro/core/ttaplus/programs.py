@@ -1,9 +1,9 @@
 """The µop intersection-test programs of Table III.
 
 Every row of Table III is reproduced here as a named
-:class:`UopProgram`; ``tests/test_table3.py`` checks the per-unit µop
-counts against the table, and ``benchmarks/bench_table3_uops.py``
-regenerates it.  Programs execute serially through the OP units — the
+:class:`UopProgram`; ``tests/test_ttaplus.py`` checks the per-unit µop
+counts against the table, and the ``table3`` experiment
+(``repro run table3``) regenerates it.  Programs execute serially through the OP units — the
 modular design trades the fixed-function pipelines' internal
 parallelism for programmability (§III-C).
 """

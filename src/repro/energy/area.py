@@ -1,7 +1,7 @@
 """Table IV: FreePDK45 synthesis areas, and the TTA Ray-Box delta (§V-C1).
 
 All areas in µm² at 45nm.  These are the paper's synthesized values,
-embedded as the reference the area benchmarks regenerate.
+embedded as the reference the ``table4`` experiment regenerates.
 """
 
 from dataclasses import dataclass

@@ -14,7 +14,7 @@ Public surface:
 
 The default (unconfigured) service is serial and memory-only, which
 preserves the historical behavior of calling figure functions directly
-from tests and benchmarks; the CLI calls :func:`configure` to switch on
+from tests and library code; the CLI calls :func:`configure` to switch on
 the disk cache and the worker pool.
 """
 

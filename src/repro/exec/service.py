@@ -475,8 +475,8 @@ class ExecutionService:
             specs, self._recording = self._recording, None
         return specs
 
-    def run_figure(self, fn: Callable, scale: Optional[str] = None):
-        """Run one figure function, parallelizing its points if jobs>1."""
+    def run_figure(self, fn: Callable, scale: str):
+        """Run ``fn(scale)``, parallelizing its points if jobs>1."""
         self.reset_manifest()
         started = time.monotonic()
         if self.jobs > 1:

@@ -1,10 +1,12 @@
 """Experiment harness: one entry point per paper figure/table.
 
-``repro.harness.experiments`` exposes ``fig01`` ... ``fig20`` and
-``table1``/``table3``/``table4`` functions; each runs the relevant
-workloads on the relevant platforms at a configurable scale and returns
-a :class:`~repro.harness.results.Table` shaped like the paper's figure,
-with the paper's reported values alongside for comparison.
+``repro.harness.experiments.EXPERIMENTS`` registers every figure
+(``fig01`` ... ``fig20``, ``nbody_fusion``), table (``table1``,
+``table3``, ``table4``) and extension study; each entry's function runs
+the relevant workloads on the relevant platforms at one scale and
+returns a :class:`~repro.harness.results.Table` shaped like the paper's
+figure, with the paper's reported values alongside, and its claims
+check the paper's qualitative findings on that table.
 """
 
 from repro.harness.results import Table, geomean

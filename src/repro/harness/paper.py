@@ -1,4 +1,5 @@
-"""Paper-reported values, used for side-by-side comparison in benches.
+"""Paper-reported values: printed beside the measured ones in the figure
+tables, and read by the tables' claims (:mod:`repro.harness.experiments`).
 
 Values marked "(read)" are approximate readings of the paper's figures
 (the paper publishes figures, not tables, for most results); headline
@@ -59,6 +60,30 @@ FIG18_RAYBOX_LATENCY_FACTOR = 10.0   # "increasing by nearly 10x"
 # -- Fig. 19 (text) -----------------------------------------------------------------
 FIG19_BTREE_ENERGY_SAVINGS = (0.15, 0.62)
 FIG19_RT_OPT_ENERGY_SAVINGS = (0.19, 0.29)
+
+# -- Table I: OP-unit latencies (cycles) ------------------------------------------
+PAPER_TABLE1 = {
+    "vec3_addsub": 4, "mul": 4, "rcp": 4, "cross": 5, "dot": 5,
+    "vec3_cmp": 1, "minmax": 1, "maxmin": 1, "logical": 1, "sqrt": 11,
+    "rxform": 4,
+}
+
+# -- Table III: program -> (total µops, per-unit histogram) ----------------------
+PAPER_TABLE3 = {
+    "btree_inner": (12, {"minmax": 3, "maxmin": 3, "vec3_cmp": 3,
+                         "logical": 3}),
+    "btree_leaf": (3, {"vec3_cmp": 3}),
+    "nbody_inner": (3, {"vec3_addsub": 1, "dot": 1, "vec3_cmp": 1}),
+    "nbody_leaf": (5, {"mul": 3, "sqrt": 1, "rxform": 1}),
+    "raybox": (19, {"vec3_addsub": 2, "mul": 6, "rcp": 3, "minmax": 3,
+                    "maxmin": 3, "vec3_cmp": 1, "logical": 1}),
+    "rtnn_leaf": (5, {"vec3_addsub": 1, "mul": 1, "dot": 1, "vec3_cmp": 1,
+                      "logical": 1}),
+    "raysphere": (18, {"vec3_addsub": 5, "mul": 5, "sqrt": 1, "rcp": 1,
+                       "dot": 3, "vec3_cmp": 2, "logical": 1}),
+    "raytri": (17, {"vec3_addsub": 3, "mul": 3, "rcp": 1, "cross": 2,
+                    "dot": 4, "vec3_cmp": 2, "logical": 2}),
+}
 
 # -- §V-C1 / Table IV ------------------------------------------------------------
 TTA_RAY_BOX_AREA_INCREASE_PCT = 1.8

@@ -110,16 +110,24 @@ def scaled_config_for(data_bytes: int,
 def run_btree(workload: BTreeWorkload, platform: str,
               config: Optional[GPUConfig] = None,
               verify: bool = True,
-              tta_latency_overrides: Optional[Dict[str, int]] = None
+              tta_latency_overrides: Optional[Dict[str, int]] = None,
+              ttaplus_knobs: Optional[Dict[str, Any]] = None
               ) -> RunResult:
     """``tta_latency_overrides`` adjusts fixed-function intersection
-    latencies on the ``tta`` platform (Fig. 14's sensitivity knob)."""
+    latencies on the ``tta`` platform (Fig. 14's sensitivity knob);
+    ``ttaplus_knobs`` are :func:`make_ttaplus_factory` keywords on the
+    ``ttaplus`` platform (the TTA+ ablation's ``copies``,
+    ``perfect_icnt`` and ``prefetch_depth``)."""
     config = config if config is not None else scaled_config_for(
         workload.image.size_bytes)
     name = f"{workload.variant}/{workload.n_queries}q"
     if tta_latency_overrides and platform != "tta":
         raise ConfigurationError(
             "tta_latency_overrides only applies to the tta platform"
+        )
+    if ttaplus_knobs and platform != "ttaplus":
+        raise ConfigurationError(
+            "ttaplus_knobs only applies to the ttaplus platform"
         )
     if platform == "gpu":
         gpu = GPU(config)
@@ -129,7 +137,8 @@ def run_btree(workload: BTreeWorkload, platform: str,
     elif platform in ("tta", "ttaplus"):
         factory = (make_rta_factory(
                        tta=True, latency_overrides=tta_latency_overrides)
-                   if platform == "tta" else make_ttaplus_factory())
+                   if platform == "tta"
+                   else make_ttaplus_factory(**(ttaplus_knobs or {})))
         gpu = GPU(config, accelerator_factory=factory)
         args = workload.kernel_args(jobs=workload.jobs(platform))
         stats = gpu.launch(btree_accel_kernel, workload.n_queries, args=args)

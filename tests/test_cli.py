@@ -5,13 +5,10 @@ import json
 import pytest
 
 import repro.exec as exec_mod
-from repro.__main__ import (
-    EXPERIMENTS,
-    build_parser,
-    cmd_list,
-    cmd_run,
-    main,
-)
+from repro.__main__ import build_parser, cmd_list, cmd_run, main
+from repro.harness import experiments
+from repro.harness.experiments import EXPERIMENTS, Claim, Experiment
+from repro.harness.results import Table
 
 
 @pytest.fixture(autouse=True)
@@ -93,8 +90,8 @@ class TestCommands:
     def test_list_prints_everything(self, capsys):
         assert cmd_list() == 0
         out = capsys.readouterr().out
-        for name in EXPERIMENTS:
-            assert name in out
+        for name, experiment in EXPERIMENTS.items():
+            assert f"{name} " in out and experiment.description in out
 
     def test_unknown_experiment_fails(self, capsys):
         assert cmd_run(["fig99"], "smoke", None) == 2
@@ -162,9 +159,33 @@ class TestCommands:
         assert "invalid platform" in capsys.readouterr().err
 
     def test_all_expands(self):
-        # 'all' must expand to exactly the registered experiments.
-        names = sorted(EXPERIMENTS)
-        assert "fig12" in names and len(names) == 12
+        # 'all' expands to exactly the registered experiments: every
+        # figure and table the docs list, each with its claims.
+        assert sorted(EXPERIMENTS) == sorted([
+            "fig01", "fig06", "fig12", "fig13", "fig14", "fig15", "fig16",
+            "fig17", "fig18", "fig19", "fig20", "nbody_fusion", "table1",
+            "table3", "table4", "ext_spatial", "ext_rangescan",
+            "ablation_ttaplus"])
+        assert all(e.claims for e in EXPERIMENTS.values())
+
+    def test_claims_reported(self, capsys):
+        assert main(["run", "table1", "--scale", "smoke"]) == 0
+        assert "[claims] table1: 1/1 hold" in capsys.readouterr().out
+
+    def test_broken_claim_exits_1(self, monkeypatch, capsys):
+        def tiny(scale):
+            table = Table("tiny", ["workload", "speedup"])
+            table.add_row("btree", 0.9)
+            return table
+
+        monkeypatch.setitem(EXPERIMENTS, "tiny", Experiment(tiny, "tiny", (
+            Claim("wins", "TTA wins", lambda t: [r for r in t.rows
+                                                 if not r[1] > 1.0]),)))
+        assert main(["run", "tiny", "--scale", "smoke", "--json"]) == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["rows"] == [["btree", 0.9]]
+        assert "[claims] tiny: 0/1 hold" in captured.err
+        assert "BROKEN tiny.wins: TTA wins — rows: btree" in captured.err
 
 
 class TestServingCLI:

@@ -2,7 +2,7 @@
 
 The event engine breaks time ties by insertion order and every random
 choice is seeded, so two runs of the same configuration must agree to
-the cycle — a property the figure benchmarks rely on.
+the cycle — a property the figure tables and their claims rely on.
 """
 
 from repro.harness.runner import (

@@ -92,8 +92,8 @@ class TestScaledConfig:
 
 
 class TestExperimentsSmoke:
-    """Smoke-scale sanity for the table-producing experiment functions
-    not already covered by the benchmark suite's asserts."""
+    """Smoke-scale table shapes; the paper's claims over these tables
+    are checked in ``test_claims.py``."""
 
     def test_params_scale_selection(self):
         from repro.harness import experiments

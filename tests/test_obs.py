@@ -14,6 +14,7 @@ import pytest
 from repro import obs
 from repro.__main__ import _pin_tracer
 from repro.errors import ConfigurationError
+from repro.harness.experiments import EXPERIMENTS, Experiment
 from repro.harness.runner import run_btree, scaled_config_for
 from repro.workloads import make_btree_workload
 
@@ -389,6 +390,21 @@ class TestGuardIntegration:
         assert doc["trace_tail"]
 
 
+def _tiny_experiment(scale):
+    # Routed through the exec service like the real figures, so the
+    # manifest (and therefore metrics_report) sees the point.
+    from repro.exec import get_service, make_spec
+    from repro.harness.results import Table
+    spec = make_spec("btree", {"n_keys": 256, "n_queries": 128}, "tta")
+    run = get_service().run(spec)
+    table = Table("tiny", ["workload", "cycles"])
+    table.add_row("btree", run.cycles)
+    return table
+
+
+_TINY = Experiment(_tiny_experiment, "tiny", ())
+
+
 class TestCLI:
     @pytest.fixture(autouse=True)
     def _hermetic_exec(self, tmp_path, monkeypatch):
@@ -398,22 +414,10 @@ class TestCLI:
         yield
         exec_mod.reset()
 
-    @staticmethod
-    def _tiny_experiment(scale=None):
-        # Routed through the exec service like the real figures, so the
-        # manifest (and therefore metrics_report) sees the point.
-        from repro.exec import get_service, make_spec
-        from repro.harness.results import Table
-        spec = make_spec("btree", {"n_keys": 256, "n_queries": 128}, "tta")
-        run = get_service().run(spec)
-        table = Table("tiny", ["workload", "cycles"])
-        table.add_row("btree", run.cycles)
-        return table
-
     def test_trace_command_writes_perfetto_trace(self, tmp_path,
                                                  monkeypatch, capsys):
         from repro import __main__ as cli
-        monkeypatch.setitem(cli.EXPERIMENTS, "tiny", self._tiny_experiment)
+        monkeypatch.setitem(EXPERIMENTS, "tiny", _TINY)
         out = tmp_path / "trace.json"
         assert cli.main(["trace", "tiny", "-o", str(out)]) == 0
         doc = json.loads(out.read_text())
@@ -426,7 +430,7 @@ class TestCLI:
     def test_trace_command_sampling_options(self, tmp_path, monkeypatch,
                                             capsys):
         from repro import __main__ as cli
-        monkeypatch.setitem(cli.EXPERIMENTS, "tiny", self._tiny_experiment)
+        monkeypatch.setitem(EXPERIMENTS, "tiny", _TINY)
         out = tmp_path / "trace.json"
         assert cli.main(["trace", "tiny", "-o", str(out), "--rate", "16",
                          "--categories", "memsys"]) == 0
@@ -445,7 +449,7 @@ class TestCLI:
 
     def test_run_trace_flag(self, tmp_path, monkeypatch, capsys):
         from repro import __main__ as cli
-        monkeypatch.setitem(cli.EXPERIMENTS, "tiny", self._tiny_experiment)
+        monkeypatch.setitem(EXPERIMENTS, "tiny", _TINY)
         out = tmp_path / "run-trace.json"
         assert cli.main(["run", "tiny", "--scale", "smoke",
                          "--trace", str(out)]) == 0
@@ -456,7 +460,7 @@ class TestCLI:
 
     def test_run_metrics_out(self, tmp_path, monkeypatch):
         from repro import __main__ as cli
-        monkeypatch.setitem(cli.EXPERIMENTS, "tiny", self._tiny_experiment)
+        monkeypatch.setitem(EXPERIMENTS, "tiny", _TINY)
         out = tmp_path / "metrics.json"
         assert cli.main(["run", "tiny", "--scale", "smoke", "--no-cache",
                          "--metrics-out", str(out)]) == 0
@@ -468,7 +472,7 @@ class TestCLI:
     def test_run_profile_out(self, tmp_path, monkeypatch, capsys):
         import pstats
         from repro import __main__ as cli
-        monkeypatch.setitem(cli.EXPERIMENTS, "tiny", self._tiny_experiment)
+        monkeypatch.setitem(EXPERIMENTS, "tiny", _TINY)
         assert cli.main(["run", "tiny", "--scale", "smoke", "--no-cache",
                          "--json-dir", str(tmp_path),
                          "--profile-out", "prof.pstats"]) == 0

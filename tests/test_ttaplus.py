@@ -20,34 +20,18 @@ from repro.core.ttaplus.ttaplus import compile_plan, stage_plan
 from repro.core.ttaplus.uop import UNIT_TYPES, Uop
 from repro.errors import ConfigurationError, ProgramError
 from repro.gpu import GPU, AccelCall, GPUConfig
+from repro.harness.paper import PAPER_TABLE1, PAPER_TABLE3
 from repro.rta import Step, TraversalJob
 from repro.rta.rta import RTACore
 from repro.sim import Simulator
 
 CFG = GPUConfig(n_sms=1)
 
-# Table III: benchmark -> (program, total µops, unit histogram)
-TABLE3 = {
-    "btree_inner": (12, {"minmax": 3, "maxmin": 3, "vec3_cmp": 3,
-                         "logical": 3}),
-    "btree_leaf": (3, {"vec3_cmp": 3}),
-    "nbody_inner": (3, {"vec3_addsub": 1, "dot": 1, "vec3_cmp": 1}),
-    "nbody_leaf": (5, {"mul": 3, "sqrt": 1, "rxform": 1}),
-    "raybox": (19, {"vec3_addsub": 2, "mul": 6, "rcp": 3, "minmax": 3,
-                    "maxmin": 3, "vec3_cmp": 1, "logical": 1}),
-    "rtnn_leaf": (5, {"vec3_addsub": 1, "mul": 1, "dot": 1, "vec3_cmp": 1,
-                      "logical": 1}),
-    "raysphere": (18, {"vec3_addsub": 5, "mul": 5, "sqrt": 1, "rcp": 1,
-                       "dot": 3, "vec3_cmp": 2, "logical": 1}),
-    "raytri": (17, {"vec3_addsub": 3, "mul": 3, "rcp": 1, "cross": 2,
-                    "dot": 4, "vec3_cmp": 2, "logical": 2}),
-}
-
 
 class TestPrograms:
-    @pytest.mark.parametrize("name", sorted(TABLE3))
+    @pytest.mark.parametrize("name", sorted(PAPER_TABLE3))
     def test_table3_uop_counts(self, name):
-        total, histogram = TABLE3[name]
+        total, histogram = PAPER_TABLE3[name]
         program = program_named(name)
         assert len(program) == total
         assert program.unit_counts() == histogram
@@ -65,9 +49,7 @@ class TestPrograms:
             UopProgram("bad", [Uop("fma")])
 
     def test_table1_latencies(self):
-        assert OP_UNIT_LATENCIES["sqrt"] == 11
-        assert OP_UNIT_LATENCIES["minmax"] == 1
-        assert OP_UNIT_LATENCIES["cross"] == 5
+        assert OP_UNIT_LATENCIES == PAPER_TABLE1
         assert set(OP_UNIT_LATENCIES) == set(UNIT_TYPES)
 
 
@@ -295,7 +277,7 @@ class TestStagePlans:
     def _typed(snapshot):
         return {key: (type(value), value) for key, value in snapshot.items()}
 
-    @pytest.mark.parametrize("name", sorted(TABLE3))
+    @pytest.mark.parametrize("name", sorted(PAPER_TABLE3))
     def test_snapshot_matches_eagerly_built_bank(self, name):
         lazy, lazy_backends = self._launch(f"uop:{name}")
         eager, eager_backends = self._launch(f"uop:{name}", eager=True)
