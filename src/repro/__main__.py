@@ -29,13 +29,15 @@ point.
 """
 
 import argparse
+import dataclasses
 import itertools
-import os
+import json
 import pathlib
 import sys
 import time
 
-from repro.errors import GuardError
+from repro.errors import ConfigurationError, GuardError
+from repro.guard.config import MODES as GUARD_MODES, GuardConfig, guard_mode
 from repro.harness import experiments
 from repro.harness.experiments import EXPERIMENTS
 
@@ -55,10 +57,13 @@ def _add_exec_options(parser: argparse.ArgumentParser) -> None:
                         help="do not read or write the on-disk result cache")
     parser.add_argument("--timeout", type=float, default=None, metavar="SEC",
                         help="per-point timeout in seconds (parallel runs)")
-    parser.add_argument("--guard", default=None,
-                        choices=("off", "watch", "on", "strict"),
+    _add_guard_options(parser)
+
+
+def _add_guard_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--guard", default=None, choices=GUARD_MODES,
                         help="simulation guard mode (default: $REPRO_GUARD "
-                             "or on); exported to worker processes")
+                             "or on)")
     parser.add_argument("--max-cycles", type=int, default=None, metavar="N",
                         help="abort any simulation whose clock passes N "
                              "cycles (SimulationStallError with a "
@@ -118,10 +123,9 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run one or more experiments")
     run.add_argument("experiments", nargs="+",
                      help="experiment names (or 'all')")
-    run.add_argument("--scale",
-                     default=os.environ.get("REPRO_SCALE", "small"),
+    run.add_argument("--scale", default="small",
                      choices=sorted(experiments.SCALES),
-                     help="workload scale (default: $REPRO_SCALE or small)")
+                     help="workload scale (default: small)")
     run.add_argument("--plot", action="store_true",
                      help="render ASCII bar charts after each table")
     run.add_argument("--profile", action="store_true",
@@ -152,19 +156,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="run one experiment with the cycle tracer on and export a "
              "Chrome/Perfetto trace")
     trace.add_argument("experiment", help="experiment name")
-    trace.add_argument("--scale",
-                       default=os.environ.get("REPRO_SCALE", "smoke"),
+    trace.add_argument("--scale", default="smoke",
                        choices=sorted(experiments.SCALES),
-                       help="workload scale (default: $REPRO_SCALE or "
-                            "smoke; traces grow with scale)")
+                       help="workload scale (default: smoke; traces grow "
+                            "with scale)")
     trace.add_argument("--out", "-o", type=pathlib.Path,
                        default=pathlib.Path("trace.json"), metavar="PATH",
                        help="trace output path (default: trace.json)")
     trace.add_argument("--rate", type=int, default=1, metavar="N",
                        help="keep every Nth event (default 1 = all)")
     trace.add_argument("--events", type=int, default=None, metavar="N",
-                       help="ring capacity in events (default: "
-                            "$REPRO_TRACE_EVENTS or 1,000,000)")
+                       help="ring capacity in events (default: 1,000,000)")
     trace.add_argument("--categories", default=None, metavar="C1,C2,...",
                        help="categories to keep (scheduler,sm,rta,memsys; "
                             "default: all)")
@@ -172,13 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="PATH",
                        help="also write the points' metrics snapshots "
                             "as JSON to PATH")
-    trace.add_argument("--guard", default=None,
-                       choices=("off", "watch", "on", "strict"),
-                       help="simulation guard mode (default: $REPRO_GUARD "
-                            "or on)")
-    trace.add_argument("--max-cycles", type=int, default=None, metavar="N",
-                       help="abort any simulation whose clock passes N "
-                            "cycles")
+    _add_guard_options(trace)
 
     sweep = sub.add_parser(
         "sweep",
@@ -213,12 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default: 2.0)")
         p.add_argument("--no-cache", action="store_true",
                        help="do not read or write the on-disk build cache")
-        p.add_argument("--guard", default=None,
-                       choices=("off", "watch", "on", "strict"),
-                       help="simulation guard mode (default: $REPRO_GUARD "
-                            "or on)")
-        p.add_argument("--max-cycles", type=int, default=None, metavar="N",
-                       help="abort any launch whose clock passes N cycles")
+        _add_guard_options(p)
         p.add_argument("--resilience", default=None,
                        choices=("off", "shed", "degrade", "strict"),
                        help="serving failure-semantics policy (default: "
@@ -226,8 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--deadline-ms", type=float, default=None,
                        metavar="MS",
                        help="per-query latency budget under --resilience "
-                            "(default: $REPRO_RESILIENCE_DEADLINE_MS "
-                            "or 50)")
+                            "(default: 50)")
 
     serve = sub.add_parser(
         "serve",
@@ -320,9 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="print the finalized manifest as JSON")
     crun.add_argument("--quiet", action="store_true",
                       help="suppress per-point progress lines")
-    crun.add_argument("--guard", default=None,
-                      choices=("off", "watch", "on", "strict"),
-                      help="simulation guard mode for all points")
+    _add_guard_options(crun)
 
     cworker = csub.add_parser(
         "worker", help="join an existing campaign as one extra worker "
@@ -364,36 +352,33 @@ def cmd_list() -> int:
     return 0
 
 
-def _apply_guard_options(args) -> None:
-    """Export ``--guard``/``--max-cycles`` as the guard env vars, so
-    both this process and any forked workers pick them up."""
-    from repro.guard import GUARD_ENV, MAX_CYCLES_ENV
-
-    guard = getattr(args, "guard", None)
-    if guard is not None:
-        os.environ[GUARD_ENV] = guard
-    max_cycles = getattr(args, "max_cycles", None)
-    if max_cycles is not None:
-        os.environ[MAX_CYCLES_ENV] = str(max_cycles)
+def _guard_config(args):
+    """The :class:`GuardConfig` that ``--guard``/``--max-cycles`` ask
+    for, or None (no flag: launches take the ``$REPRO_GUARD`` default).
+    It is passed as an argument down to every launch, pool and campaign
+    workers included."""
+    if args.guard is None and args.max_cycles is None:
+        return None
+    return GuardConfig(mode=args.guard or guard_mode(),
+                       max_cycles=args.max_cycles)
 
 
-def _apply_resilience_options(args) -> None:
-    """Export ``--resilience``/``--deadline-ms`` as the resilience env
-    vars (same pattern as the guard options)."""
-    from repro.serve.resilience import DEADLINE_MS_ENV, RESILIENCE_ENV
+def _resilience_config(args):
+    """The :class:`ResilienceConfig` that ``--resilience`` and
+    ``--deadline-ms`` ask for over the ``$REPRO_RESILIENCE`` default."""
+    from repro.serve import ResilienceConfig
 
-    mode = getattr(args, "resilience", None)
-    if mode is not None:
-        os.environ[RESILIENCE_ENV] = mode
-    deadline_ms = getattr(args, "deadline_ms", None)
-    if deadline_ms is not None:
-        os.environ[DEADLINE_MS_ENV] = str(deadline_ms)
+    config = ResilienceConfig.from_env()
+    if args.resilience is not None:
+        config = dataclasses.replace(config, mode=args.resilience)
+    if args.deadline_ms is not None:
+        config = dataclasses.replace(config, deadline_ms=args.deadline_ms)
+    return config
 
 
 def _validate_serve_args(args):
     """Friendly up-front validation of serve/loadtest options; returns
     an error message, or None when the options are sound."""
-    from repro.errors import ConfigurationError
     from repro.serve import QUERY_CLASSES, parse_mix
 
     if getattr(args, "max_batch", 1) < 1:
@@ -451,21 +436,16 @@ def _validate_serve_args(args):
     return None
 
 
-def _configure_service(jobs: int, no_cache: bool, timeout):
+def _configure_service(jobs: int, no_cache: bool, timeout, guard=None):
     from repro import exec as exec_mod
 
     return exec_mod.configure(jobs=jobs, cache_enabled=not no_cache,
-                              timeout=timeout, progress=jobs > 1)
+                              timeout=timeout, progress=jobs > 1,
+                              guard=guard)
 
 
-def _emit_table(name: str, table, *, json_out: bool, csv_dir, json_dir,
-                plot: bool = False) -> None:
-    print(table.to_json() if json_out else table.format())
-    if plot:
-        from repro.harness.plots import auto_plots
-        for chart in auto_plots(name, table):
-            print(chart)
-            print()
+def _write_table(name: str, table, csv_dir, json_dir) -> None:
+    """Write ``table`` into the ``--csv-dir``/``--json-dir`` outputs."""
     if csv_dir is not None:
         csv_dir.mkdir(parents=True, exist_ok=True)
         (csv_dir / f"{name}.csv").write_text(table.to_csv())
@@ -474,18 +454,14 @@ def _emit_table(name: str, table, *, json_out: bool, csv_dir, json_dir,
         (json_dir / f"{name}.json").write_text(table.to_json())
 
 
-def _pin_tracer(rate: int = None, events: int = None, categories=None):
-    """Build and pin a tracer; explicit arguments beat the env knobs."""
+def _pin_tracer(rate: int = 1, events: int = None, categories=None):
+    """Build and pin the tracer the trace flags describe."""
     from repro import obs
-    from repro.obs.tracer import trace_env_int
 
-    if rate is None:
-        rate = trace_env_int(obs.TRACE_RATE_ENV, 1)
-    if events is None:
-        events = trace_env_int(obs.TRACE_EVENTS_ENV, obs.DEFAULT_CAPACITY)
     if isinstance(categories, str):
         categories = [c.strip() for c in categories.split(",") if c.strip()]
-    return obs.enable(capacity=events, rate=rate,
+    capacity = obs.DEFAULT_CAPACITY if events is None else events
+    return obs.enable(capacity=capacity, rate=rate,
                       categories=categories or None)
 
 
@@ -532,7 +508,10 @@ def cmd_run(names, scale: str, csv_dir, plot: bool = False,
             jobs: int = 1, no_cache: bool = False, timeout=None,
             json_dir=None, json_out: bool = False,
             profile: bool = False, profile_out=None,
-            trace=None, metrics_out=None) -> int:
+            trace=None, metrics_out=None, guard=None) -> int:
+    """``repro run``: each table to stdout; with ``--json`` one
+    experiment prints its table document and several print one object
+    keyed by experiment name."""
     if names == ["all"]:
         names = sorted(EXPERIMENTS)
     unknown = [n for n in names if n not in EXPERIMENTS]
@@ -550,8 +529,9 @@ def cmd_run(names, scale: str, csv_dir, plot: bool = False,
                   file=sys.stderr)
         jobs, no_cache = 1, True
         tracer = _pin_tracer()
-    service = _configure_service(jobs, no_cache, timeout)
+    service = _configure_service(jobs, no_cache, timeout, guard)
     metrics_report = {}
+    documents = {} if json_out and len(names) > 1 else None
     claims_hold = True
     try:
         for name in names:
@@ -564,8 +544,16 @@ def cmd_run(names, scale: str, csv_dir, plot: bool = False,
                 profiler.disable()
             else:
                 table = service.run_figure(EXPERIMENTS[name].fn, scale)
-            _emit_table(name, table, json_out=json_out, csv_dir=csv_dir,
-                        json_dir=json_dir, plot=plot)
+            if documents is not None:
+                documents[name] = table.to_dict()
+            else:
+                print(table.to_json() if json_out else table.format())
+            if plot:
+                from repro.harness.plots import auto_plots
+                for chart in auto_plots(name, table):
+                    print(chart)
+                    print()
+            _write_table(name, table, csv_dir, json_dir)
             # With --json, stdout must stay parseable
             # (repro run fig --json | jq): route the claims, manifest
             # and timing chatter to stderr.
@@ -617,6 +605,8 @@ def cmd_run(names, scale: str, csv_dir, plot: bool = False,
         print(service.manifest.summary(), file=sys.stderr)
         return 1
     finally:
+        if documents:
+            print(json.dumps(documents, indent=1))
         if tracer is not None:
             from repro import obs
             obs.reset()
@@ -636,16 +626,20 @@ def _report_claims(name: str, table, stream) -> bool:
 
 
 def cmd_trace(name: str, scale: str, out, rate: int, events,
-              categories, metrics_out=None) -> int:
+              categories, metrics_out=None, guard=None) -> int:
     """``repro trace <experiment>``: serial, cache-free, tracer pinned."""
     if name not in EXPERIMENTS:
         print(f"unknown experiment: {name}", file=sys.stderr)
         print(f"available: {', '.join(sorted(EXPERIMENTS))}", file=sys.stderr)
         return 2
+    for flag, value in (("--rate", rate), ("--events", events)):
+        if value is not None and value < 1:
+            print(f"{flag} must be >= 1, got {value}", file=sys.stderr)
+            return 2
     from repro import obs
 
     tracer = _pin_tracer(rate=rate, events=events, categories=categories)
-    service = _configure_service(1, True, None)
+    service = _configure_service(1, True, None, guard)
     try:
         started = time.time()
         table = service.run_figure(EXPERIMENTS[name].fn, scale)
@@ -690,7 +684,7 @@ def _parse_param(text: str):
 
 def cmd_sweep(kind: str, platforms, params, csv_dir=None, json_dir=None,
               json_out: bool = False, jobs: int = 1, no_cache: bool = False,
-              timeout=None) -> int:
+              timeout=None, guard=None) -> int:
     from repro.exec import make_spec
     from repro.harness.results import Table
 
@@ -714,7 +708,7 @@ def cmd_sweep(kind: str, platforms, params, csv_dir=None, json_dir=None,
               for values in itertools.product(*(grid[k] for k in keys))] \
         if keys else [{}]
 
-    service = _configure_service(jobs, no_cache, timeout)
+    service = _configure_service(jobs, no_cache, timeout, guard)
     specs = [make_spec(kind, combo, platform,
                        config=experiments.default_config_policy(kind))
              for combo in combos for platform in chosen]
@@ -740,8 +734,8 @@ def cmd_sweep(kind: str, platforms, params, csv_dir=None, json_dir=None,
         table.add_row(label, spec.platform, run.cycles,
                       run.simt_efficiency, run.dram_utilization,
                       run.energy.total_mj)
-    _emit_table(f"sweep_{kind}", table, json_out=json_out, csv_dir=csv_dir,
-                json_dir=json_dir)
+    print(table.to_json() if json_out else table.format())
+    _write_table(f"sweep_{kind}", table, csv_dir, json_dir)
     print(service.manifest.summary())
     return 1 if failures else 0
 
@@ -776,9 +770,7 @@ def cmd_cache(action: str, stale_leases: bool = False) -> int:
 
 
 # -- campaigns -------------------------------------------------------------------
-def cmd_campaign(args) -> int:
-    import json
-
+def cmd_campaign(args, guard=None) -> int:
     from repro.campaign import (
         CampaignSpec,
         campaign_dir_for,
@@ -786,13 +778,13 @@ def cmd_campaign(args) -> int:
         run_worker,
         status,
     )
-    from repro.errors import ConfigurationError
 
     try:
         if args.campaign_cmd == "run":
             spec = CampaignSpec.from_file(args.table)
             manifest = run_campaign(spec, workers=args.workers,
-                                    directory=args.dir, quiet=args.quiet)
+                                    directory=args.dir, quiet=args.quiet,
+                                    guard=guard)
             if args.json:
                 print(json.dumps(manifest, indent=1, default=str))
             else:
@@ -884,10 +876,9 @@ def _serve_policy(args):
                        max_wait_s=args.max_wait_ms / 1e3)
 
 
-def cmd_serve(args) -> int:
+def cmd_serve(args, guard=None) -> int:
     """``repro serve``: answer JSON-lines queries over warm indexes."""
     import asyncio
-    import json
 
     from repro.serve import ServeService
 
@@ -897,7 +888,8 @@ def cmd_serve(args) -> int:
         return 2
     indexes, _ = _build_indexes(args.mix, args.scale, args.no_cache)
     service = ServeService(indexes, platform=args.platform,
-                           policy=_serve_policy(args))
+                           policy=_serve_policy(args), guard=guard,
+                           resilience=_resilience_config(args))
 
     if args.input is not None:
         lines = args.input.read_text().splitlines()
@@ -972,10 +964,8 @@ def _json_safe(value):
     return value
 
 
-def cmd_loadtest(args) -> int:
+def cmd_loadtest(args, guard=None) -> int:
     """``repro loadtest``: QPS-vs-latency curves per platform."""
-    import json
-
     from repro.harness.results import Table
     from repro.serve import LoadProfile, run_qps_sweep
 
@@ -1029,7 +1019,9 @@ def cmd_loadtest(args) -> int:
     started = time.time()
     sweep = run_qps_sweep(platforms, qps_values, indexes, profile,
                           policy=_serve_policy(args), n_shards=args.shards,
-                          progress=progress, mutation=mutation)
+                          guard=guard, progress=progress,
+                          resilience=_resilience_config(args),
+                          mutation=mutation)
 
     resilient = sweep["resilience_mode"] != "off"
     if args.json:
@@ -1104,42 +1096,37 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "list":
         return cmd_list()
-    _apply_guard_options(args)
-    if args.command in ("serve", "loadtest"):
-        # Validate before exporting any resilience env vars: a rejected
-        # invocation must not leave a bad (or any) setting behind for
-        # whatever reads the environment next.
-        error = _validate_serve_args(args)
-        if error is not None:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-    _apply_resilience_options(args)
+    if args.command == "cache":
+        return cmd_cache(args.action, stale_leases=args.stale_leases)
+    try:
+        guard = _guard_config(args) if hasattr(args, "guard") else None
+    except ConfigurationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.command == "sweep":
         return cmd_sweep(args.kind, args.platforms, args.param,
                          csv_dir=args.csv_dir, json_dir=args.json_dir,
                          json_out=args.json, jobs=args.jobs,
-                         no_cache=args.no_cache, timeout=args.timeout)
-    if args.command == "cache":
-        return cmd_cache(args.action, stale_leases=args.stale_leases)
+                         no_cache=args.no_cache, timeout=args.timeout,
+                         guard=guard)
     if args.command == "campaign":
-        return cmd_campaign(args)
+        return cmd_campaign(args, guard)
     if args.command == "serve":
-        return cmd_serve(args)
+        return cmd_serve(args, guard)
     if args.command == "loadtest":
-        return cmd_loadtest(args)
+        return cmd_loadtest(args, guard)
     if args.command == "trace":
         return cmd_trace(args.experiment, args.scale, args.out,
                          rate=args.rate, events=args.events,
                          categories=args.categories,
-                         metrics_out=args.metrics_out)
+                         metrics_out=args.metrics_out, guard=guard)
     return cmd_run(args.experiments, args.scale, args.csv_dir,
-                   plot=getattr(args, "plot", False), jobs=args.jobs,
+                   plot=args.plot, jobs=args.jobs,
                    no_cache=args.no_cache, timeout=args.timeout,
                    json_dir=args.json_dir, json_out=args.json,
-                   profile=getattr(args, "profile", False),
-                   profile_out=getattr(args, "profile_out", None),
-                   trace=getattr(args, "trace", None),
-                   metrics_out=getattr(args, "metrics_out", None))
+                   profile=args.profile, profile_out=args.profile_out,
+                   trace=args.trace, metrics_out=args.metrics_out,
+                   guard=guard)
 
 
 if __name__ == "__main__":

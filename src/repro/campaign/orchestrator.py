@@ -26,7 +26,6 @@ result is bit-identical.
 
 import hashlib
 import json
-import os
 import pathlib
 import sys
 import time
@@ -34,7 +33,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.errors import ConfigurationError
 from repro.exec.cache import ResultCache
-from repro.exec.service import SERIAL_ENV, STATUS_FAILED
+from repro.exec.service import STATUS_FAILED
 from repro.campaign.spec import CampaignPoint, CampaignSpec
 from repro.campaign.worker import (
     CAMPAIGN_FILE,
@@ -86,12 +85,12 @@ def init_campaign(spec: CampaignSpec,
 
 # -- local fan-out --------------------------------------------------------------
 def _worker_entry(directory: str, worker_id: str,
-                  cache_root: Optional[str], quiet: bool) -> None:
+                  cache_root: Optional[str], quiet: bool, guard) -> None:
     """Top-level target for spawned local worker processes."""
     cache = ResultCache(pathlib.Path(cache_root)) \
         if cache_root is not None else ResultCache()
     report = run_worker(directory, worker_id=worker_id, cache=cache,
-                        quiet=quiet)
+                        quiet=quiet, guard=guard)
     # Worker processes communicate through the filesystem like remote
     # joiners do; the exit code only says "I did not crash".
     sys.exit(1 if report.errors and not report.resolved else 0)
@@ -100,12 +99,14 @@ def _worker_entry(directory: str, worker_id: str,
 def run_campaign(spec: CampaignSpec, workers: int = 1,
                  directory: Optional[pathlib.Path] = None,
                  cache: Optional[ResultCache] = None,
-                 quiet: bool = False) -> Dict[str, Any]:
+                 quiet: bool = False, guard=None) -> Dict[str, Any]:
     """Drain the whole run table with ``workers`` local processes.
 
-    Returns the finalized manifest.  ``workers=1`` (or
-    ``$REPRO_EXEC_SERIAL``, or a sandbox without multiprocessing) runs
-    the single worker in-process; either way the campaign completes.
+    Returns the finalized manifest.  ``workers=1`` (or a sandbox
+    without multiprocessing) runs the single worker in-process; either
+    way the campaign completes.  ``guard`` (a
+    :class:`~repro.guard.GuardConfig`, or None for the ``$REPRO_GUARD``
+    default) is handed to every local worker.
     The parent always finishes with an in-process sweep, which doubles
     as crash recovery: points whose spawned worker died mid-run are
     stolen once their lease expires (dead local pids immediately).
@@ -118,7 +119,7 @@ def run_campaign(spec: CampaignSpec, workers: int = 1,
     started_unix = time.time()
 
     procs: List[Any] = []
-    if workers > 1 and not os.environ.get(SERIAL_ENV):
+    if workers > 1:
         try:
             import multiprocessing
             ctx = multiprocessing.get_context(
@@ -127,7 +128,7 @@ def run_campaign(spec: CampaignSpec, workers: int = 1,
                 proc = ctx.Process(
                     target=_worker_entry,
                     args=(str(directory), f"w{i + 1}", str(cache.base),
-                          quiet))
+                          quiet, guard))
                 proc.start()
                 procs.append(proc)
         except Exception as exc:  # pragma: no cover - constrained sandboxes
@@ -138,7 +139,8 @@ def run_campaign(spec: CampaignSpec, workers: int = 1,
 
     # The parent is worker 0; it participates rather than just waiting,
     # so workers=N really is N simulating processes.
-    run_worker(directory, worker_id="w0", cache=cache, quiet=quiet)
+    run_worker(directory, worker_id="w0", cache=cache, quiet=quiet,
+               guard=guard)
     for proc in procs:
         proc.join()
 

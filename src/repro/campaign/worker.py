@@ -121,7 +121,7 @@ class CampaignWorker:
                  cache: Optional[ResultCache] = None,
                  max_points: Optional[int] = None,
                  max_wait_s: Optional[float] = None,
-                 quiet: bool = False) -> None:
+                 quiet: bool = False, guard=None) -> None:
         self.dir = pathlib.Path(campaign_dir)
         self.spec = CampaignSpec.from_file(self.dir / CAMPAIGN_FILE)
         self.worker_id = worker_id or f"w{os.getpid()}"
@@ -136,7 +136,8 @@ class CampaignWorker:
                                 ttl_s=self.spec.lease_ttl_s)
         # jobs=1: the *campaign* is the parallelism layer; each worker
         # simulates one point at a time in-process.
-        self.service = ExecutionService(jobs=1, cache=self.cache)
+        self.service = ExecutionService(jobs=1, cache=self.cache,
+                                        guard=guard)
 
     # -- records ---------------------------------------------------------------
     def _record_path(self, key: str) -> pathlib.Path:
@@ -257,8 +258,8 @@ def run_worker(campaign_dir, worker_id: Optional[str] = None,
                cache: Optional[ResultCache] = None,
                max_points: Optional[int] = None,
                max_wait_s: Optional[float] = None,
-               quiet: bool = False) -> WorkerReport:
+               quiet: bool = False, guard=None) -> WorkerReport:
     """Convenience wrapper: build a :class:`CampaignWorker` and run it."""
     return CampaignWorker(campaign_dir, worker_id=worker_id, cache=cache,
                           max_points=max_points, max_wait_s=max_wait_s,
-                          quiet=quiet).run()
+                          quiet=quiet, guard=guard).run()

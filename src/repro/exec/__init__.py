@@ -71,12 +71,14 @@ def get_service() -> ExecutionService:
 
 def configure(jobs: int = 1, cache_enabled: bool = True,
               cache_dir=None, timeout: Optional[float] = None,
-              retries: int = 1, progress: bool = False) -> ExecutionService:
+              retries: int = 1, progress: bool = False,
+              guard=None) -> ExecutionService:
     """Install a freshly configured global service and return it."""
     global _service
     cache = ResultCache(cache_dir) if cache_enabled else None
     _service = ExecutionService(jobs=jobs, cache=cache, timeout=timeout,
-                                retries=retries, progress=progress)
+                                retries=retries, progress=progress,
+                                guard=guard)
     return _service
 
 

@@ -35,11 +35,14 @@ the error naming the bundle.  Nothing reaches the result cache.
 :meth:`ExecutionService.run` re-raises the guard error;
 :meth:`ExecutionService.run_many` records the failure and finishes the
 rest of the sweep, so one poisoned config can no longer hang or kill a
-whole figure.
+whole figure.  The service's ``guard`` (a
+:class:`~repro.guard.GuardConfig`, or None for the ``$REPRO_GUARD``
+default) rides along to every launch, in this process and in pool
+workers alike.
 """
 
+import functools
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -58,22 +61,20 @@ from repro.exec.spec import RunSpec
 #: because pool failures cross a pickling boundary).
 GUARD_FAILURE_TYPES = ("SimulationStallError", "InvariantViolation")
 
-#: Set to a truthy value to force in-process execution regardless of
-#: ``jobs`` (useful under debuggers and in constrained sandboxes).
-SERIAL_ENV = "REPRO_EXEC_SERIAL"
-
 
 # -- worker entry point -----------------------------------------------------------
-def execute_payload(payload: str):
+def execute_payload(payload: str, guard=None):
     """Top-level worker function: JSON spec in, RunResult out.
 
-    Imports happen inside so that forked/spawned workers pay the import
-    cost once per process, and so that importing :mod:`repro.exec.pool`
-    never drags the whole simulator in.
+    ``guard`` (a :class:`~repro.guard.GuardConfig` or None) is passed
+    to every launch of the run.  Imports happen inside so that
+    forked/spawned workers pay the import cost once per process, and so
+    that importing :mod:`repro.exec.pool` never drags the whole
+    simulator in.
     """
     from repro.harness.runner import execute_spec
 
-    return execute_spec(RunSpec.from_json(payload))
+    return execute_spec(RunSpec.from_json(payload), guard=guard)
 
 
 # -- manifest ----------------------------------------------------------------------
@@ -283,7 +284,8 @@ class ExecutionService:
                  cache: Optional[ResultCache] = None,
                  timeout: Optional[float] = None,
                  retries: int = 1,
-                 progress: bool = False) -> None:
+                 progress: bool = False,
+                 guard=None) -> None:
         if jobs < 1:
             raise ConfigurationError("jobs must be >= 1")
         self.jobs = jobs
@@ -291,6 +293,7 @@ class ExecutionService:
         self.timeout = timeout
         self.retries = retries
         self.progress = progress
+        self.guard = guard
         self.manifest = RunManifest(jobs=jobs)
         self._memory: Dict[str, Any] = {}
         self._recording: Optional[List[RunSpec]] = None
@@ -304,10 +307,6 @@ class ExecutionService:
 
     def _record(self, spec: RunSpec, status: str, **kw) -> None:
         self.manifest.add(RunRecord(spec.key, spec.label, status, **kw))
-
-    @property
-    def _serial_forced(self) -> bool:
-        return bool(os.environ.get(SERIAL_ENV))
 
     # -- guard quarantine ---------------------------------------------------------
     def _write_quarantine(self, spec: RunSpec, error: str,
@@ -363,7 +362,7 @@ class ExecutionService:
                 return result
         started = time.monotonic()
         try:
-            result = execute_payload(spec.to_json())
+            result = execute_payload(spec.to_json(), guard=self.guard)
         except GuardError as exc:
             self._quarantine(spec, f"{type(exc).__name__}: {exc}",
                              exc.diagnostics, attempts=1,
@@ -444,7 +443,9 @@ class ExecutionService:
     def _dispatch(self, missing, reporter):
         """Run the missing specs; returns (outcomes, mode string)."""
         payloads = [spec.to_json() for spec in missing]
-        if self.jobs > 1 and len(missing) > 1 and not self._serial_forced:
+        # A partial of a top-level function pickles to pool workers.
+        execute = functools.partial(execute_payload, guard=self.guard)
+        if self.jobs > 1 and len(missing) > 1:
             try:
                 runner = ParallelRunner(self.jobs, timeout=self.timeout,
                                         retries=self.retries)
@@ -452,14 +453,14 @@ class ExecutionService:
                 print(f"[exec] worker pool unavailable "
                       f"({type(exc).__name__}: {exc}); running serially",
                       file=sys.stderr)
-                return (run_serial(execute_payload, payloads,
+                return (run_serial(execute, payloads,
                                    retries=self.retries, progress=reporter),
                         "serial-fallback")
             with runner:
-                return (runner.map(execute_payload, payloads,
+                return (runner.map(execute, payloads,
                                    progress=reporter),
                         "parallel")
-        return (run_serial(execute_payload, payloads, retries=self.retries,
+        return (run_serial(execute, payloads, retries=self.retries,
                            progress=reporter),
                 "serial")
 

@@ -20,12 +20,13 @@ included.
 """
 
 import dataclasses
-import os
 import pickle
 from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError
 from repro.gpu.warp import Warp
+from repro.guard.config import guard_mode
+from repro.guard.faults import env_faults
 
 
 def value_independent(kernel: Callable) -> Callable:
@@ -161,20 +162,19 @@ def launch_identity(args: Any) -> Optional[Tuple[tuple, tuple]]:
 
 
 def launch_replay_enabled() -> bool:
-    """May launches be served from records under the current environment?
+    """May launches be served from records under the current defaults?
 
     Replay must be gated off whenever a launch is *not* a pure function
     of its arguments: the legacy engine (its heap scheduling is the
-    oracle being differentially tested), armed fault injection, and any
-    guard override from the environment (tests tighten guard thresholds
-    to force failures mid-run).
+    oracle being differentially tested), armed fault injection, and a
+    ``$REPRO_GUARD`` mode other than the default (a replayed launch
+    skips the guard).  An explicit ``guard=`` argument gates replay off
+    in ``GPU.launch`` itself.
     """
-    if os.environ.get("REPRO_FAULTS"):
-        return False
-    for key in os.environ:
-        if key.startswith("REPRO_GUARD"):
-            return False
     from repro.sim import core_mode
+
+    if env_faults() or guard_mode() != "on":
+        return False
     return core_mode() != "legacy"
 
 

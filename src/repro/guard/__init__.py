@@ -8,8 +8,9 @@ The robustness subsystem around the fast simulation core:
   :class:`~repro.errors.SimulationStallError` /
   :class:`~repro.errors.InvariantViolation` carrying a diagnostic
   bundle instead of spinning forever.
-* :class:`GuardConfig` (``config.py``) — modes (``REPRO_GUARD`` =
-  ``off`` / ``watch`` / ``on`` / ``strict``) and thresholds.
+* :class:`GuardConfig` (``config.py``) — mode (``off`` / ``watch`` /
+  ``on`` / ``strict``; ``REPRO_GUARD`` picks the default) and
+  thresholds, passed as arguments.
 * :mod:`repro.guard.faults` — deterministic fault injection proving
   the above actually fire.
 
@@ -18,8 +19,7 @@ See ``docs/MODEL.md`` §"Guardrails" for the operator-facing story.
 
 from repro.errors import (FaultInjectionError, GuardError,
                           InvariantViolation, SimulationStallError)
-from repro.guard.config import (GUARD_ENV, MAX_CYCLES_ENV, MODES,
-                                GuardConfig, env_float, env_int, guard_mode)
+from repro.guard.config import GUARD_ENV, MODES, GuardConfig, guard_mode
 from repro.guard.faults import (FAULTS_ENV, SERVE_KINDS, ServeFaultPlan,
                                 ServeFaults, is_corrupt_result,
                                 parse_serve_plans)
@@ -28,7 +28,6 @@ from repro.guard.watchdog import Guard
 __all__ = [
     "FAULTS_ENV",
     "GUARD_ENV",
-    "MAX_CYCLES_ENV",
     "MODES",
     "SERVE_KINDS",
     "Guard",
@@ -39,8 +38,6 @@ __all__ = [
     "ServeFaultPlan",
     "ServeFaults",
     "SimulationStallError",
-    "env_float",
-    "env_int",
     "guard_mode",
     "is_corrupt_result",
     "parse_serve_plans",

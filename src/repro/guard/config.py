@@ -1,6 +1,7 @@
-"""Guard configuration: modes and thresholds, parsed from the environment.
+"""Guard configuration: modes and thresholds.
 
-``REPRO_GUARD`` selects the mode:
+``REPRO_GUARD`` selects the default mode when no :class:`GuardConfig`
+is passed (the CLI's ``--guard`` builds one):
 
 * ``off``    — no guard is attached; zero overhead.
 * ``watch``  — watchdog only: no-progress detection, park budgets,
@@ -11,20 +12,21 @@
   watchdog checkpoint ("per-epoch") and enables arrival-order checking
   on the accelerator memory-scheduler timelines.
 
-Thresholds (all overridable via environment):
+Thresholds are :class:`GuardConfig` arguments:
 
-* ``REPRO_GUARD_MAX_CYCLES``   — abort if the cycle clock passes this
-  (default: unlimited).
-* ``REPRO_GUARD_STALL_EVENTS`` — abort after this many host events with
-  no model progress (default 2,000,000).  Progress is measured by a
-  token built from monotone model counters (jobs completed, traversal
-  steps, warps retired, SIMT issues, memory sectors), so legitimate
-  far-future time jumps are not flagged.
-* ``REPRO_GUARD_CHECK_EVENTS`` — watchdog checkpoint cadence in host
-  events (default 200,000).
-* ``REPRO_GUARD_PARK_CYCLES``  — a job may wait in a core's admission
-  queue at most this many cycles (default 5,000,000); a wake bucket
-  whose cycle has already passed is flagged immediately.
+* ``max_cycles``   — abort if the cycle clock passes this (default:
+  unlimited; the CLI's ``--max-cycles``).
+* ``stall_events`` — abort after this many host events with no model
+  progress (default 2,000,000).  Progress is measured by a token built
+  from monotone model counters (jobs completed, traversal steps, warps
+  retired, SIMT issues, memory sectors), so legitimate far-future time
+  jumps are not flagged.
+* ``check_events`` — watchdog checkpoint cadence in host events
+  (default 200,000).
+
+A job may wait in a core's admission queue at most :data:`PARK_CYCLES`
+cycles; a wake bucket whose cycle has already passed is flagged
+immediately.
 """
 
 import os
@@ -34,59 +36,23 @@ from typing import Optional
 from repro.errors import ConfigurationError
 
 GUARD_ENV = "REPRO_GUARD"
-MAX_CYCLES_ENV = "REPRO_GUARD_MAX_CYCLES"
-STALL_EVENTS_ENV = "REPRO_GUARD_STALL_EVENTS"
-CHECK_EVENTS_ENV = "REPRO_GUARD_CHECK_EVENTS"
-PARK_CYCLES_ENV = "REPRO_GUARD_PARK_CYCLES"
 
 MODES = ("off", "watch", "on", "strict")
 
 DEFAULT_STALL_EVENTS = 2_000_000
 DEFAULT_CHECK_EVENTS = 200_000
-DEFAULT_PARK_CYCLES = 5_000_000
+#: Admission-queue wait budget per job, in cycles.
+PARK_CYCLES = 5_000_000
 
 
 def guard_mode() -> str:
-    """The active guard mode from ``$REPRO_GUARD`` (default ``on``)."""
+    """The default guard mode from ``$REPRO_GUARD`` (default ``on``)."""
     mode = os.environ.get(GUARD_ENV, "on").strip().lower() or "on"
     if mode not in MODES:
         raise ConfigurationError(
             f"{GUARD_ENV}={mode!r} is not a guard mode; expected one of {MODES}"
         )
     return mode
-
-
-def _env_int(name: str, default: Optional[int]) -> Optional[int]:
-    raw = os.environ.get(name)
-    if raw is None or not raw.strip():
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigurationError(f"{name}={raw!r} is not an integer")
-    if value <= 0:
-        raise ConfigurationError(f"{name} must be positive, got {value}")
-    return value
-
-
-def env_int(name: str, default: Optional[int]) -> Optional[int]:
-    """Positive-int environment knob (shared with ``repro.serve``'s
-    resilience config, which follows the same conventions)."""
-    return _env_int(name, default)
-
-
-def env_float(name: str, default: Optional[float]) -> Optional[float]:
-    """Positive-float environment knob; empty/unset -> ``default``."""
-    raw = os.environ.get(name)
-    if raw is None or not raw.strip():
-        return default
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ConfigurationError(f"{name}={raw!r} is not a number")
-    if value <= 0:
-        raise ConfigurationError(f"{name} must be positive, got {value}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -96,7 +62,6 @@ class GuardConfig:
     mode: str = "on"
     check_events: int = DEFAULT_CHECK_EVENTS
     stall_events: int = DEFAULT_STALL_EVENTS
-    park_cycles: int = DEFAULT_PARK_CYCLES
     max_cycles: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -104,7 +69,7 @@ class GuardConfig:
             raise ConfigurationError(
                 f"guard mode {self.mode!r} not in {MODES}"
             )
-        for field in ("check_events", "stall_events", "park_cycles"):
+        for field in ("check_events", "stall_events"):
             value = getattr(self, field)
             if not isinstance(value, int) or value <= 0:
                 raise ConfigurationError(
@@ -124,13 +89,6 @@ class GuardConfig:
         return self.mode == "strict"
 
     @classmethod
-    def from_env(cls, **overrides) -> "GuardConfig":
-        values = {
-            "mode": guard_mode(),
-            "check_events": _env_int(CHECK_EVENTS_ENV, DEFAULT_CHECK_EVENTS),
-            "stall_events": _env_int(STALL_EVENTS_ENV, DEFAULT_STALL_EVENTS),
-            "park_cycles": _env_int(PARK_CYCLES_ENV, DEFAULT_PARK_CYCLES),
-            "max_cycles": _env_int(MAX_CYCLES_ENV, None),
-        }
-        values.update(overrides)
-        return cls(**values)
+    def from_env(cls) -> "GuardConfig":
+        """Default thresholds under the ``$REPRO_GUARD`` mode."""
+        return cls(mode=guard_mode())

@@ -331,10 +331,15 @@ def faulty_factory(base_factory, *plans: FaultPlan):
     return factory
 
 
+def env_faults() -> str:
+    """The ``$REPRO_FAULTS`` plan string ("" when unset)."""
+    return os.environ.get(FAULTS_ENV, "")
+
+
 def install_env_faults(core) -> None:
     """Apply ``$REPRO_FAULTS`` plans to a freshly built core (called by
     ``RTACore.__init__`` so faults propagate into exec workers)."""
-    text = os.environ.get(FAULTS_ENV)
+    text = env_faults()
     if not text:
         return
     for plan in parse_plans(text):
@@ -453,7 +458,7 @@ class ServeFaults:
 
     @classmethod
     def from_env(cls) -> "ServeFaults":
-        text = os.environ.get(FAULTS_ENV)
+        text = env_faults()
         return cls(parse_serve_plans(text) if text else None)
 
     def __bool__(self) -> bool:

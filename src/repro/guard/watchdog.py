@@ -16,7 +16,7 @@ about event order, final cycle counts, or statistics; it only observes:
   (an idle simulator skipping to the next event) from being flagged.
 * the same checkpoint scans for **parked work**: a wake bucket whose
   cycle has already passed (its drain event was dropped) or a job
-  waiting in a core's admission queue longer than ``park_cycles``.
+  waiting in a core's admission queue longer than ``PARK_CYCLES``.
 * when the cycle clock passes ``max_cycles`` (if set) the engine calls
   :meth:`Guard.on_cycle_budget`, which always aborts.
 * after ``sim.run()`` returns, :meth:`Guard.finalize` verifies
@@ -34,7 +34,7 @@ a JSON-serializable dict naming the stuck units and jobs, which
 from typing import Optional
 
 from repro.errors import InvariantViolation, SimulationStallError
-from repro.guard.config import GuardConfig
+from repro.guard.config import PARK_CYCLES, GuardConfig
 from repro.guard.invariants import (check_balance, check_conservation,
                                     quiescence_report)
 
@@ -195,9 +195,8 @@ class Guard:
         return (jobs, steps, warps, issues, sectors)
 
     def _parked_report(self, now) -> Optional[str]:
-        park_cycles = self.config.park_cycles
         for core in self.cores:
-            report = core.guard_parked(now, park_cycles)
+            report = core.guard_parked(now, PARK_CYCLES)
             if report is not None:
                 return report
         return None

@@ -81,17 +81,18 @@ class Table:
         writer.writerows(self.rows)
         return buf.getvalue()
 
+    def to_dict(self) -> dict:
+        """The JSON document: title, headers and rows."""
+        return {"title": self.title, "headers": self.headers,
+                "rows": self.rows}
+
     def to_json(self) -> str:
         """Machine-readable dump with full float precision.
 
         NaN cells are emitted as JSON ``NaN`` literals (the Python
         ``json`` dialect), which ``json.loads`` reads back unchanged.
         """
-        return json.dumps(
-            {"title": self.title, "headers": self.headers,
-             "rows": self.rows},
-            indent=1,
-        )
+        return json.dumps(self.to_dict(), indent=1)
 
     def column(self, header: str) -> List:
         idx = self.headers.index(header)

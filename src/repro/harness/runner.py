@@ -111,8 +111,8 @@ def run_btree(workload: BTreeWorkload, platform: str,
               config: Optional[GPUConfig] = None,
               verify: bool = True,
               tta_latency_overrides: Optional[Dict[str, int]] = None,
-              ttaplus_knobs: Optional[Dict[str, Any]] = None
-              ) -> RunResult:
+              ttaplus_knobs: Optional[Dict[str, Any]] = None,
+              guard=None) -> RunResult:
     """``tta_latency_overrides`` adjusts fixed-function intersection
     latencies on the ``tta`` platform (Fig. 14's sensitivity knob);
     ``ttaplus_knobs`` are :func:`make_ttaplus_factory` keywords on the
@@ -133,7 +133,7 @@ def run_btree(workload: BTreeWorkload, platform: str,
         gpu = GPU(config)
         args = workload.kernel_args()
         stats = gpu.launch(btree_baseline_kernel, workload.n_queries,
-                           args=args)
+                           args=args, guard=guard)
     elif platform in ("tta", "ttaplus"):
         factory = (make_rta_factory(
                        tta=True, latency_overrides=tta_latency_overrides)
@@ -141,7 +141,8 @@ def run_btree(workload: BTreeWorkload, platform: str,
                    else make_ttaplus_factory(**(ttaplus_knobs or {})))
         gpu = GPU(config, accelerator_factory=factory)
         args = workload.kernel_args(jobs=workload.jobs(platform))
-        stats = gpu.launch(btree_accel_kernel, workload.n_queries, args=args)
+        stats = gpu.launch(btree_accel_kernel, workload.n_queries,
+                           args=args, guard=guard)
     else:
         raise ConfigurationError(
             f"B-Tree runs on gpu/tta/ttaplus, not {platform!r}"
@@ -154,7 +155,8 @@ def run_btree(workload: BTreeWorkload, platform: str,
 # -- N-Body ---------------------------------------------------------------------------
 def run_nbody(workload: NBodyWorkload, platform: str,
               config: Optional[GPUConfig] = None,
-              fused_post_insts: int = 0, verify: bool = True) -> RunResult:
+              fused_post_insts: int = 0, verify: bool = True,
+              guard=None) -> RunResult:
     config = config if config is not None else scaled_config_for(
         workload.image.size_bytes)
     name = f"nbody{workload.dims}d/{workload.n_bodies}"
@@ -162,7 +164,7 @@ def run_nbody(workload: NBodyWorkload, platform: str,
         gpu = GPU(config)
         args = workload.kernel_args(fused_post_insts=fused_post_insts)
         stats = gpu.launch(nbody_baseline_kernel, workload.n_bodies,
-                           args=args)
+                           args=args, guard=guard)
     elif platform in ("tta", "ttaplus"):
         factory = (make_rta_factory(tta=True) if platform == "tta"
                    else make_ttaplus_factory())
@@ -170,7 +172,8 @@ def run_nbody(workload: NBodyWorkload, platform: str,
         jobs, interactions = workload.jobs(platform)
         args = workload.kernel_args(jobs=jobs, interactions=interactions,
                                     fused_post_insts=fused_post_insts)
-        stats = gpu.launch(nbody_accel_kernel, workload.n_bodies, args=args)
+        stats = gpu.launch(nbody_accel_kernel, workload.n_bodies,
+                           args=args, guard=guard)
     else:
         raise ConfigurationError(
             f"N-Body runs on gpu/tta/ttaplus, not {platform!r}"
@@ -200,7 +203,7 @@ _RTNN_PLATFORMS = ("gpu", "rta", "tta", "ttaplus", "ttaplus_opt")
 
 def run_rtnn(workload: RTNNWorkload, platform: str,
              config: Optional[GPUConfig] = None,
-             verify: bool = True) -> RunResult:
+             verify: bool = True, guard=None) -> RunResult:
     config = config if config is not None else scaled_config_for(
         workload.image.size_bytes)
     name = f"rtnn/{len(workload.points)}pts"
@@ -212,7 +215,7 @@ def run_rtnn(workload: RTNNWorkload, platform: str,
         gpu = GPU(config)
         args = workload.kernel_args()
         stats = gpu.launch(radius_baseline_kernel, workload.n_queries,
-                           args=args)
+                           args=args, guard=guard)
     else:
         factory = {
             "rta": make_rta_factory(tta=False),
@@ -223,7 +226,7 @@ def run_rtnn(workload: RTNNWorkload, platform: str,
         gpu = GPU(config, accelerator_factory=factory)
         args = workload.kernel_args(jobs=workload.jobs(platform))
         stats = gpu.launch(radius_accel_kernel, workload.n_queries,
-                           args=args)
+                           args=args, guard=guard)
     if verify:
         _verify_rtnn(workload, args.results)
     return RunResult(name, platform, stats, energy_report(stats, config))
@@ -242,7 +245,7 @@ def _verify_rtnn(workload: RTNNWorkload, results: Dict[int, Any]) -> None:
 # -- R-Tree range queries (spatial-index extension) -----------------------------------
 def run_rtree(workload, platform: str,
               config: Optional[GPUConfig] = None,
-              verify: bool = True) -> RunResult:
+              verify: bool = True, guard=None) -> RunResult:
     from repro.kernels.rtree_query import (
         rtree_accel_kernel,
         rtree_baseline_kernel,
@@ -255,13 +258,14 @@ def run_rtree(workload, platform: str,
         gpu = GPU(config)
         args = workload.kernel_args()
         stats = gpu.launch(rtree_baseline_kernel, workload.n_queries,
-                           args=args)
+                           args=args, guard=guard)
     elif platform in ("tta", "ttaplus"):
         factory = (make_rta_factory(tta=True) if platform == "tta"
                    else make_ttaplus_factory())
         gpu = GPU(config, accelerator_factory=factory)
         args = workload.kernel_args(jobs=workload.jobs(platform))
-        stats = gpu.launch(rtree_accel_kernel, workload.n_queries, args=args)
+        stats = gpu.launch(rtree_accel_kernel, workload.n_queries,
+                           args=args, guard=guard)
     else:
         raise ConfigurationError(
             f"R-Tree runs on gpu/tta/ttaplus, not {platform!r}"
@@ -279,7 +283,7 @@ def run_rtree(workload, platform: str,
 # -- kNN search (k-d tree extension) ---------------------------------------------------
 def run_knn(workload, platform: str,
             config: Optional[GPUConfig] = None,
-            verify: bool = True) -> RunResult:
+            verify: bool = True, guard=None) -> RunResult:
     from repro.kernels.knn_search import knn_accel_kernel, knn_baseline_kernel
 
     config = config if config is not None else scaled_config_for(
@@ -289,13 +293,14 @@ def run_knn(workload, platform: str,
         gpu = GPU(config)
         args = workload.kernel_args()
         stats = gpu.launch(knn_baseline_kernel, workload.n_queries,
-                           args=args)
+                           args=args, guard=guard)
     elif platform in ("tta", "ttaplus"):
         factory = (make_rta_factory(tta=True) if platform == "tta"
                    else make_ttaplus_factory())
         gpu = GPU(config, accelerator_factory=factory)
         args = workload.kernel_args(jobs=workload.jobs(platform))
-        stats = gpu.launch(knn_accel_kernel, workload.n_queries, args=args)
+        stats = gpu.launch(knn_accel_kernel, workload.n_queries,
+                           args=args, guard=guard)
     else:
         raise ConfigurationError(
             f"kNN runs on gpu/tta/ttaplus, not {platform!r}"
@@ -318,13 +323,15 @@ def run_knn(workload, platform: str,
 
 # -- ray tracing (LumiBench + WKND) ---------------------------------------------------
 def run_lumibench(workload: LumiWorkload, platform: str,
-                  config: Optional[GPUConfig] = None) -> RunResult:
+                  config: Optional[GPUConfig] = None,
+                  guard=None) -> RunResult:
     config = config if config is not None else DEFAULT_CONFIG
     sato = False
     if platform == "gpu":
         gpu = GPU(config)
         args = workload.kernel_args(flavor="rta")  # visits reused
-        stats = gpu.launch(rt_baseline_kernel, workload.n_rays, args=args)
+        stats = gpu.launch(rt_baseline_kernel, workload.n_rays,
+                           args=args, guard=guard)
         return RunResult(workload.name, platform, stats,
                          energy_report(stats, config))
     if platform == "rta":
@@ -340,7 +347,8 @@ def run_lumibench(workload: LumiWorkload, platform: str,
         )
     gpu = GPU(config, accelerator_factory=factory)
     args = workload.kernel_args(flavor=flavor, sato=sato)
-    stats = gpu.launch(rt_accel_kernel, workload.n_rays, args=args)
+    stats = gpu.launch(rt_accel_kernel, workload.n_rays,
+                       args=args, guard=guard)
     return RunResult(workload.name + ("*" if sato else ""), platform, stats,
                      energy_report(stats, config))
 
@@ -348,7 +356,7 @@ def run_lumibench(workload: LumiWorkload, platform: str,
 def run_wknd(workload: WKNDWorkload, platform: str,
              config: Optional[GPUConfig] = None,
              perfect_node_fetch: bool = False,
-             perfect_mem: bool = False) -> RunResult:
+             perfect_mem: bool = False, guard=None) -> RunResult:
     """WKND_PT: sphere geometry; platform selects the leaf-test path.
 
     ``perfect_node_fetch`` / ``perfect_mem`` implement the Fig. 17 limit
@@ -373,7 +381,8 @@ def run_wknd(workload: WKNDWorkload, platform: str,
         )
     gpu = GPU(config, accelerator_factory=factory)
     args = workload.kernel_args(flavor=flavor)
-    stats = gpu.launch(rt_accel_kernel, workload.n_rays, args=args)
+    stats = gpu.launch(rt_accel_kernel, workload.n_rays,
+                       args=args, guard=guard)
     name = "*WKND_PT" if platform == "ttaplus_opt" else "WKND_PT"
     return RunResult(name, platform, stats, energy_report(stats, config),
                      notes={"perfect_node_fetch": perfect_node_fetch,
@@ -464,13 +473,15 @@ def resolve_config(policy: Optional[Dict[str, Any]],
     return config.with_overrides(**overrides) if overrides else config
 
 
-def execute_spec(spec) -> RunResult:
+def execute_spec(spec, guard=None) -> RunResult:
     """Execute one :class:`repro.exec.spec.RunSpec` end to end.
 
     This is the function worker processes run.  Verification against
     golden references happens inside the ``run_*`` runner exactly as on
     the serial path — a parallel run can never return an unverified
-    data point.
+    data point.  ``guard`` goes to the runner's ``GPU.launch`` calls, as
+    it does for every ``run_*`` runner (None: the ``$REPRO_GUARD``
+    default).
     """
     if not _SPEC_RUNNERS:
         _SPEC_RUNNERS.update({
@@ -485,4 +496,4 @@ def execute_spec(spec) -> RunResult:
     workload = build_workload(spec.kind, spec.workload)
     config = resolve_config(spec.config, workload)
     return _SPEC_RUNNERS[spec.kind](workload, spec.platform, config=config,
-                                    **spec.run_kwargs)
+                                    guard=guard, **spec.run_kwargs)

@@ -42,10 +42,7 @@ from repro.obs.metrics import (
 from repro.obs.tracer import (
     CATEGORIES,
     DEFAULT_CAPACITY,
-    TRACE_CATEGORIES_ENV,
     TRACE_ENV,
-    TRACE_EVENTS_ENV,
-    TRACE_RATE_ENV,
     Tracer,
     active_tracer,
     enable,
@@ -63,10 +60,7 @@ __all__ = [
     "MetricsRegistry",
     "MetricsSnapshot",
     "OBS_DIR_ENV",
-    "TRACE_CATEGORIES_ENV",
     "TRACE_ENV",
-    "TRACE_EVENTS_ENV",
-    "TRACE_RATE_ENV",
     "TimeSeries",
     "Tracer",
     "active_tracer",

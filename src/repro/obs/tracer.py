@@ -23,29 +23,18 @@ The ring is a ``deque(maxlen=capacity)``: a trace that outgrows its
 budget silently drops the *oldest* events, which is exactly the
 flight-recorder behaviour the guard integration wants.
 
-Environment controls (read by :func:`active_tracer`):
-
-=========================  =================================================
-``REPRO_TRACE``            ``1``/``on`` enables tracing (default: off)
-``REPRO_TRACE_RATE``       keep every Nth event (default 1 = keep all)
-``REPRO_TRACE_CATEGORIES`` comma list of categories to keep (default: all)
-``REPRO_TRACE_EVENTS``     ring capacity in events (default 1,000,000)
-=========================  =================================================
-
-A rate or capacity that is not an integer >= 1 raises
-:class:`~repro.errors.ConfigurationError` naming the variable.
+``REPRO_TRACE=1`` (or ``on``) traces every launch of the process into
+one default ring (:func:`active_tracer`); forked campaign workers
+inherit it.  A tracer pinned with :func:`install` or
+:func:`enable` (the CLI's ``trace`` command and ``run --trace``, which
+take ``--rate``/``--events``/``--categories``) wins over it.
 """
 
 import os
 from collections import deque
 from typing import List, Optional, Tuple
 
-from repro.errors import ConfigurationError
-
 TRACE_ENV = "REPRO_TRACE"
-TRACE_RATE_ENV = "REPRO_TRACE_RATE"
-TRACE_CATEGORIES_ENV = "REPRO_TRACE_CATEGORIES"
-TRACE_EVENTS_ENV = "REPRO_TRACE_EVENTS"
 
 #: Default ring capacity; ~60 bytes/event tuple keeps this under 100MB.
 DEFAULT_CAPACITY = 1_000_000
@@ -188,21 +177,11 @@ class Tracer:
 # -- process-wide active tracer -------------------------------------------------
 #
 # ``active_tracer()`` is consulted once per GPU.launch.  A tracer pinned
-# with ``install()`` (the CLI path) always wins; otherwise the tracer is
-# derived from the environment and rebuilt only when the relevant
-# variables change, so monkeypatched env vars in tests take effect while
-# back-to-back launches under one configuration share a single ring.
+# with ``install()`` (the CLI path) always wins; otherwise, while
+# ``$REPRO_TRACE`` is on, the first launch pins a default ring that
+# every later launch shares.
 
 _pinned: Optional[Tracer] = None
-_env_tracer: Optional[Tracer] = None
-_env_signature = None
-
-
-def _read_env_signature():
-    return (os.environ.get(TRACE_ENV, ""),
-            os.environ.get(TRACE_RATE_ENV, ""),
-            os.environ.get(TRACE_CATEGORIES_ENV, ""),
-            os.environ.get(TRACE_EVENTS_ENV, ""))
 
 
 def trace_enabled() -> bool:
@@ -210,41 +189,11 @@ def trace_enabled() -> bool:
     return os.environ.get(TRACE_ENV, "").strip().lower() not in _FALSY
 
 
-def trace_env_int(name: str, default: int) -> int:
-    """``$name`` (``REPRO_TRACE_RATE`` or ``REPRO_TRACE_EVENTS``) as an
-    integer >= 1; unset or empty -> ``default``."""
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise ConfigurationError(f"{name}={raw!r} is not an integer >= 1")
-    return value
-
-
-def _tracer_from_env() -> Optional[Tracer]:
-    if not trace_enabled():
-        return None
-    raw_cats = os.environ.get(TRACE_CATEGORIES_ENV, "")
-    categories = [c.strip() for c in raw_cats.split(",") if c.strip()] or None
-    return Tracer(capacity=trace_env_int(TRACE_EVENTS_ENV, DEFAULT_CAPACITY),
-                  rate=trace_env_int(TRACE_RATE_ENV, 1),
-                  categories=categories)
-
-
 def active_tracer() -> Optional[Tracer]:
     """The tracer new launches should attach, or None when tracing is off."""
-    global _env_tracer, _env_signature
-    if _pinned is not None:
-        return _pinned
-    signature = _read_env_signature()
-    if signature != _env_signature:
-        _env_signature = signature
-        _env_tracer = _tracer_from_env()
-    return _env_tracer
+    if _pinned is None and trace_enabled():
+        install(Tracer())
+    return _pinned
 
 
 def install(tracer: Optional[Tracer]) -> Optional[Tracer]:
@@ -263,7 +212,5 @@ def enable(capacity: int = DEFAULT_CAPACITY, rate: int = 1,
 
 def reset() -> None:
     """Unpin and forget all process-wide tracer state (test hygiene)."""
-    global _pinned, _env_tracer, _env_signature
+    global _pinned
     _pinned = None
-    _env_tracer = None
-    _env_signature = None

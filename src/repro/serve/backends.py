@@ -48,7 +48,7 @@ from repro.gpu.config import GPUConfig
 from repro.guard.faults import ServeFaults
 from repro.serve.index import ResidentIndex
 from repro.serve.resilience import (CircuitBreaker, ResilienceConfig,
-                                    check_batch_integrity, default_config)
+                                    check_batch_integrity)
 
 
 @dataclass
@@ -112,7 +112,7 @@ class LaunchBackend:
         #: equivalence tests oracle).
         self.max_verify = max_verify
         self.resilience = resilience if resilience is not None \
-            else default_config()
+            else ResilienceConfig.from_env()
         #: Armed serve-path fault injectors ($REPRO_FAULTS by default);
         #: per-instance so trigger state never leaks across backends.
         self.faults = faults if faults is not None else ServeFaults.from_env()

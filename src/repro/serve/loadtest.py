@@ -39,8 +39,8 @@ from repro.serve.batcher import Batch, BatchPolicy, MicroBatcher, QueryRequest
 from repro.serve.clock import DEFAULT_CLOCK, ServiceClock
 from repro.serve.index import ResidentIndex
 from repro.serve.loadgen import LoadProfile, generate_arrivals
-from repro.serve.resilience import (EwmaEstimator, ResilienceConfig,
-                                    default_config, slo_summary)
+from repro.serve.resilience import (HEDGE_TIMEOUT_S, EwmaEstimator,
+                                    ResilienceConfig, slo_summary)
 
 if TYPE_CHECKING:
     from repro.mutation import MutationConfig
@@ -301,7 +301,7 @@ def run_loadtest(platform: str,
         resilience = getattr(backend, "resilience", None) \
             if backend is not None else None
         if resilience is None:
-            resilience = default_config()
+            resilience = ResilienceConfig.from_env()
     if backend is None:
         backend = LaunchBackend(platform, guard=guard,
                                 resilience=resilience)
@@ -483,8 +483,7 @@ def run_loadtest(platform: str,
             if finish is None:
                 # The device died mid-launch (or every shard is dark).
                 if slot is not None and resilience.hedges:
-                    retry_at = devices.dead_at[slot] \
-                        + resilience.hedge_timeout_s
+                    retry_at = devices.dead_at[slot] + HEDGE_TIMEOUT_S
                     hedge_slot, finish = devices.assign(retry_at, duration)
                     if finish is not None:
                         report.hedges += 1
@@ -700,7 +699,7 @@ def run_qps_sweep(platforms: Sequence[str],
     curves are only comparable if each leg starts from the same tree.
     """
     if resilience is None:
-        resilience = default_config()
+        resilience = ResilienceConfig.from_env()
     curves: Dict[str, List[Dict[str, Any]]] = {}
     for platform in platforms:
         backend = LaunchBackend(platform, guard=guard,

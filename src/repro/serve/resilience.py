@@ -26,7 +26,7 @@ semantics for the work it *refuses*, not just the work it serves:
   of burning device time, and while it is hard-open every shedding
   policy refuses new arrivals at admission.
 * **Hedged re-dispatch** — a launch stranded on a dead device shard is
-  re-issued on a healthy one after ``hedge_timeout_s``.
+  re-issued on a healthy one after :data:`HEDGE_TIMEOUT_S`.
 * **Result integrity** (:func:`check_batch_integrity`) — every query
   must come back with exactly one well-formed result; a corrupt batch
   is retried and counted, never silently returned.
@@ -35,7 +35,9 @@ A batch no mechanism can save (guard abort, exhausted retries, open
 breaker, corrupt twice) fails, and its queries count as failed; no
 policy falls back to a second engine (see ``repro.serve.backends``).
 
-Policy selection: ``REPRO_RESILIENCE`` = ``off`` (default; the serving
+Policy selection: a :class:`ResilienceConfig` argument (the CLI's
+``--resilience``/``--deadline-ms``), else ``REPRO_RESILIENCE`` =
+``off`` (default; the serving
 path is stat-for-stat identical to the pre-resilience stack) | ``shed``
 (admission control + deadlines) | ``degrade`` (shed + hedged
 re-dispatch) | ``strict`` (degrade + per-batch integrity
@@ -48,18 +50,13 @@ injectors (``repro.guard.faults.SERVE_KINDS``); MODEL.md §12 has the
 operator-facing story.
 """
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional, Tuple
+import os
+from dataclasses import dataclass
+from typing import Any, Dict, Mapping, Optional
 
 from repro.errors import ConfigurationError
-from repro.guard.config import env_float, env_int
-
-import os
 
 RESILIENCE_ENV = "REPRO_RESILIENCE"
-MAX_QUEUE_ENV = "REPRO_RESILIENCE_MAX_QUEUE"
-DEADLINE_MS_ENV = "REPRO_RESILIENCE_DEADLINE_MS"
-BACKLOG_MS_ENV = "REPRO_RESILIENCE_BACKLOG_MS"
 
 MODES = ("off", "shed", "degrade", "strict")
 
@@ -78,9 +75,13 @@ DEFAULT_MAX_QUEUE = 256
 DEFAULT_DEADLINE_MS = 50.0
 DEFAULT_BACKLOG_MS = 250.0
 
+#: Hedged re-dispatch: how long after a shard goes dark the launch is
+#: re-issued elsewhere, seconds.
+HEDGE_TIMEOUT_S = 2e-3
+
 
 def resilience_mode() -> str:
-    """Active policy from ``$REPRO_RESILIENCE`` (default ``off``)."""
+    """Default policy from ``$REPRO_RESILIENCE`` (default ``off``)."""
     mode = os.environ.get(RESILIENCE_ENV, "off").strip().lower() or "off"
     if mode not in MODES:
         raise ConfigurationError(
@@ -111,11 +112,6 @@ class ResilienceConfig:
     #: open breaker rejects before probing half-open.
     breaker_threshold: int = 3
     breaker_cooldown_s: float = 0.05
-    #: Hedged re-dispatch: how long after a shard goes dark the launch
-    #: is re-issued elsewhere.
-    hedge_timeout_s: float = 2e-3
-    priorities: Mapping[str, int] = field(
-        default_factory=lambda: dict(DEFAULT_PRIORITIES))
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -128,7 +124,7 @@ class ResilienceConfig:
             raise ConfigurationError(
                 f"deadline_ms must be positive, got {self.deadline_ms}")
         for name in ("backlog_ms", "ewma_alpha", "backoff_base_s",
-                     "breaker_cooldown_s", "hedge_timeout_s"):
+                     "breaker_cooldown_s"):
             if getattr(self, name) <= 0:
                 raise ConfigurationError(
                     f"ResilienceConfig.{name} must be positive, "
@@ -162,7 +158,7 @@ class ResilienceConfig:
 
     # -- per-class watermarks ----------------------------------------------
     def priority(self, query_class: str) -> int:
-        return self.priorities.get(query_class, 1)
+        return DEFAULT_PRIORITIES.get(query_class, 1)
 
     def _share(self, query_class: str) -> float:
         tier = min(self.priority(query_class), len(PRIORITY_SHARES) - 1)
@@ -196,21 +192,9 @@ class ResilienceConfig:
         return self.backoff_base_s * (2.0 ** (attempt - 1))
 
     @classmethod
-    def from_env(cls, **overrides) -> "ResilienceConfig":
-        values: Dict[str, Any] = {
-            "mode": resilience_mode(),
-            "max_queue": env_int(MAX_QUEUE_ENV, DEFAULT_MAX_QUEUE),
-            "deadline_ms": env_float(DEADLINE_MS_ENV, DEFAULT_DEADLINE_MS),
-            "backlog_ms": env_float(BACKLOG_MS_ENV, DEFAULT_BACKLOG_MS),
-        }
-        values.update(overrides)
-        return cls(**values)
-
-
-#: Module-default config: parsed lazily so tests that monkeypatch the
-#: environment see their changes.
-def default_config() -> ResilienceConfig:
-    return ResilienceConfig.from_env()
+    def from_env(cls) -> "ResilienceConfig":
+        """Default knobs under the ``$REPRO_RESILIENCE`` policy."""
+        return cls(mode=resilience_mode())
 
 
 class EwmaEstimator:

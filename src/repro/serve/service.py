@@ -34,7 +34,7 @@ from repro.serve.backends import LaunchBackend
 from repro.serve.batcher import BatchPolicy
 from repro.serve.clock import DEFAULT_CLOCK, ServiceClock
 from repro.serve.index import ResidentIndex
-from repro.serve.resilience import ResilienceConfig, default_config
+from repro.serve.resilience import ResilienceConfig
 
 if TYPE_CHECKING:
     from repro.mutation import MutationConfig
@@ -86,7 +86,7 @@ class ServeService:
         self.clock = clock
         if resilience is None:
             resilience = backend.resilience if backend is not None \
-                else default_config()
+                else ResilienceConfig.from_env()
         self.resilience = resilience
         self.backend = backend or LaunchBackend(platform, guard=guard,
                                                 resilience=resilience)

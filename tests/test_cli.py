@@ -1,14 +1,18 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
 import json
+import os
 
 import pytest
 
 import repro.exec as exec_mod
 from repro.__main__ import build_parser, cmd_list, cmd_run, main
+from repro.guard import GuardConfig
 from repro.harness import experiments
 from repro.harness.experiments import EXPERIMENTS, Claim, Experiment
 from repro.harness.results import Table
+from repro.serve import ResilienceConfig
+from tests.test_guard import _ReadOnlyEnviron
 
 
 @pytest.fixture(autouse=True)
@@ -38,13 +42,20 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "fig13", "--scale", "huge"])
 
-    def test_scale_default_honors_env(self, monkeypatch):
+    def test_scale_defaults(self, monkeypatch):
+        # --scale is the only scale setting; the environment has none.
         monkeypatch.setenv("REPRO_SCALE", "large")
-        args = build_parser().parse_args(["run", "fig13"])
-        assert args.scale == "large"
-        monkeypatch.delenv("REPRO_SCALE")
-        args = build_parser().parse_args(["run", "fig13"])
-        assert args.scale == "small"
+        assert build_parser().parse_args(["run", "fig13"]).scale == "small"
+        assert build_parser().parse_args(["trace", "fig13"]).scale == \
+            "smoke"
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "fig13"], ["sweep", "btree"], ["trace", "fig13"],
+        ["serve"], ["loadtest"], ["campaign", "run", "table.json"]])
+    def test_guard_options_on_every_simulating_command(self, argv):
+        args = build_parser().parse_args(
+            argv + ["--guard", "strict", "--max-cycles", "5000"])
+        assert args.guard == "strict" and args.max_cycles == 5000
 
     def test_exec_options(self):
         args = build_parser().parse_args(
@@ -133,6 +144,18 @@ class TestCommands:
         captured = capsys.readouterr()
         assert json.loads(captured.out) == data
         assert "[exec]" in captured.err
+
+    def test_json_output_of_several_experiments_is_one_document(
+            self, capsys):
+        assert main(["run", "table1", "table3", "--scale", "smoke",
+                     "--json"]) == 0
+        captured = capsys.readouterr()
+        documents = json.loads(captured.out)
+        assert sorted(documents) == ["table1", "table3"]
+        for name, document in documents.items():
+            assert sorted(document) == ["headers", "rows", "title"]
+            assert document["rows"]
+        assert "[claims] table3" in captured.err
 
     def test_cache_stats_and_clear(self, capsys):
         assert main(["run", "fig13", "--scale", "smoke"]) == 0
@@ -252,26 +275,11 @@ class TestServingCLI:
         assert fragment in err
         assert "Traceback" not in err
 
-    def test_resilience_flags_parse_and_export(self, monkeypatch):
-        # _apply_resilience_options writes os.environ directly (the CLI
-        # is a one-shot process); setenv first so monkeypatch restores.
-        monkeypatch.setenv("REPRO_RESILIENCE", "")
-        monkeypatch.setenv("REPRO_RESILIENCE_DEADLINE_MS", "")
-        args = build_parser().parse_args(
-            ["loadtest", "--resilience", "shed", "--deadline-ms", "20"])
-        assert args.resilience == "shed" and args.deadline_ms == 20.0
-        from repro.__main__ import _apply_resilience_options
-        import os
-        _apply_resilience_options(args)
-        assert os.environ["REPRO_RESILIENCE"] == "shed"
-        assert os.environ["REPRO_RESILIENCE_DEADLINE_MS"] == "20.0"
-
     def test_resilience_mode_rejects_unknown_choice(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["loadtest", "--resilience", "yolo"])
 
-    def test_loadtest_shed_mode_reports_slo(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_RESILIENCE", "")   # restore after leak
+    def test_loadtest_shed_mode_reports_slo(self, capsys):
         code = main(["loadtest", "--platform", "tta", "--qps", "400",
                      "--duration", "0.02", "--warmup", "0",
                      "--mix", "point", "--resilience", "shed"])
@@ -446,3 +454,85 @@ class TestCampaignCLI:
             main(["--help"])
         out = capsys.readouterr().out
         assert "campaign run" in out
+
+
+def _tiny_btree(scale):
+    # One tta point through the exec service, like a real figure.
+    from repro.exec import get_service, make_spec
+    run = get_service().run(
+        make_spec("btree", {"n_keys": 256, "n_queries": 64}, "tta"))
+    table = Table("tiny", ["workload", "cycles"])
+    table.add_row("btree", run.cycles)
+    return table
+
+
+class TestNoEnvironmentWrites:
+    """Flags travel as arguments: the CLI never writes the process
+    environment, for its own use or its workers'."""
+
+    @staticmethod
+    def _main_frozen(monkeypatch, argv):
+        env = _ReadOnlyEnviron(os.environ)
+        with monkeypatch.context() as frozen:
+            frozen.setattr(os, "environ", env)
+            code = main(argv)
+        assert env.writes == []
+        return code
+
+    def test_run_guard_flags(self, monkeypatch, capsys):
+        monkeypatch.setitem(EXPERIMENTS, "tiny",
+                            Experiment(_tiny_btree, "tiny", ()))
+        # The cycle budget reaches the launch: the point aborts.
+        assert self._main_frozen(monkeypatch, [
+            "run", "tiny", "--scale", "smoke", "--no-cache",
+            "--guard", "strict", "--max-cycles", "100"]) == 1
+        err = capsys.readouterr().err
+        assert "FAILED" in err and "SimulationStallError" in err
+        # A budget the run fits in leaves it alone.
+        assert self._main_frozen(monkeypatch, [
+            "run", "tiny", "--scale", "smoke", "--no-cache",
+            "--guard", "strict", "--max-cycles", "10000000"]) == 0
+
+    def test_loadtest_resilience_flags(self, monkeypatch, capsys):
+        import repro.serve as serve
+
+        seen = {}
+        run_qps_sweep = serve.run_qps_sweep
+
+        def spy(*args, **kwargs):
+            seen.update(kwargs)
+            return run_qps_sweep(*args, **kwargs)
+
+        monkeypatch.setattr(serve, "run_qps_sweep", spy)
+        monkeypatch.delenv("REPRO_RESILIENCE", raising=False)
+        assert self._main_frozen(monkeypatch, [
+            "loadtest", "--platform", "tta", "--qps", "400",
+            "--duration", "0.02", "--warmup", "0", "--mix", "point",
+            "--resilience", "shed", "--deadline-ms", "20"]) == 0
+        assert seen["resilience"] == ResilienceConfig(mode="shed",
+                                                      deadline_ms=20.0)
+        assert seen["guard"] is None
+        assert "resilience=shed" in capsys.readouterr().out
+
+    def test_sweep_cycle_budget_reaches_pool_workers(self, monkeypatch,
+                                                     capsys):
+        # Two points over two workers: the limit is a pool payload
+        # argument, not an inherited environment variable.
+        assert self._main_frozen(monkeypatch, [
+            "sweep", "btree", "--param", "n_keys=512",
+            "--param", "n_queries=16,64", "--platforms", "tta",
+            "--jobs", "2", "--max-cycles", "100", "--no-cache"]) == 1
+        captured = capsys.readouterr()
+        assert "failed=2 mode=parallel" in captured.out
+        assert captured.err.count("SimulationStallError") >= 2
+
+    def test_guard_config_from_flags(self, monkeypatch):
+        from repro.__main__ import _guard_config
+
+        monkeypatch.setenv("REPRO_GUARD", "watch")
+        parse = build_parser().parse_args
+        assert _guard_config(parse(["run", "fig13"])) is None
+        assert _guard_config(parse(["run", "fig13", "--max-cycles", "9"])) \
+            == GuardConfig(mode="watch", max_cycles=9)
+        assert _guard_config(parse(["run", "fig13", "--guard", "off"])) \
+            == GuardConfig(mode="off")

@@ -243,9 +243,13 @@ class TestExecutionService:
         for spec in specs:
             assert service.run(spec).cycles > 0
 
-    def test_serial_env_forces_in_process(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_EXEC_SERIAL", "1")
-        service = ExecutionService(jobs=4, cache=ResultCache(tmp_path))
+    def test_one_job_runs_in_process(self, tmp_path, monkeypatch):
+        # jobs=1 (--jobs 1, --workers 1) is the serial path: no pool.
+        def no_pool(*a, **kw):
+            raise AssertionError("jobs=1 built a worker pool")
+
+        monkeypatch.setattr("repro.exec.service.ParallelRunner", no_pool)
+        service = ExecutionService(jobs=1, cache=ResultCache(tmp_path))
         specs = [_tiny_btree_spec(), _tiny_btree_spec(platform="tta")]
         service.run_many(specs)
         assert service.manifest.mode == "serial"

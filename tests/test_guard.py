@@ -9,11 +9,13 @@ without killing (or hanging) the rest of the sweep, and without any
 library code writing the process environment.
 """
 
+import ast
 import collections.abc
 import json
 import os
 import pathlib
 import pickle
+import re
 
 import pytest
 
@@ -52,18 +54,20 @@ class TestGuardConfig:
             guard_mode()
 
     def test_from_env_thresholds(self, monkeypatch):
+        # The environment picks the mode only: thresholds are
+        # GuardConfig arguments, and the retired threshold variables
+        # have no effect.
         monkeypatch.setenv("REPRO_GUARD", "strict")
         monkeypatch.setenv("REPRO_GUARD_STALL_EVENTS", "5000")
         monkeypatch.setenv("REPRO_GUARD_MAX_CYCLES", "123456")
         config = GuardConfig.from_env()
         assert config.strict and config.checks_invariants
-        assert config.stall_events == 5000
-        assert config.max_cycles == 123456
+        assert config == GuardConfig(mode="strict")
+        assert config.max_cycles is None
 
-    def test_bad_threshold_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_GUARD_CHECK_EVENTS", "-5")
+    def test_bad_threshold_rejected(self):
         with pytest.raises(ConfigurationError):
-            GuardConfig.from_env()
+            GuardConfig(check_events=-5)
 
     def test_constructor_validation(self):
         with pytest.raises(ConfigurationError):
@@ -305,11 +309,14 @@ class TestPoolRestartLimit:
 #: 64-query spec.
 _SWEEP_FAULT = "stall:query=40:sm=all"
 
+#: Tight watchdog thresholds, so an injected stall aborts within ~10k
+#: host events instead of the 2M default.
+_POISON_GUARD = GuardConfig(mode="on", stall_events=10_000,
+                            check_events=2_000)
+
 
 def _poison(monkeypatch, faults):
     monkeypatch.setenv("REPRO_FAULTS", faults)
-    monkeypatch.setenv("REPRO_GUARD_STALL_EVENTS", "10000")
-    monkeypatch.setenv("REPRO_GUARD_CHECK_EVENTS", "2000")
 
 
 def _btree_spec(n_queries):
@@ -338,10 +345,9 @@ class TestExecQuarantine:
         )
 
         _poison(monkeypatch, _SWEEP_FAULT)
-        monkeypatch.setenv("REPRO_EXEC_SERIAL", "1")
         specs = [_btree_spec(16), _btree_spec(64), _btree_spec(32)]
         cache = ResultCache(tmp_path)
-        service = ExecutionService(jobs=1, cache=cache)
+        service = ExecutionService(jobs=1, cache=cache, guard=_POISON_GUARD)
         service.run_many(specs)  # must not raise and must not hang
 
         records = {spec.key: service.manifest.records[spec.key]
@@ -376,7 +382,7 @@ class TestExecQuarantine:
         _poison(monkeypatch, "stall:query=3")
         spec = _btree_spec(32)
         cache = ResultCache(tmp_path)
-        service = ExecutionService(jobs=1, cache=cache)
+        service = ExecutionService(jobs=1, cache=cache, guard=_POISON_GUARD)
         with pytest.raises(SimulationStallError):
             service.run(spec)
         record = service.manifest.records[spec.key]
@@ -403,8 +409,10 @@ class TestExecQuarantine:
             "platforms": ["tta"],
             "reps": 1,
         }))
-        assert main(["campaign", "run", str(table), "--quiet",
-                     "--json"]) == 1
+        # The stalled job keeps re-parking, so the CLI's cycle budget
+        # catches it within milliseconds, in the campaign's worker.
+        assert main(["campaign", "run", str(table), "--quiet", "--json",
+                     "--max-cycles", "20000"]) == 1
         manifest = json.loads(capsys.readouterr().out)
         assert manifest["totals"]["executed"] == 1
         assert manifest["totals"]["failed"] == 1
@@ -450,17 +458,16 @@ class TestNoEnvironmentWrites:
             self, tmp_path, monkeypatch):
         from repro.exec.cache import ResultCache
         from repro.exec.service import ExecutionService, STATUS_FAILED
-        from repro.guard import Guard, GuardConfig
         from repro.serve import LaunchBackend, build_resident_index
 
         monkeypatch.setenv("REPRO_SIM_CORE", "fast")
-        monkeypatch.setenv("REPRO_EXEC_SERIAL", "1")
         _poison(monkeypatch, _SWEEP_FAULT)
         index = build_resident_index("point",
                                      dict(n_keys=512, n_queries=64))
         specs = [_btree_spec(16), _btree_spec(64)]
-        service = ExecutionService(jobs=1, cache=ResultCache(tmp_path))
-        backend = LaunchBackend("tta", guard=Guard(GuardConfig(mode="on")))
+        service = ExecutionService(jobs=1, cache=ResultCache(tmp_path),
+                                   guard=_POISON_GUARD)
+        backend = LaunchBackend("tta", guard=Guard(_POISON_GUARD))
         env = _ReadOnlyEnviron(os.environ)
         # Frozen only around the library calls: pytest itself writes
         # the environment between test phases.
@@ -476,6 +483,75 @@ class TestNoEnvironmentWrites:
         assert service.manifest.executed == 1
         assert launch.failed
         assert launch.notes["failed_reason"] == "guard"
+
+
+#: The environment variables the library reads, each as the default
+#: when no argument says otherwise.  Every other setting is an argument.
+_ENV_ALLOWLIST = {"REPRO_CACHE_DIR", "REPRO_FAULTS", "REPRO_GUARD",
+                  "REPRO_OBS_DIR", "REPRO_RESILIENCE", "REPRO_SIM_CORE",
+                  "REPRO_TRACE"}
+
+_SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
+
+#: ``os.environ`` methods that write it.
+_ENVIRON_WRITERS = {"update", "setdefault", "pop", "popitem", "clear"}
+
+
+def _is_environ(node) -> bool:
+    return (isinstance(node, ast.Attribute) and node.attr == "environ"
+            and isinstance(node.value, ast.Name) and node.value.id == "os")
+
+
+def _environ_writes(tree):
+    """Line numbers of every statement in ``tree`` that writes the
+    process environment."""
+    for node in ast.walk(tree):
+        targets = ()
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = (node.target,)
+        for target in targets:
+            if isinstance(target, ast.Subscript) and \
+                    _is_environ(target.value):
+                yield node.lineno
+        if isinstance(node, ast.Call) and \
+                isinstance(node.func, ast.Attribute):
+            func = node.func
+            if _is_environ(func.value) and func.attr in _ENVIRON_WRITERS:
+                yield node.lineno
+            if isinstance(func.value, ast.Name) and func.value.id == "os" \
+                    and func.attr in ("putenv", "unsetenv"):
+                yield node.lineno
+
+
+class TestEnvironmentSurface:
+    """Settings travel as arguments: the library reads a fixed set of
+    variables and never writes the environment."""
+
+    def test_env_names_are_the_allowlist(self):
+        names = set()
+        for path in _SRC.rglob("*.py"):
+            names.update(re.findall(r"REPRO_[A-Z_]+", path.read_text()))
+        assert names == _ENV_ALLOWLIST
+
+    def test_no_module_writes_the_environment(self):
+        writes = []
+        for path in sorted(_SRC.rglob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            writes += [f"{path.relative_to(_SRC)}:{line}"
+                       for line in _environ_writes(tree)]
+        assert writes == []
+
+    def test_write_detector_sees_each_form(self):
+        tree = ast.parse("import os\n"
+                         "os.environ['A'] = '1'\n"
+                         "os.environ.update(B='2')\n"
+                         "os.environ.setdefault('C', '3')\n"
+                         "os.putenv('D', '4')\n"
+                         "del os.environ['A']\n"
+                         "x = os.environ.get('E')\n")
+        assert sorted(_environ_writes(tree)) == [2, 3, 4, 5, 6]
 
 
 # -- guard stays out of the model --------------------------------------------------

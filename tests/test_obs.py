@@ -7,13 +7,10 @@ observes, it never schedules or reorders.
 """
 
 import json
-import re
 
 import pytest
 
 from repro import obs
-from repro.__main__ import _pin_tracer
-from repro.errors import ConfigurationError
 from repro.harness.experiments import EXPERIMENTS, Experiment
 from repro.harness.runner import run_btree, scaled_config_for
 from repro.workloads import make_btree_workload
@@ -22,9 +19,7 @@ from repro.workloads import make_btree_workload
 @pytest.fixture(autouse=True)
 def _clean_tracer(monkeypatch):
     """No pinned tracer or trace env leaks into (or out of) any test."""
-    for var in (obs.TRACE_ENV, obs.TRACE_RATE_ENV,
-                obs.TRACE_CATEGORIES_ENV, obs.TRACE_EVENTS_ENV):
-        monkeypatch.delenv(var, raising=False)
+    monkeypatch.delenv(obs.TRACE_ENV, raising=False)
     obs.reset()
     yield
     obs.reset()
@@ -148,16 +143,15 @@ class TestEnvControls:
         assert obs.active_tracer() is None
 
     def test_env_enables_and_configures(self, monkeypatch):
+        # $REPRO_TRACE switches on one default ring; sampling, capacity
+        # and filters are Tracer arguments (the trace CLI's flags).
         monkeypatch.setenv(obs.TRACE_ENV, "1")
-        monkeypatch.setenv(obs.TRACE_RATE_ENV, "8")
-        monkeypatch.setenv(obs.TRACE_EVENTS_ENV, "4096")
-        monkeypatch.setenv(obs.TRACE_CATEGORIES_ENV, "sm,memsys")
         tracer = obs.active_tracer()
         assert tracer is not None
-        assert tracer.rate == 8
-        assert tracer.capacity == 4096
-        assert tracer.categories == frozenset(("sm", "memsys"))
-        # Unchanged env: back-to-back launches share one ring.
+        assert tracer.rate == 1
+        assert tracer.capacity == obs.DEFAULT_CAPACITY
+        assert tracer.categories is None
+        # Back-to-back launches share one ring.
         assert obs.active_tracer() is tracer
 
     def test_env_run_collects_events(self, monkeypatch):
@@ -172,19 +166,6 @@ class TestEnvControls:
         pinned = obs.install(obs.Tracer())
         monkeypatch.setenv(obs.TRACE_ENV, "1")
         assert obs.active_tracer() is pinned
-
-    @pytest.mark.parametrize("var", [obs.TRACE_RATE_ENV, obs.TRACE_EVENTS_ENV])
-    @pytest.mark.parametrize("value", ["abc", "1.5", "0", "-3"])
-    def test_bad_count_names_the_variable(self, var, value, monkeypatch):
-        monkeypatch.setenv(obs.TRACE_ENV, "1")
-        monkeypatch.setenv(var, value)
-        message = re.escape(f"{var}={value!r}")
-        with pytest.raises(ConfigurationError, match=message):
-            obs.active_tracer()
-        # The CLI's pinned tracer reads the same knobs the same way.
-        with pytest.raises(ConfigurationError, match=message):
-            _pin_tracer()
-
 
 class TestMetrics:
     def test_snapshot_matches_raw_stats(self):
@@ -441,6 +422,15 @@ class TestCLI:
         assert cats <= {"memsys", "scheduler"}
         assert "sm" not in cats and "rta" not in cats
         assert doc["otherData"]["sampling_rate"] == 16
+
+    @pytest.mark.parametrize("flag,value", [("--rate", "0"),
+                                            ("--events", "-3")])
+    def test_trace_rejects_bad_counts(self, flag, value, capsys):
+        from repro import __main__ as cli
+        assert cli.main(["trace", "fig12", flag, value]) == 2
+        assert f"{flag} must be >= 1, got {value}" in \
+            capsys.readouterr().err
+        assert obs.active_tracer() is None
 
     def test_trace_unknown_experiment(self, capsys):
         from repro import __main__ as cli

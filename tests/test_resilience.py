@@ -29,6 +29,7 @@ from repro.serve import (
     check_batch_integrity,
     run_loadtest,
 )
+from repro.serve.resilience import DEFAULT_DEADLINE_MS, DEFAULT_MAX_QUEUE
 
 TINY_POINT = dict(n_keys=512, n_queries=64)
 
@@ -94,13 +95,16 @@ class TestResilienceConfig:
         assert cfg.backoff_s(3) == pytest.approx(4e-4)
 
     def test_from_env(self, monkeypatch):
+        # The environment picks the policy only; the knobs are
+        # ResilienceConfig arguments (the CLI's --deadline-ms), and the
+        # retired knob variables have no effect.
         monkeypatch.setenv("REPRO_RESILIENCE", "degrade")
         monkeypatch.setenv("REPRO_RESILIENCE_MAX_QUEUE", "31")
         monkeypatch.setenv("REPRO_RESILIENCE_DEADLINE_MS", "7.5")
         cfg = ResilienceConfig.from_env()
-        assert cfg.mode == "degrade"
-        assert cfg.max_queue == 31
-        assert cfg.deadline_ms == pytest.approx(7.5)
+        assert cfg == ResilienceConfig(mode="degrade")
+        assert cfg.max_queue == DEFAULT_MAX_QUEUE
+        assert cfg.deadline_ms == DEFAULT_DEADLINE_MS
 
     def test_bad_env_mode_rejected(self, monkeypatch):
         monkeypatch.setenv("REPRO_RESILIENCE", "yolo")

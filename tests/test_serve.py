@@ -16,6 +16,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.exec import ResultCache, build_fingerprint, build_key
+from repro.guard import Guard, GuardConfig
 from repro.harness.runner import run_btree, run_knn, run_rtree, scaled_config_for
 from repro.serve import (
     Batch,
@@ -480,20 +481,19 @@ class TestServeEquivalence:
 
 # -- guard aborts fail the batch ----------------------------------------------------
 class TestGuardDegradation:
+    #: Tight watchdog thresholds: the injected stall aborts within ~10k
+    #: host events instead of the 2M default.
+    GUARD = GuardConfig(mode="on", stall_events=10_000, check_events=2_000)
+
     @pytest.fixture(autouse=True)
     def _poison(self, monkeypatch):
         # The stall fault only arms on the fast engine; pin it so the
         # abort also happens under REPRO_SIM_CORE=legacy.
         monkeypatch.setenv("REPRO_SIM_CORE", "fast")
         monkeypatch.setenv("REPRO_FAULTS", "stall:query=3")
-        monkeypatch.setenv("REPRO_GUARD_STALL_EVENTS", "10000")
-        monkeypatch.setenv("REPRO_GUARD_CHECK_EVENTS", "2000")
 
     def test_poisoned_batch_fails_with_guard_reason(self, point_index):
-        from repro.guard import Guard, GuardConfig
-
-        backend = LaunchBackend(
-            "tta", guard=Guard(GuardConfig(mode="on")))
+        backend = LaunchBackend("tta", guard=Guard(self.GUARD))
         # Slot 3 of any >=4-query batch trips the injected stall.
         launch = backend.launch(point_index, [10, 11, 12, 13, 14])
         assert launch.failed and launch.results == {}
@@ -505,23 +505,18 @@ class TestGuardDegradation:
         assert backend.breaker.failures == 0
 
     def test_small_batches_stay_on_fast_engine(self, point_index):
-        from repro.guard import Guard, GuardConfig
-
-        backend = LaunchBackend(
-            "tta", guard=Guard(GuardConfig(mode="on")))
+        backend = LaunchBackend("tta", guard=Guard(self.GUARD))
         launch = backend.launch(point_index, [10, 11, 12])
         assert launch.engine == "fast"
         assert backend.failed_batches == 0
 
     def test_loadtest_counts_degraded_batches(self, point_index):
-        from repro.guard import Guard, GuardConfig
-
         profile = LoadProfile(qps=400, duration_s=0.05,
                               mix={"point": 1.0}, seed=6)
         report = run_loadtest(
             "tta", {"point": point_index}, profile,
             policy=BatchPolicy(max_batch=8, max_wait_s=20e-3),
-            guard=Guard(GuardConfig(mode="on")))
+            guard=Guard(self.GUARD))
         assert report.failed > 0
         assert report.degraded_batches > 0
         assert report.degraded_reasons == {"guard": report.degraded_batches}

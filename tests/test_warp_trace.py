@@ -104,9 +104,7 @@ CASES = {
 
 @pytest.fixture(autouse=True)
 def _clean_tracer(monkeypatch):
-    for var in (obs.TRACE_ENV, obs.TRACE_RATE_ENV,
-                obs.TRACE_CATEGORIES_ENV, obs.TRACE_EVENTS_ENV):
-        monkeypatch.delenv(var, raising=False)
+    monkeypatch.delenv(obs.TRACE_ENV, raising=False)
     obs.reset()
     yield
     obs.reset()
