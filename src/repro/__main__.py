@@ -654,6 +654,10 @@ def cmd_trace(name: str, scale: str, out, rate: int, events,
         print(f"[{name}: {time.time() - started:.1f}s at scale={scale}]")
         print(f"[obs] trace written to {path} — open it at "
               f"https://ui.perfetto.dev (or chrome://tracing)")
+    except GuardError as exc:
+        print(f"[trace] FAILED {name}: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return 1
     finally:
         obs.reset()
     return 0

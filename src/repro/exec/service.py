@@ -38,7 +38,9 @@ rest of the sweep, so one poisoned config can no longer hang or kill a
 whole figure.  The service's ``guard`` (a
 :class:`~repro.guard.GuardConfig`, or None for the ``$REPRO_GUARD``
 default) rides along to every launch, in this process and in pool
-workers alike.
+workers alike.  The result cache does not key on the guard, so a
+service with an explicit guard reads no cached result (the guard never
+checked it) but still writes the results it runs.
 """
 
 import functools
@@ -299,6 +301,12 @@ class ExecutionService:
         self._recording: Optional[List[RunSpec]] = None
 
     # -- bookkeeping -------------------------------------------------------------
+    @property
+    def _reads_cache(self) -> bool:
+        """Cached results are served only when no explicit guard asks
+        for launches it checks."""
+        return self.cache is not None and self.guard is None
+
     def reset_manifest(self) -> None:
         self.manifest = RunManifest(jobs=self.jobs)
 
@@ -354,7 +362,7 @@ class ExecutionService:
         key = spec.key
         if key in self._memory:
             return self._memory[key]
-        if self.cache is not None:
+        if self._reads_cache:
             result = self.cache.get(spec)
             if result is not None:
                 self._record(spec, STATUS_CACHED)
@@ -397,7 +405,7 @@ class ExecutionService:
         for key, spec in unique.items():
             if key in self._memory:
                 continue
-            result = self.cache.get(spec) if self.cache is not None else None
+            result = self.cache.get(spec) if self._reads_cache else None
             if result is not None:
                 self._memory[key] = result
                 self._record(spec, STATUS_CACHED)

@@ -8,6 +8,7 @@ only moves forward), so reverse lookup is a bisect over region bases
 followed by arithmetic inside the matching image — no per-node tables.
 """
 
+import copy
 from bisect import bisect_right
 from typing import List, Optional
 
@@ -54,6 +55,17 @@ class AddressSpace:
             if image.contains(address):
                 return image.node_at(address)
         return None
+
+    def fork(self, memo: dict) -> "AddressSpace":
+        """The same allocations with each image over the twins ``memo``
+        maps its nodes to; ``memo`` gains ``id(image) -> twin``."""
+        space = copy.copy(self)
+        space._images = []
+        for image in self._images:
+            memo[id(image)] = twin = image.fork(memo)
+            space._images.append(twin)
+        space._bases = [image.base for image in space._images]
+        return space
 
     @property
     def used_bytes(self) -> int:

@@ -26,6 +26,7 @@ the per-batch :class:`~repro.rta.traversal.TraversalJob` wrapper (which
 carries the batch-local thread id) is rebuilt.
 """
 
+import copy
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -156,6 +157,15 @@ def query_class_spec(query_class: str) -> QueryClassSpec:
 
 QUERY_CLASSES = ("point", "range", "knn", "radius")
 
+#: Per query class, the workload containers besides the tree that the
+#: write path changes in place (see :mod:`repro.mutation.mutators`).
+_WRITTEN: Dict[str, Tuple[str, ...]] = {
+    "point": ("golden",),
+    "range": ("entries",),
+    "knn": (),
+    "radius": ("points", "_dead_points"),
+}
+
 #: Per-scale construction parameters for the CLI/loadtest presets.
 #: ``n_queries`` doubles as the canonical stream length *and* the
 #: query/result buffer capacity — the largest batch one launch can hold.
@@ -241,6 +251,41 @@ class ResidentIndex:
                 f"max_batch"
             )
         return self.spec.make_args(self.workload, payloads, jobs)
+
+    # -- forking --------------------------------------------------------------
+    def fork(self) -> "ResidentIndex":
+        """An independent twin, as warm as this index, made eagerly.
+
+        The twin copies every container that a write, a refresh or a
+        launch changes in place: the tree's nodes and their lists, the
+        workload's write-path containers (:data:`_WRITTEN`), its address
+        space and image, its job/stream caches and this lowering memo.
+        It shares what nothing changes in place: points, boxes,
+        primitives, query payloads, the lowered ``Step`` lists and
+        results, and the numpy columns of a BVH's SoA view.
+        """
+        memo: Dict[int, Any] = {}
+        workload = copy.copy(self.workload)
+        tree_attr = "bvh" if self.query_class == "radius" else "tree"
+        setattr(workload, tree_attr,
+                getattr(self.workload, tree_attr).fork(memo))
+        for name in _WRITTEN[self.query_class]:
+            setattr(workload, name, copy.copy(getattr(workload, name)))
+        workload.space = self.workload.space.fork(memo)
+        workload.image = memo[id(self.workload.image)]
+        workload._jobs_cache = dict(workload._jobs_cache)
+        workload._stream_cache = dict(workload._stream_cache)
+        twin = copy.copy(self)
+        twin.workload = workload
+        twin.params = dict(self.params)
+        twin._lowered = dict(self._lowered)
+        return twin
+
+    def __deepcopy__(self, memo: Dict[int, Any]) -> "ResidentIndex":
+        # Every deep copy of an index, alone or inside a container, is
+        # a fork.
+        twin = memo[id(self)] = self.fork()
+        return twin
 
     def __repr__(self) -> str:
         return (f"ResidentIndex({self.query_class}/{self.spec.kind}, "

@@ -26,7 +26,6 @@ kernel time all included, which is exactly what an open-loop load test
 is supposed to surface (MODEL.md §10).
 """
 
-import copy
 import heapq
 import random
 from dataclasses import dataclass, field, replace
@@ -695,8 +694,9 @@ def run_qps_sweep(platforms: Sequence[str],
     shape: ``{"curves": {platform: [point, ...]}, ...}``.
 
     With ``mutation`` set, every (platform, qps) leg runs against a
-    deep copy of the pristine indexes: writes mutate state, and the
-    curves are only comparable if each leg starts from the same tree.
+    fork of the pristine indexes (:meth:`ResidentIndex.fork`): writes
+    mutate state, and the curves are only comparable if each leg starts
+    from the same tree.
     """
     if resilience is None:
         resilience = ResilienceConfig.from_env()
@@ -708,8 +708,8 @@ def run_qps_sweep(platforms: Sequence[str],
         for qps in qps_values:
             if progress is not None:
                 progress(platform, qps)
-            leg_indexes = indexes if mutation is None \
-                else copy.deepcopy(indexes)
+            leg_indexes = indexes if mutation is None else {
+                cls: index.fork() for cls, index in indexes.items()}
             report = run_loadtest(
                 platform, leg_indexes, replace(profile, qps=qps),
                 policy=policy, clock=clock, n_shards=n_shards,

@@ -22,6 +22,7 @@ the benchmarks to build large trees quickly with a controlled fill
 factor) are provided.
 """
 
+import copy
 import random
 from typing import Any, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -51,39 +52,6 @@ class BTreeNode:
     @property
     def is_leaf(self) -> bool:
         return not self.children
-
-    def __deepcopy__(self, memo):
-        # The leaf chain (``next``) is a linked list as long as the
-        # leaf count; the default recursive deepcopy overflows the
-        # stack on any non-toy tree.  Copy the reachable node graph
-        # iteratively, registering every twin in ``memo`` so outer
-        # structures (trees, trace caches) alias consistently.
-        twin = memo.get(id(self))
-        if twin is not None:
-            return twin
-        import copy as _copy
-
-        frontier, originals, seen = [self], [], set()
-        while frontier:
-            node = frontier.pop()
-            if id(node) in seen or id(node) in memo:
-                continue
-            seen.add(id(node))
-            originals.append(node)
-            frontier.extend(node.children)
-            if node.next is not None:
-                frontier.append(node.next)
-        for node in originals:
-            clone = BTreeNode(keys=list(node.keys),
-                              values=_copy.deepcopy(list(node.values), memo))
-            clone.address = node.address
-            memo[id(node)] = clone
-        for node in originals:
-            clone = memo[id(node)]
-            clone.children = [memo[id(child)] for child in node.children]
-            if node.next is not None:
-                clone.next = memo[id(node.next)]
-        return memo[id(self)]
 
     def __repr__(self) -> str:
         kind = "leaf" if self.is_leaf else "inner"
@@ -188,6 +156,47 @@ class _BTreeBase:
             out.append(node)
             frontier.extend(node.children)
         return out
+
+    def fork(self, memo: dict) -> "_BTreeBase":
+        """A twin that writes cannot reach through: every node and its
+        key, value and child lists are copied, keys and values are
+        shared.  ``memo`` gains ``id(node) -> twin`` for each node, and
+        the search-trace cache is kept, its paths on the twins."""
+        # Walk the leaf chain as well as the children, iteratively: the
+        # chain is as long as the leaf count.
+        originals, frontier = [], [self.root]
+        while frontier:
+            node = frontier.pop()
+            if id(node) in memo:
+                continue
+            twin = memo[id(node)] = BTreeNode(list(node.keys),
+                                              values=list(node.values))
+            twin.address = node.address
+            originals.append(node)
+            frontier.extend(node.children)
+            if node.next is not None:
+                frontier.append(node.next)
+        for node in originals:
+            twin = memo[id(node)]
+            twin.children = [memo[id(child)] for child in node.children]
+            if node.next is not None:
+                twin.next = memo[id(node.next)]
+        tree = copy.copy(self)
+        tree.root = memo[id(self.root)]
+        twin_of = memo.__getitem__
+        tree._trace_cache = {
+            query: SearchTrace(t.found, t.value,
+                               tuple([twin_of(id(n)) for n in t.path]),
+                               t.found_at_inner)
+            for query, t in self._trace_cache.items()}
+        return tree
+
+    def __deepcopy__(self, memo: dict) -> "_BTreeBase":
+        # The generic deep copy recurses along the leaf chain and
+        # overflows the stack on any non-toy tree; a fork copies every
+        # container a write can change.
+        twin = memo[id(self)] = self.fork(memo)
+        return twin
 
     # -- construction -------------------------------------------------------
     def insert(self, key: int, value: Any = None) -> None:

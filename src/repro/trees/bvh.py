@@ -36,6 +36,7 @@ rules:
   differently, so NaN or infinite bounds are rejected.
 """
 
+import copy
 import math
 from itertools import compress
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -612,6 +613,37 @@ class BVH:
     def live_prim_ids(self) -> List[int]:
         """The prim_ids still reachable from a leaf slice."""
         return [self.primitives[i].prim_id for i in self._prim_order]
+
+    def fork(self, memo: dict) -> "BVH":
+        """A twin that writes cannot reach through: every node and the
+        primitive, bounds and order lists are copied, primitives and
+        boxes are shared.  The current SoA view carries over on the
+        twins, its columns shared (writes derive new ones).  ``memo``
+        gains ``id(node) -> twin`` for each node."""
+        soa = getattr(self, "_soa", None)
+        if getattr(self, "_soa_epoch", 0) \
+                != getattr(self, "mutation_epoch", 0):
+            soa = None
+        # The view lists the nodes in ``nodes()`` order.
+        nodes = self.nodes() if soa is None else soa.nodes
+        twins = []
+        for node in nodes:
+            twin = memo[id(node)] = BVHNode(node.bounds)
+            twin.first_prim = node.first_prim
+            twin.prim_count = node.prim_count
+            twin.address = node.address
+            twins.append(twin)
+        for node, twin in zip(nodes, twins):
+            if not node.is_leaf:
+                twin.left = memo[id(node.left)]
+                twin.right = memo[id(node.right)]
+        tree = copy.copy(self)
+        tree.root = memo[id(self.root)]
+        tree.primitives = list(self.primitives)
+        tree._prim_bounds = list(self._prim_bounds)
+        tree._prim_order = list(self._prim_order)
+        tree._soa = None if soa is None else soa.derive(nodes=twins)
+        return tree
 
     # -- access ---------------------------------------------------------------
     def soa(self) -> BVHArrays:

@@ -10,6 +10,7 @@ Point-to-Point distance test) — both operations TTA already provides,
 which is exactly the generality argument of §II-C.
 """
 
+import copy
 import heapq
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
@@ -211,6 +212,35 @@ class KDTree:
                 return 1
             return 1 + max(rec(node.left), rec(node.right))
         return rec(self.root)
+
+    def fork(self, memo: dict) -> "KDTree":
+        """A twin that writes cannot reach through: every node, its
+        point lists, the point list and the tombstone set are copied,
+        points are shared.  ``memo`` gains ``id(node) -> twin`` for
+        each node, and a built leaf map is kept, on the twins."""
+        nodes = self.nodes()
+        for node in nodes:
+            twin = memo[id(node)] = KDNode()
+            twin.axis, twin.split = node.axis, node.split
+            twin.points = list(node.points)
+            twin.point_ids = list(node.point_ids)
+            twin.address = node.address
+        for node in nodes:
+            if not node.is_leaf:
+                twin = memo[id(node)]
+                twin.left = memo[id(node.left)]
+                twin.right = memo[id(node.right)]
+        tree = copy.copy(self)
+        tree.root = memo[id(self.root)]
+        tree.points = list(self.points)
+        # getattr guards trees unpickled from caches written before
+        # tombstones and the leaf map existed.
+        if getattr(self, "_deleted", None) is not None:
+            tree._deleted = set(self._deleted)
+        if getattr(self, "_leaf_of", None) is not None:
+            tree._leaf_of = {pid: memo[id(leaf)]
+                             for pid, leaf in self._leaf_of.items()}
+        return tree
 
     # -- kNN search -----------------------------------------------------------
     def knn(self, query: Vec3, k: int) -> KNNResult:

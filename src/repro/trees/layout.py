@@ -13,6 +13,7 @@ feeding batched sector math) and the reverse map is division, not a
 per-node hash table.
 """
 
+import copy
 from typing import Dict, Iterable, List, Optional
 
 import numpy as np
@@ -95,6 +96,17 @@ class TreeImage:
         if not children:
             return None
         return self.address_of(children[0])
+
+    def fork(self, memo: dict) -> "TreeImage":
+        """The same layout over the twins ``memo`` maps this image's
+        nodes to (see the trees' ``fork``); the address column is
+        shared.  A node the tree no longer holds, in an image not yet
+        refreshed after a write, gets a shallow twin."""
+        image = copy.copy(self)
+        image.nodes = [memo.get(id(node)) or copy.copy(node)
+                       for node in self.nodes]
+        image._index_of = {id(node): i for i, node in enumerate(image.nodes)}
+        return image
 
     def __len__(self) -> int:
         return len(self.nodes)

@@ -17,6 +17,7 @@ Provided here:
   by the timing models.
 """
 
+import copy
 import math
 from typing import List, NamedTuple, Sequence, Tuple
 
@@ -453,6 +454,22 @@ class RTree:
             node = node.children[0]
             h += 1
         return h
+
+    def fork(self, memo: dict) -> "RTree":
+        """A twin that writes cannot reach through: every node and its
+        entry and child lists are copied, MBRs and entries are shared.
+        ``memo`` gains ``id(node) -> twin`` for each node."""
+        nodes = self.nodes()
+        for node in nodes:
+            twin = memo[id(node)] = RTreeNode()
+            twin.mbr = node.mbr
+            twin.entries = list(node.entries)
+            twin.address = node.address
+        for node in nodes:
+            memo[id(node)].children = [memo[id(c)] for c in node.children]
+        tree = copy.copy(self)
+        tree.root = memo[id(self.root)]
+        return tree
 
     def check_invariants(self) -> None:
         """Raise AssertionError on any structural violation."""

@@ -407,6 +407,22 @@ class TestCampaignCLI:
         again = capsys.readouterr().out
         assert "this run: executed=0" in again
 
+    def test_campaign_guard_skips_cached_results(self, table, tmp_path,
+                                                 capsys):
+        # Warm the cache, then drain the table again in a fresh
+        # directory: unguarded, every point is a cache hit; with a
+        # cycle budget, no point is, and each one fails the budget.
+        assert main(["campaign", "run", str(table), "--quiet"]) == 0
+        capsys.readouterr()
+        assert main(["campaign", "run", str(table), "--quiet",
+                     "--dir", str(tmp_path / "warm")]) == 0
+        assert "executed=0 cached=2" in capsys.readouterr().out
+        assert main(["campaign", "run", str(table), "--quiet",
+                     "--dir", str(tmp_path / "guarded"),
+                     "--max-cycles", "100"]) == 1
+        out = capsys.readouterr().out
+        assert "cached=0" in out and "failed=2" in out
+
     def test_campaign_run_json_manifest(self, table, capsys):
         assert main(["campaign", "run", str(table), "--quiet",
                      "--json"]) == 0
@@ -464,6 +480,26 @@ def _tiny_btree(scale):
     table = Table("tiny", ["workload", "cycles"])
     table.add_row("btree", run.cycles)
     return table
+
+
+class TestGuardSkipsCachedResults:
+    """The result cache does not key on the guard: a run with an
+    explicit guard re-executes every point, so the guard checks each
+    result it reports, and still writes what it runs."""
+
+    def test_run_rechecks_cached_points(self, monkeypatch, capsys):
+        monkeypatch.setitem(EXPERIMENTS, "tiny",
+                            Experiment(_tiny_btree, "tiny", ()))
+        argv = ["run", "tiny", "--scale", "smoke"]
+        assert main(argv + ["--max-cycles", "10000000"]) == 0
+        assert "executed=1 cached=0" in capsys.readouterr().out
+        # The guarded run wrote its result: an unguarded run reads it.
+        assert main(argv) == 0
+        assert "executed=0 cached=1" in capsys.readouterr().out
+        # Over the warm cache, a budget the point exceeds still fails.
+        assert main(argv + ["--max-cycles", "100"]) == 1
+        err = capsys.readouterr().err
+        assert "FAILED" in err and "[cycle-budget]" in err
 
 
 class TestNoEnvironmentWrites:

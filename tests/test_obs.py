@@ -432,6 +432,21 @@ class TestCLI:
             capsys.readouterr().err
         assert obs.active_tracer() is None
 
+    def test_trace_guard_abort_is_one_line(self, tmp_path, monkeypatch,
+                                           capsys):
+        from repro import __main__ as cli
+        monkeypatch.setitem(EXPERIMENTS, "tiny", _TINY)
+        assert cli.main(["trace", "tiny", "-o", str(tmp_path / "t.json"),
+                         "--max-cycles", "10"]) == 1
+        err = capsys.readouterr().err
+        failed = [line for line in err.splitlines()
+                  if line.startswith("[trace] FAILED")]
+        assert len(failed) == 1
+        assert failed[0].startswith("[trace] FAILED tiny: ")
+        assert failed[0].endswith("[cycle-budget]")
+        assert "Traceback" not in err
+        assert obs.active_tracer() is None
+
     def test_trace_unknown_experiment(self, capsys):
         from repro import __main__ as cli
         assert cli.main(["trace", "fig99"]) == 2

@@ -32,12 +32,16 @@ Contract families:
   BVH and R-Tree refits and quality scores make no ``AABB.union`` call.
 * **Batch geometry** — each batch kernel runs a fixed number of Python
   lines whatever the primitive count: the per-primitive work is numpy's.
+* **Index forks** — a deep copy of the four primed smoke indexes is a
+  fork: it shares the lowered steps, points and boxes and stays within a
+  few MB of allocation, where a generic deep copy peaked near 30 MB.
 
 The fast-driver contracts pin the fast engine and drop any guard
 override, so they hold on every CI leg.
 """
 
 import collections
+import copy
 import dataclasses
 import gc
 import math
@@ -328,6 +332,26 @@ class TestWriteMaintenanceCost:
         # A scalar refit of the smoke BVH makes ~1.4k unions.
         assert counts["packs"] <= 1 + mut.rebuilds, counts
         assert counts["union"] == 0, counts
+
+
+# -- index forks --------------------------------------------------------------
+class TestIndexForkCost:
+    def test_deep_copy_of_smoke_indexes_allocates_under_5mb(self):
+        indexes = {}
+        for cls, params in SERVE_SCALES["smoke"].items():
+            index = build_resident_index(cls, dict(params, seed=0))
+            for flavor in ("tta", "ttaplus"):
+                index.batch_jobs(range(index.n_canonical), flavor)
+            indexes[cls] = index
+        gc.collect()
+        tracemalloc.start()
+        try:
+            forks = copy.deepcopy(indexes)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sorted(forks) == sorted(indexes)
+        assert peak < 5 * 2**20, f"fork peak {peak / 2**20:.1f} MB"
 
 
 # -- N-Body walk cost -----------------------------------------------------------
