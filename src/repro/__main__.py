@@ -436,12 +436,13 @@ def _validate_serve_args(args):
     return None
 
 
-def _configure_service(jobs: int, no_cache: bool, timeout, guard=None):
+def _configure_service(jobs: int, no_cache: bool, timeout, guard=None,
+                       tracer=None):
     from repro import exec as exec_mod
 
     return exec_mod.configure(jobs=jobs, cache_enabled=not no_cache,
                               timeout=timeout, progress=jobs > 1,
-                              guard=guard)
+                              guard=guard, tracer=tracer)
 
 
 def _write_table(name: str, table, csv_dir, json_dir) -> None:
@@ -454,14 +455,14 @@ def _write_table(name: str, table, csv_dir, json_dir) -> None:
         (json_dir / f"{name}.json").write_text(table.to_json())
 
 
-def _pin_tracer(rate: int = 1, events: int = None, categories=None):
-    """Build and pin the tracer the trace flags describe."""
+def _make_tracer(rate: int = 1, events: int = None, categories=None):
+    """The tracer the trace flags describe."""
     from repro import obs
 
     if isinstance(categories, str):
         categories = [c.strip() for c in categories.split(",") if c.strip()]
     capacity = obs.DEFAULT_CAPACITY if events is None else events
-    return obs.enable(capacity=capacity, rate=rate,
+    return obs.Tracer(capacity=capacity, rate=rate,
                       categories=categories or None)
 
 
@@ -508,10 +509,12 @@ def cmd_run(names, scale: str, csv_dir, plot: bool = False,
             jobs: int = 1, no_cache: bool = False, timeout=None,
             json_dir=None, json_out: bool = False,
             profile: bool = False, profile_out=None,
-            trace=None, metrics_out=None, guard=None) -> int:
-    """``repro run``: each table to stdout; with ``--json`` one
-    experiment prints its table document and several print one object
-    keyed by experiment name."""
+            trace=None, tracer=None, metrics_out=None, guard=None) -> int:
+    """``repro run`` and ``repro trace``: each table to stdout; with
+    ``--json`` one experiment prints its table document and several
+    print one object keyed by experiment name.  With a ``tracer``
+    every launch records into it, and the trace is written to the
+    ``trace`` path at the end."""
     if names == ["all"]:
         names = sorted(EXPERIMENTS)
     unknown = [n for n in names if n not in EXPERIMENTS]
@@ -520,16 +523,13 @@ def cmd_run(names, scale: str, csv_dir, plot: bool = False,
         print(f"available: {', '.join(sorted(EXPERIMENTS))}", file=sys.stderr)
         return 2
     profile = profile or profile_out is not None
-    tracer = None
-    if trace is not None:
-        # Cached or pooled points never emit events into this process's
-        # ring, so a traced run is forced serial and cache-free.
-        if jobs > 1 or not no_cache:
-            print("[obs] --trace forces --jobs 1 --no-cache",
-                  file=sys.stderr)
-        jobs, no_cache = 1, True
-        tracer = _pin_tracer()
-    service = _configure_service(jobs, no_cache, timeout, guard)
+    if tracer is not None and (jobs > 1 or not no_cache):
+        # The traced service runs serially without the result cache.
+        print("[obs] --trace forces --jobs 1 --no-cache", file=sys.stderr)
+    service = _configure_service(jobs, no_cache, timeout, guard, tracer)
+    # With --json, stdout must stay parseable (repro run fig --json |
+    # jq): the claims, manifest, timing and trace chatter go to stderr.
+    chatter = sys.stderr if json_out else sys.stdout
     metrics_report = {}
     documents = {} if json_out and len(names) > 1 else None
     claims_hold = True
@@ -554,10 +554,6 @@ def cmd_run(names, scale: str, csv_dir, plot: bool = False,
                     print(chart)
                     print()
             _write_table(name, table, csv_dir, json_dir)
-            # With --json, stdout must stay parseable
-            # (repro run fig --json | jq): route the claims, manifest
-            # and timing chatter to stderr.
-            chatter = sys.stderr if json_out else sys.stdout
             claims_hold &= _report_claims(name, table, chatter)
             if metrics_out is not None:
                 # run_figure resets the manifest, so fold each figure's
@@ -591,10 +587,10 @@ def cmd_run(names, scale: str, csv_dir, plot: bool = False,
         if tracer is not None:
             from repro import obs
             path = obs.write_chrome_trace(trace, tracer)
-            print(obs.summarize_trace(tracer), file=sys.stderr)
+            print(obs.summarize_trace(tracer), file=chatter)
             print(f"[obs] trace written to {path} — open it at "
                   f"https://ui.perfetto.dev (or chrome://tracing)",
-                  file=sys.stderr)
+                  file=chatter)
     except GuardError:
         # The aborted point is already failed in the manifest, and its
         # error names the diagnostic bundle.
@@ -607,9 +603,6 @@ def cmd_run(names, scale: str, csv_dir, plot: bool = False,
     finally:
         if documents:
             print(json.dumps(documents, indent=1))
-        if tracer is not None:
-            from repro import obs
-            obs.reset()
     return 0 if claims_hold else 1
 
 
@@ -623,44 +616,6 @@ def _report_claims(name: str, table, stream) -> bool:
         print(f"[claims]   BROKEN {name}.{claim.name}: {claim.text} "
               f"— rows: {'; '.join(rows)}", file=stream)
     return not broken
-
-
-def cmd_trace(name: str, scale: str, out, rate: int, events,
-              categories, metrics_out=None, guard=None) -> int:
-    """``repro trace <experiment>``: serial, cache-free, tracer pinned."""
-    if name not in EXPERIMENTS:
-        print(f"unknown experiment: {name}", file=sys.stderr)
-        print(f"available: {', '.join(sorted(EXPERIMENTS))}", file=sys.stderr)
-        return 2
-    for flag, value in (("--rate", rate), ("--events", events)):
-        if value is not None and value < 1:
-            print(f"{flag} must be >= 1, got {value}", file=sys.stderr)
-            return 2
-    from repro import obs
-
-    tracer = _pin_tracer(rate=rate, events=events, categories=categories)
-    service = _configure_service(1, True, None, guard)
-    try:
-        started = time.time()
-        table = service.run_figure(EXPERIMENTS[name].fn, scale)
-        print(table.format())
-        print(service.manifest.summary())
-        path = obs.write_chrome_trace(out, tracer)
-        print(obs.summarize_trace(tracer))
-        if metrics_out is not None:
-            mpath = obs.write_metrics_json(metrics_out,
-                                           service.metrics_report())
-            print(f"[obs] metrics written to {mpath}")
-        print(f"[{name}: {time.time() - started:.1f}s at scale={scale}]")
-        print(f"[obs] trace written to {path} — open it at "
-              f"https://ui.perfetto.dev (or chrome://tracing)")
-    except GuardError as exc:
-        print(f"[trace] FAILED {name}: {type(exc).__name__}: {exc}",
-              file=sys.stderr)
-        return 1
-    finally:
-        obs.reset()
-    return 0
 
 
 def _parse_param(text: str):
@@ -1120,17 +1075,23 @@ def main(argv=None) -> int:
     if args.command == "loadtest":
         return cmd_loadtest(args, guard)
     if args.command == "trace":
-        return cmd_trace(args.experiment, args.scale, args.out,
-                         rate=args.rate, events=args.events,
-                         categories=args.categories,
-                         metrics_out=args.metrics_out, guard=guard)
+        for flag, value in (("--rate", args.rate), ("--events", args.events)):
+            if value is not None and value < 1:
+                print(f"{flag} must be >= 1, got {value}", file=sys.stderr)
+                return 2
+        return cmd_run([args.experiment], args.scale, None, no_cache=True,
+                       trace=args.out,
+                       tracer=_make_tracer(args.rate, args.events,
+                                           args.categories),
+                       metrics_out=args.metrics_out, guard=guard)
     return cmd_run(args.experiments, args.scale, args.csv_dir,
                    plot=args.plot, jobs=args.jobs,
                    no_cache=args.no_cache, timeout=args.timeout,
                    json_dir=args.json_dir, json_out=args.json,
                    profile=args.profile, profile_out=args.profile_out,
-                   trace=args.trace, metrics_out=args.metrics_out,
-                   guard=guard)
+                   trace=args.trace,
+                   tracer=_make_tracer() if args.trace is not None else None,
+                   metrics_out=args.metrics_out, guard=guard)
 
 
 if __name__ == "__main__":

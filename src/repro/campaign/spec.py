@@ -45,6 +45,7 @@ KIND_PLATFORMS = {
     "knn": ("gpu", "tta", "ttaplus"),
     "wknd": ("rta", "ttaplus", "ttaplus_opt"),
     "lumi": ("gpu", "rta", "ttaplus", "ttaplus_opt"),
+    "rangescan": ("gpu", "tta"),
 }
 
 #: Default lease time-to-live: how long a claimed point may sit without

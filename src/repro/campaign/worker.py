@@ -25,12 +25,15 @@ so the result is identical).
 Every resolution writes an atomic per-point **record** under
 ``<campaign_dir>/records/`` carrying the run's resource metrics: wall
 seconds, peak RSS, cache hit/miss, and the error of a failed point (a
-guard abort names its diagnostic bundle).  Records are the resumability
-ledger (a point with a record is never re-attempted) and the raw
+guard abort names its diagnostic bundle) and the worker's explicit
+guard, or None.  Records are the resumability ledger and the raw
 material :func:`repro.campaign.orchestrator.finalize` folds into the
-campaign manifest.
+campaign manifest: a point with a record is never re-attempted, except
+by a worker with an explicit guard, which re-runs every point whose
+record names a different guard.
 """
 
+import dataclasses
 import json
 import os
 import pathlib
@@ -138,13 +141,24 @@ class CampaignWorker:
         # simulates one point at a time in-process.
         self.service = ExecutionService(jobs=1, cache=self.cache,
                                         guard=guard)
+        self.guard_doc = (dataclasses.asdict(guard) if guard is not None
+                          else None)
 
     # -- records ---------------------------------------------------------------
     def _record_path(self, key: str) -> pathlib.Path:
         return self.records_dir / f"{key}.json"
 
     def has_record(self, key: str) -> bool:
-        return self._record_path(key).exists()
+        """Whether ``key`` is settled: it has a record and, under an
+        explicit guard, that record was made under the same guard."""
+        path = self._record_path(key)
+        if self.guard_doc is None:
+            return path.exists()
+        try:
+            doc = json.loads(path.read_text())
+        except (OSError, ValueError):
+            return False
+        return doc.get("guard") == self.guard_doc
 
     def _write_record(self, point: CampaignPoint, status: str,
                       wall_s: float, error: Optional[str] = None,
@@ -159,6 +173,7 @@ class CampaignWorker:
             "cache_hit": status == STATUS_CACHED,
             "stolen_lease": stolen,
             "worker": self.worker_id,
+            "guard": self.guard_doc,
             "error": error,
             "finished_unix": time.time(),
         })

@@ -12,10 +12,10 @@ Public surface:
 * :func:`get_service` / :func:`configure` — the process-global service
   instance the harness routes every figure point through.
 
-The default (unconfigured) service is serial and memory-only, which
-preserves the historical behavior of calling figure functions directly
-from tests and library code; the CLI calls :func:`configure` to switch on
-the disk cache and the worker pool.
+The default (unconfigured) service is serial and memory-only, so
+figure functions called from tests and library code simulate in
+process; the CLI calls :func:`configure` to switch on the disk cache
+and the worker pool.
 """
 
 from typing import Optional
@@ -72,13 +72,13 @@ def get_service() -> ExecutionService:
 def configure(jobs: int = 1, cache_enabled: bool = True,
               cache_dir=None, timeout: Optional[float] = None,
               retries: int = 1, progress: bool = False,
-              guard=None) -> ExecutionService:
+              guard=None, tracer=None) -> ExecutionService:
     """Install a freshly configured global service and return it."""
     global _service
     cache = ResultCache(cache_dir) if cache_enabled else None
     _service = ExecutionService(jobs=jobs, cache=cache, timeout=timeout,
                                 retries=retries, progress=progress,
-                                guard=guard)
+                                guard=guard, tracer=tracer)
     return _service
 
 

@@ -2,9 +2,8 @@
 
 :class:`ExecutionService` owns three layers:
 
-1. an **in-memory memo** (spec key → RunResult) replacing the old
-   ad-hoc dict in ``harness.experiments`` — repeated points inside one
-   process are free;
+1. an **in-memory memo** (spec key → RunResult) — repeated points
+   inside one process are free;
 2. the **content-addressed disk cache** (:mod:`repro.exec.cache`) —
    repeated points across processes only unpickle;
 3. the **worker pool** (:mod:`repro.exec.pool`) — missing points fan
@@ -41,6 +40,13 @@ default) rides along to every launch, in this process and in pool
 workers alike.  The result cache does not key on the guard, so a
 service with an explicit guard reads no cached result (the guard never
 checked it) but still writes the results it runs.
+
+**Tracing**: a service built with a ``tracer`` (a
+:class:`~repro.obs.Tracer`) passes it to every launch it runs.  Only
+launches in this process can record into it, so such a service runs
+serially and uses no result cache: it reads no cached result (that
+launch would not be traced) and writes none (a traced result also
+carries trace-only metrics).  The tracer never reaches the pool.
 """
 
 import functools
@@ -65,18 +71,20 @@ GUARD_FAILURE_TYPES = ("SimulationStallError", "InvariantViolation")
 
 
 # -- worker entry point -----------------------------------------------------------
-def execute_payload(payload: str, guard=None):
+def execute_payload(payload: str, guard=None, tracer=None):
     """Top-level worker function: JSON spec in, RunResult out.
 
-    ``guard`` (a :class:`~repro.guard.GuardConfig` or None) is passed
-    to every launch of the run.  Imports happen inside so that
+    ``guard`` (a :class:`~repro.guard.GuardConfig` or None) and
+    ``tracer`` (in-process only) are passed to every launch of the
+    run.  Imports happen inside so that
     forked/spawned workers pay the import cost once per process, and so
     that importing :mod:`repro.exec.pool` never drags the whole
     simulator in.
     """
     from repro.harness.runner import execute_spec
 
-    return execute_spec(RunSpec.from_json(payload), guard=guard)
+    return execute_spec(RunSpec.from_json(payload), guard=guard,
+                        tracer=tracer)
 
 
 # -- manifest ----------------------------------------------------------------------
@@ -227,7 +235,7 @@ class StubResult:
         self.platform = spec.platform
         self.stats = _StubStats()
         self.energy = _StubEnergy()
-        self.notes: Dict[str, Any] = {}
+        self.notes = _StubMapping()
 
     @property
     def metrics(self):
@@ -287,15 +295,18 @@ class ExecutionService:
                  timeout: Optional[float] = None,
                  retries: int = 1,
                  progress: bool = False,
-                 guard=None) -> None:
+                 guard=None, tracer=None) -> None:
         if jobs < 1:
             raise ConfigurationError("jobs must be >= 1")
+        if tracer is not None:
+            jobs, cache = 1, None
         self.jobs = jobs
         self.cache = cache
         self.timeout = timeout
         self.retries = retries
         self.progress = progress
         self.guard = guard
+        self.tracer = tracer
         self.manifest = RunManifest(jobs=jobs)
         self._memory: Dict[str, Any] = {}
         self._recording: Optional[List[RunSpec]] = None
@@ -370,7 +381,8 @@ class ExecutionService:
                 return result
         started = time.monotonic()
         try:
-            result = execute_payload(spec.to_json(), guard=self.guard)
+            result = execute_payload(spec.to_json(), guard=self.guard,
+                                     tracer=self.tracer)
         except GuardError as exc:
             self._quarantine(spec, f"{type(exc).__name__}: {exc}",
                              exc.diagnostics, attempts=1,
@@ -451,8 +463,10 @@ class ExecutionService:
     def _dispatch(self, missing, reporter):
         """Run the missing specs; returns (outcomes, mode string)."""
         payloads = [spec.to_json() for spec in missing]
-        # A partial of a top-level function pickles to pool workers.
-        execute = functools.partial(execute_payload, guard=self.guard)
+        # A partial of a top-level function pickles to pool workers; a
+        # traced service has jobs == 1, so its tracer stays in-process.
+        execute = functools.partial(execute_payload, guard=self.guard,
+                                    tracer=self.tracer)
         if self.jobs > 1 and len(missing) > 1:
             try:
                 runner = ParallelRunner(self.jobs, timeout=self.timeout,

@@ -43,7 +43,8 @@ from repro.sim import scheduler_fingerprint
 SPEC_SCHEMA = 1
 
 #: Workload families the execution service knows how to build and run.
-KINDS = ("btree", "nbody", "rtnn", "wknd", "lumi", "rtree", "knn")
+KINDS = ("btree", "nbody", "rtnn", "wknd", "lumi", "rtree", "knn",
+         "rangescan")
 
 
 def code_fingerprint() -> str:

@@ -15,7 +15,7 @@ from repro.gpu.sm import SM
 from repro.gpu.warp import Warp
 from repro.guard import Guard
 from repro.memsys.hierarchy import MemoryHierarchy
-from repro.obs import EMPTY_METRICS, TimeSeries, active_tracer, build_metrics
+from repro.obs import EMPTY_METRICS, TimeSeries, build_metrics
 from repro.sim import make_simulator
 from repro.sim.stats import Counter
 
@@ -108,18 +108,19 @@ class GPU:
 
     def launch(self, kernel: KernelFn, n_threads: int, args: Any = None,
                max_events: Optional[int] = None,
-               guard=None) -> KernelStats:
+               guard=None, tracer=None) -> KernelStats:
         """Run ``kernel`` over ``n_threads`` threads to completion.
 
         ``guard`` overrides the ``$REPRO_GUARD``-derived watchdog for
         this launch: pass a :class:`repro.guard.Guard`, a
         :class:`repro.guard.GuardConfig`, or leave None to build one
         from the environment (``REPRO_GUARD=off`` disables it).
+        ``tracer`` (a :class:`repro.obs.Tracer`) records this launch's
+        cycle-domain events; without one the launch emits none.
         """
         if n_threads <= 0:
             raise ConfigurationError("kernel needs at least one thread")
         cfg = self.config
-        tracer = active_tracer()
 
         # Launch-level replay (gpu/replay.py): a marked kernel relaunched
         # over identical args on the fast engine is served straight from

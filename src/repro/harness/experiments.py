@@ -12,18 +12,16 @@ to its function, description and claims.
 """
 
 import ast
-import random
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.core.ttaplus import OP_UNIT_LATENCIES, PROGRAMS
 from repro.core.ttaplus.uop import UNIT_TYPES
 from repro.energy import area
 from repro.exec import get_service, make_spec
-from repro.gpu import GPU
 from repro.gpu.config import DEFAULT_CONFIG
 from repro.harness import paper
 from repro.harness.results import Table, geomean
-from repro.harness.runner import RunResult, scaled_config_for
+from repro.harness.runner import RunResult
 from repro.workloads import LUMIBENCH_SUITE
 
 #: Per-scale workload parameters.  "small" keeps every figure under a
@@ -67,7 +65,7 @@ SCALES: Dict[str, Dict] = {
 #: to keep node fetches memory-dominated (DESIGN.md §6).
 RT_OVERRIDES = dict(l1_size=512, l2_size=4096, l2_assoc=8)
 
-#: Spec config policies matching the historical per-family defaults.
+#: Spec config policies behind the per-family defaults.
 _SCALED = {"policy": "scaled"}
 _RT_POLICY = {"policy": "default", "overrides": RT_OVERRIDES}
 
@@ -90,13 +88,14 @@ def clear_cache() -> None:
 
 
 def default_config_policy(kind: str) -> Optional[Dict]:
-    """The config policy each workload family's figures historically use."""
+    """The config policy each workload family's figures use."""
     return {
         "btree": dict(_SCALED),
         "nbody": dict(_SCALED),
         "rtnn": {"policy": "scaled", "pressure": 20.0},
         "rtree": dict(_SCALED),
         "knn": dict(_SCALED),
+        "rangescan": dict(_SCALED),
         "wknd": dict(_RT_POLICY),
         "lumi": dict(_RT_POLICY),
     }[kind]
@@ -927,54 +926,19 @@ EXT_SPATIAL_CLAIMS = (
 def ext_rangescan(scale: str) -> Table:
     """TTA accelerates the descent to the first qualifying leaf; the
     leaf-chain scan itself streams on the SIMT cores, so the speedup
-    dilutes toward 1x as the range widens.
-
-    There is no runner kind for range scans, so the launches run here
-    directly rather than through the execution service.
-    """
-    from repro.kernels.range_scan import (
-        RangeScanKernelArgs,
-        build_range_scan_jobs,
-        range_scan_accel_kernel,
-        range_scan_baseline_kernel,
-    )
-    from repro.memsys.memory_image import AddressSpace
-    from repro.rta.rta import make_rta_factory
-    from repro.trees import BPlusTree
-
+    dilutes toward 1x as the range widens."""
     n_keys, n_ranges = params(scale)["rangescan"]
-    rng = random.Random(11)
-    keys = sorted(rng.sample(range(n_keys * 4), n_keys))
-    tree = BPlusTree.bulk_load(keys, seed=11)
-    space = AddressSpace()
-    space.place_tree(tree.nodes())
-    cfg = scaled_config_for(len(tree.nodes()) * 64)
     table = Table(
         "Extension — B+Tree range scans (descent offloaded to TTA)",
         ["range_width", "avg_results", "gpu_cycles", "tta_speedup"],
     )
     for width in (8, 128, 2048):
-        ranges = []
-        for _ in range(n_ranges):
-            lo = rng.randrange(n_keys * 4)
-            ranges.append((lo, lo + width))
-        avg = sum(len(tree.range_scan(lo, hi))
-                  for lo, hi in ranges[:32]) / 32
-
-        def args():
-            return RangeScanKernelArgs(
-                tree=tree, ranges=ranges,
-                query_buf=space.alloc(8 * n_ranges, align=128),
-                result_buf=space.alloc(4 * n_ranges, align=128))
-
-        base = GPU(cfg).launch(range_scan_baseline_kernel, n_ranges,
-                               args=args())
-        accel_args = args()
-        accel_args.jobs = build_range_scan_jobs(tree, ranges)
-        accel = GPU(cfg, accelerator_factory=make_rta_factory(
-            tta=True)).launch(range_scan_accel_kernel, n_ranges,
-                              args=accel_args)
-        table.add_row(width, avg, base.cycles, base.cycles / accel.cycles)
+        workload = dict(n_keys=n_keys, n_ranges=n_ranges, width=width,
+                        seed=11)
+        base, tta = (_run("rangescan", workload, platform)
+                     for platform in ("gpu", "tta"))
+        table.add_row(width, base.notes["avg_results"], base.cycles,
+                      tta.speedup_over(base))
     return table
 
 

@@ -106,13 +106,41 @@ def scaled_config_for(data_bytes: int,
     return base.with_overrides(l1_size=l1_size, l2_size=l2_size)
 
 
+def _accel_factory(platform: str, tta_latency_overrides=None,
+                   ttaplus_knobs=None):
+    """The accelerator factory of a ``tta``/``ttaplus`` platform (None
+    on ``gpu``)."""
+    if platform == "gpu":
+        return None
+    if platform == "tta":
+        return make_rta_factory(tta=True,
+                                latency_overrides=tta_latency_overrides)
+    return make_ttaplus_factory(**(ttaplus_knobs or {}))
+
+
+def _launch_queries(workload, platform: str, config: GPUConfig,
+                    baseline, accel, factory, guard, tracer):
+    """One thread per query: on ``gpu`` the ``baseline`` kernel on the
+    bare GPU, else ``accel`` over the platform's lowered jobs on
+    ``factory``'s accelerators.  Returns (stats, kernel args)."""
+    if platform == "gpu":
+        gpu, args, kernel = GPU(config), workload.kernel_args(), baseline
+    else:
+        gpu = GPU(config, accelerator_factory=factory)
+        args = workload.kernel_args(jobs=workload.jobs(platform))
+        kernel = accel
+    stats = gpu.launch(kernel, workload.n_queries, args=args, guard=guard,
+                       tracer=tracer)
+    return stats, args
+
+
 # -- B-Tree family -------------------------------------------------------------------
 def run_btree(workload: BTreeWorkload, platform: str,
               config: Optional[GPUConfig] = None,
               verify: bool = True,
               tta_latency_overrides: Optional[Dict[str, int]] = None,
               ttaplus_knobs: Optional[Dict[str, Any]] = None,
-              guard=None) -> RunResult:
+              guard=None, tracer=None) -> RunResult:
     """``tta_latency_overrides`` adjusts fixed-function intersection
     latencies on the ``tta`` platform (Fig. 14's sensitivity knob);
     ``ttaplus_knobs`` are :func:`make_ttaplus_factory` keywords on the
@@ -129,24 +157,14 @@ def run_btree(workload: BTreeWorkload, platform: str,
         raise ConfigurationError(
             "ttaplus_knobs only applies to the ttaplus platform"
         )
-    if platform == "gpu":
-        gpu = GPU(config)
-        args = workload.kernel_args()
-        stats = gpu.launch(btree_baseline_kernel, workload.n_queries,
-                           args=args, guard=guard)
-    elif platform in ("tta", "ttaplus"):
-        factory = (make_rta_factory(
-                       tta=True, latency_overrides=tta_latency_overrides)
-                   if platform == "tta"
-                   else make_ttaplus_factory(**(ttaplus_knobs or {})))
-        gpu = GPU(config, accelerator_factory=factory)
-        args = workload.kernel_args(jobs=workload.jobs(platform))
-        stats = gpu.launch(btree_accel_kernel, workload.n_queries,
-                           args=args, guard=guard)
-    else:
+    if platform not in ("gpu", "tta", "ttaplus"):
         raise ConfigurationError(
             f"B-Tree runs on gpu/tta/ttaplus, not {platform!r}"
         )
+    factory = _accel_factory(platform, tta_latency_overrides, ttaplus_knobs)
+    stats, args = _launch_queries(workload, platform, config,
+                                  btree_baseline_kernel, btree_accel_kernel,
+                                  factory, guard, tracer)
     if verify:
         verify_results(workload, args.results)
     return RunResult(name, platform, stats, energy_report(stats, config))
@@ -156,7 +174,7 @@ def run_btree(workload: BTreeWorkload, platform: str,
 def run_nbody(workload: NBodyWorkload, platform: str,
               config: Optional[GPUConfig] = None,
               fused_post_insts: int = 0, verify: bool = True,
-              guard=None) -> RunResult:
+              guard=None, tracer=None) -> RunResult:
     config = config if config is not None else scaled_config_for(
         workload.image.size_bytes)
     name = f"nbody{workload.dims}d/{workload.n_bodies}"
@@ -164,16 +182,14 @@ def run_nbody(workload: NBodyWorkload, platform: str,
         gpu = GPU(config)
         args = workload.kernel_args(fused_post_insts=fused_post_insts)
         stats = gpu.launch(nbody_baseline_kernel, workload.n_bodies,
-                           args=args, guard=guard)
+                           args=args, guard=guard, tracer=tracer)
     elif platform in ("tta", "ttaplus"):
-        factory = (make_rta_factory(tta=True) if platform == "tta"
-                   else make_ttaplus_factory())
-        gpu = GPU(config, accelerator_factory=factory)
+        gpu = GPU(config, accelerator_factory=_accel_factory(platform))
         jobs, interactions = workload.jobs(platform)
         args = workload.kernel_args(jobs=jobs, interactions=interactions,
                                     fused_post_insts=fused_post_insts)
         stats = gpu.launch(nbody_accel_kernel, workload.n_bodies,
-                           args=args, guard=guard)
+                           args=args, guard=guard, tracer=tracer)
     else:
         raise ConfigurationError(
             f"N-Body runs on gpu/tta/ttaplus, not {platform!r}"
@@ -203,7 +219,7 @@ _RTNN_PLATFORMS = ("gpu", "rta", "tta", "ttaplus", "ttaplus_opt")
 
 def run_rtnn(workload: RTNNWorkload, platform: str,
              config: Optional[GPUConfig] = None,
-             verify: bool = True, guard=None) -> RunResult:
+             verify: bool = True, guard=None, tracer=None) -> RunResult:
     config = config if config is not None else scaled_config_for(
         workload.image.size_bytes)
     name = f"rtnn/{len(workload.points)}pts"
@@ -211,22 +227,12 @@ def run_rtnn(workload: RTNNWorkload, platform: str,
         raise ConfigurationError(
             f"RTNN platform must be one of {_RTNN_PLATFORMS}"
         )
-    if platform == "gpu":
-        gpu = GPU(config)
-        args = workload.kernel_args()
-        stats = gpu.launch(radius_baseline_kernel, workload.n_queries,
-                           args=args, guard=guard)
-    else:
-        factory = {
-            "rta": make_rta_factory(tta=False),
-            "tta": make_rta_factory(tta=True),
-            "ttaplus": make_ttaplus_factory(),
-            "ttaplus_opt": make_ttaplus_factory(),
-        }[platform]
-        gpu = GPU(config, accelerator_factory=factory)
-        args = workload.kernel_args(jobs=workload.jobs(platform))
-        stats = gpu.launch(radius_accel_kernel, workload.n_queries,
-                           args=args, guard=guard)
+    factory = (make_rta_factory(tta=False) if platform == "rta"
+               else _accel_factory("ttaplus" if platform == "ttaplus_opt"
+                                   else platform))
+    stats, args = _launch_queries(workload, platform, config,
+                                  radius_baseline_kernel, radius_accel_kernel,
+                                  factory, guard, tracer)
     if verify:
         _verify_rtnn(workload, args.results)
     return RunResult(name, platform, stats, energy_report(stats, config))
@@ -245,7 +251,7 @@ def _verify_rtnn(workload: RTNNWorkload, results: Dict[int, Any]) -> None:
 # -- R-Tree range queries (spatial-index extension) -----------------------------------
 def run_rtree(workload, platform: str,
               config: Optional[GPUConfig] = None,
-              verify: bool = True, guard=None) -> RunResult:
+              verify: bool = True, guard=None, tracer=None) -> RunResult:
     from repro.kernels.rtree_query import (
         rtree_accel_kernel,
         rtree_baseline_kernel,
@@ -254,22 +260,13 @@ def run_rtree(workload, platform: str,
     config = config if config is not None else scaled_config_for(
         workload.image.size_bytes)
     name = f"rtree/{workload.n_queries}q"
-    if platform == "gpu":
-        gpu = GPU(config)
-        args = workload.kernel_args()
-        stats = gpu.launch(rtree_baseline_kernel, workload.n_queries,
-                           args=args, guard=guard)
-    elif platform in ("tta", "ttaplus"):
-        factory = (make_rta_factory(tta=True) if platform == "tta"
-                   else make_ttaplus_factory())
-        gpu = GPU(config, accelerator_factory=factory)
-        args = workload.kernel_args(jobs=workload.jobs(platform))
-        stats = gpu.launch(rtree_accel_kernel, workload.n_queries,
-                           args=args, guard=guard)
-    else:
+    if platform not in ("gpu", "tta", "ttaplus"):
         raise ConfigurationError(
             f"R-Tree runs on gpu/tta/ttaplus, not {platform!r}"
         )
+    stats, args = _launch_queries(workload, platform, config,
+                                  rtree_baseline_kernel, rtree_accel_kernel,
+                                  _accel_factory(platform), guard, tracer)
     if verify:
         step = max(1, workload.n_queries // 8)
         for tid in range(0, workload.n_queries, step):
@@ -283,28 +280,19 @@ def run_rtree(workload, platform: str,
 # -- kNN search (k-d tree extension) ---------------------------------------------------
 def run_knn(workload, platform: str,
             config: Optional[GPUConfig] = None,
-            verify: bool = True, guard=None) -> RunResult:
+            verify: bool = True, guard=None, tracer=None) -> RunResult:
     from repro.kernels.knn_search import knn_accel_kernel, knn_baseline_kernel
 
     config = config if config is not None else scaled_config_for(
         workload.image.size_bytes)
     name = f"knn{workload.k}/{workload.n_queries}q"
-    if platform == "gpu":
-        gpu = GPU(config)
-        args = workload.kernel_args()
-        stats = gpu.launch(knn_baseline_kernel, workload.n_queries,
-                           args=args, guard=guard)
-    elif platform in ("tta", "ttaplus"):
-        factory = (make_rta_factory(tta=True) if platform == "tta"
-                   else make_ttaplus_factory())
-        gpu = GPU(config, accelerator_factory=factory)
-        args = workload.kernel_args(jobs=workload.jobs(platform))
-        stats = gpu.launch(knn_accel_kernel, workload.n_queries,
-                           args=args, guard=guard)
-    else:
+    if platform not in ("gpu", "tta", "ttaplus"):
         raise ConfigurationError(
             f"kNN runs on gpu/tta/ttaplus, not {platform!r}"
         )
+    stats, args = _launch_queries(workload, platform, config,
+                                  knn_baseline_kernel, knn_accel_kernel,
+                                  _accel_factory(platform), guard, tracer)
     if verify:
         step = max(1, workload.n_queries // 8)
         for tid in range(0, workload.n_queries, step):
@@ -321,17 +309,51 @@ def run_knn(workload, platform: str,
     return RunResult(name, platform, stats, energy_report(stats, config))
 
 
+# -- B+Tree range scans (negative-control extension) ---------------------------------
+def run_rangescan(workload, platform: str,
+                  config: Optional[GPUConfig] = None,
+                  verify: bool = True, guard=None,
+                  tracer=None) -> RunResult:
+    """The baseline scans on the cores; ``tta`` offloads only the
+    descent to the first qualifying leaf.  The notes carry the mean
+    result count per range."""
+    from repro.kernels.range_scan import (
+        range_scan_accel_kernel,
+        range_scan_baseline_kernel,
+    )
+
+    config = config if config is not None else scaled_config_for(
+        workload.image.size_bytes)
+    name = f"rangescan{workload.width}/{workload.n_queries}q"
+    if platform not in ("gpu", "tta"):
+        raise ConfigurationError(
+            f"range scans run on gpu/tta, not {platform!r}"
+        )
+    stats, args = _launch_queries(workload, platform, config,
+                                  range_scan_baseline_kernel,
+                                  range_scan_accel_kernel,
+                                  _accel_factory(platform), guard, tracer)
+    if verify:
+        for tid, (lo, hi) in enumerate(workload.ranges):
+            assert args.results[tid] == workload.golden(lo, hi), (
+                f"range {tid}: scan result mismatch"
+            )
+    avg = sum(len(keys) for keys in args.results.values()) / len(args.results)
+    return RunResult(name, platform, stats, energy_report(stats, config),
+                     notes={"avg_results": avg})
+
+
 # -- ray tracing (LumiBench + WKND) ---------------------------------------------------
 def run_lumibench(workload: LumiWorkload, platform: str,
                   config: Optional[GPUConfig] = None,
-                  guard=None) -> RunResult:
+                  guard=None, tracer=None) -> RunResult:
     config = config if config is not None else DEFAULT_CONFIG
     sato = False
     if platform == "gpu":
         gpu = GPU(config)
         args = workload.kernel_args(flavor="rta")  # visits reused
         stats = gpu.launch(rt_baseline_kernel, workload.n_rays,
-                           args=args, guard=guard)
+                           args=args, guard=guard, tracer=tracer)
         return RunResult(workload.name, platform, stats,
                          energy_report(stats, config))
     if platform == "rta":
@@ -348,7 +370,7 @@ def run_lumibench(workload: LumiWorkload, platform: str,
     gpu = GPU(config, accelerator_factory=factory)
     args = workload.kernel_args(flavor=flavor, sato=sato)
     stats = gpu.launch(rt_accel_kernel, workload.n_rays,
-                       args=args, guard=guard)
+                       args=args, guard=guard, tracer=tracer)
     return RunResult(workload.name + ("*" if sato else ""), platform, stats,
                      energy_report(stats, config))
 
@@ -356,7 +378,7 @@ def run_lumibench(workload: LumiWorkload, platform: str,
 def run_wknd(workload: WKNDWorkload, platform: str,
              config: Optional[GPUConfig] = None,
              perfect_node_fetch: bool = False,
-             perfect_mem: bool = False, guard=None) -> RunResult:
+             perfect_mem: bool = False, guard=None, tracer=None) -> RunResult:
     """WKND_PT: sphere geometry; platform selects the leaf-test path.
 
     ``perfect_node_fetch`` / ``perfect_mem`` implement the Fig. 17 limit
@@ -382,7 +404,7 @@ def run_wknd(workload: WKNDWorkload, platform: str,
     gpu = GPU(config, accelerator_factory=factory)
     args = workload.kernel_args(flavor=flavor)
     stats = gpu.launch(rt_accel_kernel, workload.n_rays,
-                       args=args, guard=guard)
+                       args=args, guard=guard, tracer=tracer)
     name = "*WKND_PT" if platform == "ttaplus_opt" else "WKND_PT"
     return RunResult(name, platform, stats, energy_report(stats, config),
                      notes={"perfect_node_fetch": perfect_node_fetch,
@@ -395,8 +417,7 @@ def run_wknd(workload: WKNDWorkload, platform: str,
 # — pure data — to worker processes; this section turns a spec back
 # into (workload, config, runner call).  Workload construction is
 # memoized per process so a worker executing several points of the same
-# sweep builds each tree once, mirroring the old in-process cache in
-# ``harness.experiments``.
+# sweep builds each tree once.
 
 def _workload_factories() -> Dict[str, Any]:
     from repro.workloads import (
@@ -404,6 +425,7 @@ def _workload_factories() -> Dict[str, Any]:
         make_knn_workload,
         make_lumibench_workload,
         make_nbody_workload,
+        make_rangescan_workload,
         make_rtnn_workload,
         make_rtree_workload,
         make_wknd_workload,
@@ -417,10 +439,10 @@ def _workload_factories() -> Dict[str, Any]:
         "lumi": make_lumibench_workload,
         "rtree": make_rtree_workload,
         "knn": make_knn_workload,
+        "rangescan": make_rangescan_workload,
     }
 
 
-_SPEC_RUNNERS: Dict[str, Any] = {}
 _WORKLOAD_CACHE: Dict[Any, Any] = {}
 
 
@@ -473,27 +495,30 @@ def resolve_config(policy: Optional[Dict[str, Any]],
     return config.with_overrides(**overrides) if overrides else config
 
 
-def execute_spec(spec, guard=None) -> RunResult:
+_SPEC_RUNNERS: Dict[str, Any] = {
+    "btree": run_btree,
+    "nbody": run_nbody,
+    "rtnn": run_rtnn,
+    "wknd": run_wknd,
+    "lumi": run_lumibench,
+    "rtree": run_rtree,
+    "knn": run_knn,
+    "rangescan": run_rangescan,
+}
+
+
+def execute_spec(spec, guard=None, tracer=None) -> RunResult:
     """Execute one :class:`repro.exec.spec.RunSpec` end to end.
 
     This is the function worker processes run.  Verification against
     golden references happens inside the ``run_*`` runner exactly as on
     the serial path — a parallel run can never return an unverified
-    data point.  ``guard`` goes to the runner's ``GPU.launch`` calls, as
-    it does for every ``run_*`` runner (None: the ``$REPRO_GUARD``
-    default).
+    data point.  ``guard`` and ``tracer`` go to the runner's
+    ``GPU.launch`` calls, as they do for every ``run_*`` runner (None:
+    the ``$REPRO_GUARD`` default, and no tracing).
     """
-    if not _SPEC_RUNNERS:
-        _SPEC_RUNNERS.update({
-            "btree": run_btree,
-            "nbody": run_nbody,
-            "rtnn": run_rtnn,
-            "wknd": run_wknd,
-            "lumi": run_lumibench,
-            "rtree": run_rtree,
-            "knn": run_knn,
-        })
     workload = build_workload(spec.kind, spec.workload)
     config = resolve_config(spec.config, workload)
     return _SPEC_RUNNERS[spec.kind](workload, spec.platform, config=config,
-                                    guard=guard, **spec.run_kwargs)
+                                    guard=guard, tracer=tracer,
+                                    **spec.run_kwargs)

@@ -3,7 +3,7 @@
 The observability subsystem has three parts:
 
 * :mod:`repro.obs.tracer` — a zero-cost-when-off structured event
-  tracer.  ``GPU.launch`` attaches :func:`active_tracer` to
+  tracer.  ``GPU.launch(..., tracer=t)`` attaches ``t`` to
   ``sim.tracer``; the engine, SMs, RTA cores/unit pools, and the memory
   hierarchy emit ring-buffered ``(category, unit, name, ts, dur, arg)``
   records behind one is-None branch each.
@@ -42,13 +42,7 @@ from repro.obs.metrics import (
 from repro.obs.tracer import (
     CATEGORIES,
     DEFAULT_CAPACITY,
-    TRACE_ENV,
     Tracer,
-    active_tracer,
-    enable,
-    install,
-    reset,
-    trace_enabled,
 )
 
 __all__ = [
@@ -60,19 +54,13 @@ __all__ = [
     "MetricsRegistry",
     "MetricsSnapshot",
     "OBS_DIR_ENV",
-    "TRACE_ENV",
     "TimeSeries",
     "Tracer",
-    "active_tracer",
     "build_metrics",
     "chrome_trace",
     "dump_diagnostics",
-    "enable",
-    "install",
-    "reset",
     "summarize_metrics",
     "summarize_trace",
-    "trace_enabled",
     "write_chrome_trace",
     "write_metrics_json",
 ]

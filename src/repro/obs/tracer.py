@@ -1,7 +1,7 @@
 """Cycle-domain structured event tracer (ring-buffered, zero-cost off).
 
 The tracer follows the same attachment pattern as :mod:`repro.guard`:
-``GPU.launch`` places the active tracer (or None) on ``sim.tracer``,
+``GPU.launch`` places its ``tracer`` argument (or None) on ``sim.tracer``,
 components cache ``getattr(sim, "tracer", None)`` at construction and
 hoist it into a local at hot-loop entry, so a disabled tracer costs one
 is-None branch per emission point and nothing else.  No simulator or
@@ -23,18 +23,15 @@ The ring is a ``deque(maxlen=capacity)``: a trace that outgrows its
 budget silently drops the *oldest* events, which is exactly the
 flight-recorder behaviour the guard integration wants.
 
-``REPRO_TRACE=1`` (or ``on``) traces every launch of the process into
-one default ring (:func:`active_tracer`); forked campaign workers
-inherit it.  A tracer pinned with :func:`install` or
-:func:`enable` (the CLI's ``trace`` command and ``run --trace``, which
-take ``--rate``/``--events``/``--categories``) wins over it.
+A tracer is an argument, never process state: ``GPU.launch(...,
+tracer=t)`` records into ``t`` and a launch without one emits nothing.
+The runners, ``execute_spec`` and ``ExecutionService(tracer=...)``
+pass it down; the CLI's ``trace`` command and ``run --trace`` build
+one from ``--rate``/``--events``/``--categories``.
 """
 
-import os
 from collections import deque
 from typing import List, Optional, Tuple
-
-TRACE_ENV = "REPRO_TRACE"
 
 #: Default ring capacity; ~60 bytes/event tuple keeps this under 100MB.
 DEFAULT_CAPACITY = 1_000_000
@@ -50,8 +47,6 @@ DEFAULT_CAPACITY = 1_000_000
 CATEGORIES = ("scheduler", "sm", "rta", "memsys", "serve", "resilience")
 
 Event = Tuple[str, str, str, float, float, object]
-
-_FALSY = ("", "0", "off", "false", "no", "none")
 
 
 class Tracer:
@@ -164,53 +159,3 @@ class Tracer:
         if last is not None:
             return f"{last[0]}:{last[1]}"
         return None
-
-    def clear(self) -> None:
-        self._ring.clear()
-        self._seen = 0
-        self._kept = 0
-        self._offset = 0.0
-        self._launches = []
-        self._launch_label = None
-
-
-# -- process-wide active tracer -------------------------------------------------
-#
-# ``active_tracer()`` is consulted once per GPU.launch.  A tracer pinned
-# with ``install()`` (the CLI path) always wins; otherwise, while
-# ``$REPRO_TRACE`` is on, the first launch pins a default ring that
-# every later launch shares.
-
-_pinned: Optional[Tracer] = None
-
-
-def trace_enabled() -> bool:
-    """Whether ``$REPRO_TRACE`` asks for tracing (ignoring any pin)."""
-    return os.environ.get(TRACE_ENV, "").strip().lower() not in _FALSY
-
-
-def active_tracer() -> Optional[Tracer]:
-    """The tracer new launches should attach, or None when tracing is off."""
-    if _pinned is None and trace_enabled():
-        install(Tracer())
-    return _pinned
-
-
-def install(tracer: Optional[Tracer]) -> Optional[Tracer]:
-    """Pin ``tracer`` as the process-wide active tracer (None unpins)."""
-    global _pinned
-    _pinned = tracer
-    return tracer
-
-
-def enable(capacity: int = DEFAULT_CAPACITY, rate: int = 1,
-           categories=None) -> Tracer:
-    """Build and pin a fresh tracer; returns it for later export."""
-    return install(Tracer(capacity=capacity, rate=rate,
-                          categories=categories))
-
-
-def reset() -> None:
-    """Unpin and forget all process-wide tracer state (test hygiene)."""
-    global _pinned
-    _pinned = None

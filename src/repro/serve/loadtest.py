@@ -93,8 +93,7 @@ class LoadtestReport:
     served: int = 0               # measured-window completions
     rejected: int = 0
     batches: int = 0
-    #: Failed batch launches (the key name predates the single failure
-    #: path and stays for the report format).
+    #: Failed batch launches, under the report format's key name.
     degraded_batches: int = 0
     batch_sizes: List[int] = field(default_factory=list)
     sim_cycles: float = 0.0       # total simulated kernel cycles
@@ -117,7 +116,7 @@ class LoadtestReport:
     degraded_reasons: Dict[str, int] = field(default_factory=dict)
     # -- mutation accounting; None unless a write stream ran, in which
     # case to_dict() grows a "mutation" block (a read-only loadtest's
-    # report stays byte-identical to the pre-mutation stack).
+    # report has none).
     mutation_summary: Optional[Dict[str, Any]] = None
 
     @property
@@ -272,8 +271,7 @@ def run_loadtest(platform: str,
     that many queries still in flight is rejected (counted, not served).
     ``resilience`` selects the failure-semantics policy
     (:mod:`repro.serve.resilience`; default ``$REPRO_RESILIENCE``, i.e.
-    ``off``, under which the loadtest is stat-for-stat identical to the
-    pre-resilience stack).
+    ``off``, which adds no shedding, deadlines or hedging).
 
     ``mutation`` (a :class:`repro.mutation.MutationConfig`) interleaves
     a seeded write stream with the read load: writes mutate the

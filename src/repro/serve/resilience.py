@@ -37,8 +37,7 @@ policy falls back to a second engine (see ``repro.serve.backends``).
 
 Policy selection: a :class:`ResilienceConfig` argument (the CLI's
 ``--resilience``/``--deadline-ms``), else ``REPRO_RESILIENCE`` =
-``off`` (default; the serving
-path is stat-for-stat identical to the pre-resilience stack) | ``shed``
+``off`` (default; none of the mechanisms below) | ``shed``
 (admission control + deadlines) | ``degrade`` (shed + hedged
 re-dispatch) | ``strict`` (degrade + per-batch integrity
 verification; integrity *detection* stays on in every mode, strict

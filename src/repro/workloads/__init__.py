@@ -14,6 +14,10 @@ from repro.workloads.rtree_workload import RTreeWorkload, make_rtree_workload
 from repro.workloads.knn_workload import KNNWorkload, make_knn_workload
 from repro.workloads.wknd import WKNDWorkload, make_wknd_workload
 from repro.workloads.lumibench import LUMIBENCH_SUITE, make_lumibench_workload
+from repro.workloads.rangescan import (
+    RangeScanWorkload,
+    make_rangescan_workload,
+)
 
 __all__ = [
     "BTreeWorkload",
@@ -31,4 +35,6 @@ __all__ = [
     "make_wknd_workload",
     "LUMIBENCH_SUITE",
     "make_lumibench_workload",
+    "RangeScanWorkload",
+    "make_rangescan_workload",
 ]

@@ -304,6 +304,29 @@ class TestCampaignRuns:
         assert control["result_fingerprint"] == \
             resumed["result_fingerprint"]
 
+    def test_guarded_rerun_rechecks_unguarded_records(self, cache):
+        """A record names its guard: a worker with a different explicit
+        guard re-runs the point, an unguarded worker still skips it."""
+        from repro.guard import GuardConfig
+
+        spec = tiny_table(n_keys=(256, 512))
+        first = run_campaign(spec, workers=1, cache=cache, quiet=True)
+        assert first["invocation"]["executed"] == 2
+        assert all(r["guard"] is None for r in first["points"])
+        budget = GuardConfig(max_cycles=100)
+        guarded = run_campaign(spec, workers=1, cache=cache, quiet=True,
+                               guard=budget)
+        assert guarded["invocation"]["skipped"] == 0
+        assert guarded["invocation"]["failed"] == 2
+        assert all(r["guard"]["max_cycles"] == 100
+                   for r in guarded["points"])
+        again = run_campaign(spec, workers=1, cache=cache, quiet=True,
+                             guard=budget)
+        assert again["invocation"]["skipped"] == 2
+        unguarded = run_campaign(spec, workers=1, cache=cache, quiet=True)
+        assert unguarded["invocation"]["skipped"] == 2
+        assert unguarded["invocation"]["executed"] == 0
+
     def test_crashed_workers_lease_is_stolen(self, cache):
         spec = tiny_table(n_keys=(256,))
         directory = campaign.init_campaign(spec, cache=cache)

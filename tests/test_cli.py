@@ -502,6 +502,17 @@ class TestGuardSkipsCachedResults:
         assert "FAILED" in err and "[cycle-budget]" in err
 
 
+class TestRangeScanThroughService:
+    def test_cycle_budget_fails_range_scan_points(self, capsys):
+        # ext_rangescan's launches go through the execution service, so
+        # the guard reaches them and the manifest records the abort.
+        assert main(["run", "ext_rangescan", "--scale", "smoke",
+                     "--max-cycles", "10"]) == 1
+        err = capsys.readouterr().err
+        assert "FAILED rangescan[" in err and "[cycle-budget]" in err
+        assert "executed=0 cached=0 failed=1" in err
+
+
 class TestNoEnvironmentWrites:
     """Flags travel as arguments: the CLI never writes the process
     environment, for its own use or its workers'."""

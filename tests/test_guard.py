@@ -488,8 +488,7 @@ class TestNoEnvironmentWrites:
 #: The environment variables the library reads, each as the default
 #: when no argument says otherwise.  Every other setting is an argument.
 _ENV_ALLOWLIST = {"REPRO_CACHE_DIR", "REPRO_FAULTS", "REPRO_GUARD",
-                  "REPRO_OBS_DIR", "REPRO_RESILIENCE", "REPRO_SIM_CORE",
-                  "REPRO_TRACE"}
+                  "REPRO_OBS_DIR", "REPRO_RESILIENCE", "REPRO_SIM_CORE"}
 
 _SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
 

@@ -7,6 +7,7 @@ observes, it never schedules or reorders.
 """
 
 import json
+import threading
 
 import pytest
 
@@ -16,19 +17,10 @@ from repro.harness.runner import run_btree, scaled_config_for
 from repro.workloads import make_btree_workload
 
 
-@pytest.fixture(autouse=True)
-def _clean_tracer(monkeypatch):
-    """No pinned tracer or trace env leaks into (or out of) any test."""
-    monkeypatch.delenv(obs.TRACE_ENV, raising=False)
-    obs.reset()
-    yield
-    obs.reset()
-
-
-def _small_run(platform="tta"):
+def _small_run(platform="tta", tracer=None):
     wl = make_btree_workload("btree", n_keys=256, n_queries=128, seed=11)
     cfg = scaled_config_for(wl.image.size_bytes)
-    return run_btree(wl, platform, config=cfg)
+    return run_btree(wl, platform, config=cfg, tracer=tracer)
 
 
 def _stat_fingerprint(run):
@@ -112,60 +104,64 @@ class TestTransparency:
     @pytest.mark.parametrize("platform", ["gpu", "tta", "ttaplus"])
     def test_stats_identical_with_tracing(self, platform):
         baseline = _stat_fingerprint(_small_run(platform))
-        tracer = obs.enable()
-        try:
-            traced = _stat_fingerprint(_small_run(platform))
-        finally:
-            obs.reset()
+        tracer = obs.Tracer()
+        traced = _stat_fingerprint(_small_run(platform, tracer))
         assert traced == baseline
         assert len(tracer) > 0  # the tracer actually recorded the run
 
     def test_sampled_tracing_also_transparent(self):
         baseline = _stat_fingerprint(_small_run("tta"))
-        obs.enable(rate=16)
-        try:
-            traced = _stat_fingerprint(_small_run("tta"))
-        finally:
-            obs.reset()
+        traced = _stat_fingerprint(_small_run("tta", obs.Tracer(rate=16)))
         assert traced == baseline
 
 
 class TestEnvControls:
     def test_off_by_default(self):
-        assert obs.active_tracer() is None
         run = _small_run("gpu")
+        # No tracer argument, no trace-derived metrics.
+        assert run.metric("trace.events_seen", default=-1.0) == -1.0
         # Metrics are built regardless of tracing; only events need it.
         assert run.metrics.get("sim.cycles") == float(run.stats.cycles)
 
-    @pytest.mark.parametrize("value", ["0", "off", "false", "no", ""])
-    def test_falsy_values_stay_off(self, value, monkeypatch):
-        monkeypatch.setenv(obs.TRACE_ENV, value)
-        assert obs.active_tracer() is None
 
-    def test_env_enables_and_configures(self, monkeypatch):
-        # $REPRO_TRACE switches on one default ring; sampling, capacity
-        # and filters are Tracer arguments (the trace CLI's flags).
-        monkeypatch.setenv(obs.TRACE_ENV, "1")
-        tracer = obs.active_tracer()
-        assert tracer is not None
-        assert tracer.rate == 1
-        assert tracer.capacity == obs.DEFAULT_CAPACITY
-        assert tracer.categories is None
-        # Back-to-back launches share one ring.
-        assert obs.active_tracer() is tracer
+class TestTracerArgument:
+    def test_concurrent_launches_trace_only_their_own(self, monkeypatch):
+        """A tracer belongs to the launch it is passed to: beside a
+        concurrent untraced launch its ring holds one launch marker,
+        and the untraced launch makes no emit call at all."""
+        emits = {}
+        emit = obs.Tracer.emit
 
-    def test_env_run_collects_events(self, monkeypatch):
-        monkeypatch.setenv(obs.TRACE_ENV, "on")
-        _small_run("tta")
-        tracer = obs.active_tracer()
-        assert len(tracer) > 0
-        cats = {e[0] for e in tracer.events()}
-        assert {"scheduler", "sm", "rta", "memsys"} <= cats
+        def counting_emit(self, *args, **kwargs):
+            ident = threading.get_ident()
+            emits[ident] = emits.get(ident, 0) + 1
+            emit(self, *args, **kwargs)
 
-    def test_install_pin_beats_env(self, monkeypatch):
-        pinned = obs.install(obs.Tracer())
-        monkeypatch.setenv(obs.TRACE_ENV, "1")
-        assert obs.active_tracer() is pinned
+        monkeypatch.setattr(obs.Tracer, "emit", counting_emit)
+        tracer = obs.Tracer()
+        start = threading.Barrier(2)
+        idents, errors = {}, []
+
+        def launch(name, tracer):
+            idents[name] = threading.get_ident()
+            start.wait()
+            try:
+                _small_run("tta", tracer)
+            except Exception as exc:  # noqa: BLE001 — reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=launch, args=("traced", tracer)),
+                   threading.Thread(target=launch, args=("untraced", None))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert errors == []
+        markers = [e for e in tracer.events() if e[2].startswith("launch:")]
+        assert len(markers) == 1
+        assert len(tracer.launches) == 1
+        assert emits.get(idents["traced"], 0) > 0
+        assert emits.get(idents["untraced"], 0) == 0
 
 class TestMetrics:
     def test_snapshot_matches_raw_stats(self):
@@ -199,11 +195,7 @@ class TestMetrics:
             assert 0.0 <= value <= 1.0
 
     def test_dram_bandwidth_series_under_tracing(self):
-        obs.enable()
-        try:
-            run = _small_run("tta")
-        finally:
-            obs.reset()
+        run = _small_run("tta", obs.Tracer())
         series = run.metrics.series("memsys.dram.bandwidth_series")
         assert series is not None
         assert series.total() == run.stats.memory["dram_bytes"]
@@ -224,11 +216,8 @@ class TestMetrics:
 
 class TestExport:
     def _traced_run(self):
-        tracer = obs.enable()
-        try:
-            _small_run("tta")
-        finally:
-            obs.reset()
+        tracer = obs.Tracer()
+        _small_run("tta", tracer)
         return tracer
 
     def test_chrome_trace_has_four_track_categories(self):
@@ -319,7 +308,7 @@ class TestCacheSidecar:
 
 
 class TestGuardIntegration:
-    def _abort(self, max_cycles=300):
+    def _abort(self, max_cycles=300, tracer=None):
         from repro.errors import SimulationStallError
         from repro.gpu import GPU
         from repro.guard import Guard, GuardConfig
@@ -334,15 +323,12 @@ class TestGuardIntegration:
             gpu.launch(btree_accel_kernel, wl.n_queries,
                        args=wl.kernel_args(),
                        guard=Guard(GuardConfig(mode="on",
-                                               max_cycles=max_cycles)))
+                                               max_cycles=max_cycles)),
+                       tracer=tracer)
         return err.value
 
     def test_bundle_embeds_flight_recorder_tail(self):
-        obs.enable()
-        try:
-            exc = self._abort()
-        finally:
-            obs.reset()
+        exc = self._abort(tracer=obs.Tracer())
         bundle = exc.diagnostics
         assert bundle["last_active_unit"]
         tail = bundle["trace_tail"]
@@ -357,11 +343,7 @@ class TestGuardIntegration:
 
     def test_abort_dumps_to_obs_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv(obs.OBS_DIR_ENV, str(tmp_path))
-        obs.enable()
-        try:
-            exc = self._abort()
-        finally:
-            obs.reset()
+        exc = self._abort(tracer=obs.Tracer())
         assert exc.diagnostics["dumped_to"]
         bundles = list(tmp_path.glob("guard-cycle-budget-*.json"))
         traces = list(tmp_path.glob("trace-cycle-budget-*.json"))
@@ -406,7 +388,6 @@ class TestCLI:
         assert {"scheduler", "sm", "rta", "memsys"} <= cats
         printed = capsys.readouterr().out
         assert "perfetto" in printed and "event(s) buffered" in printed
-        assert obs.active_tracer() is None  # CLI unpins on the way out
 
     def test_trace_command_sampling_options(self, tmp_path, monkeypatch,
                                             capsys):
@@ -430,7 +411,6 @@ class TestCLI:
         assert cli.main(["trace", "fig12", flag, value]) == 2
         assert f"{flag} must be >= 1, got {value}" in \
             capsys.readouterr().err
-        assert obs.active_tracer() is None
 
     def test_trace_guard_abort_is_one_line(self, tmp_path, monkeypatch,
                                            capsys):
@@ -440,12 +420,11 @@ class TestCLI:
                          "--max-cycles", "10"]) == 1
         err = capsys.readouterr().err
         failed = [line for line in err.splitlines()
-                  if line.startswith("[trace] FAILED")]
+                  if line.startswith("[exec] FAILED")]
         assert len(failed) == 1
-        assert failed[0].startswith("[trace] FAILED tiny: ")
+        assert failed[0].startswith("[exec] FAILED btree[")
         assert failed[0].endswith("[cycle-budget]")
         assert "Traceback" not in err
-        assert obs.active_tracer() is None
 
     def test_trace_unknown_experiment(self, capsys):
         from repro import __main__ as cli

@@ -54,7 +54,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro import obs
 from repro.exec.cache import build_fingerprint
 from repro.geometry import batch
 from repro.geometry.aabb import AABB
@@ -432,11 +431,11 @@ class TestStaticOpSequenceCost:
 _TRACE_RATE = 16
 
 
-def _run_btree_platforms():
+def _run_btree_platforms(tracer=None):
     """One fresh-workload launch per B-Tree platform (nothing replayed)."""
     for platform in ("gpu", "tta", "ttaplus"):
         wl = make_btree_workload("btree", n_keys=512, n_queries=256, seed=9)
-        run_btree(wl, platform, verify=False)
+        run_btree(wl, platform, verify=False, tracer=tracer)
 
 
 class TestTracingOverhead:
@@ -450,22 +449,17 @@ class TestTracingOverhead:
             emit(self, *args, **kwargs)
 
         monkeypatch.setattr(Tracer, "emit", counting_emit)
-        monkeypatch.delenv(obs.TRACE_ENV, raising=False)
         return calls
 
     def test_tracing_off_makes_no_emit_calls(self, emit_calls):
-        obs.install(None)
         _run_btree_platforms()
         # Off, every emit point is one is-None branch: a launch that
         # attaches any tracer shows up here as thousands of calls.
         assert emit_calls[0] == 0
 
     def test_sampled_tracing_keeps_one_event_per_rate(self, emit_calls):
-        tracer = obs.enable(rate=_TRACE_RATE)
-        try:
-            _run_btree_platforms()
-        finally:
-            obs.install(None)
+        tracer = Tracer(rate=_TRACE_RATE)
+        _run_btree_platforms(tracer)
         launches = len(tracer.launches)
         assert launches == 3
         assert emit_calls[0] > 0

@@ -102,18 +102,10 @@ CASES = {
 }
 
 
-@pytest.fixture(autouse=True)
-def _clean_tracer(monkeypatch):
-    monkeypatch.delenv(obs.TRACE_ENV, raising=False)
-    obs.reset()
-    yield
-    obs.reset()
-
-
-def _launch(kernel, n_threads, args, config, cache):
+def _launch(kernel, n_threads, args, config, cache, tracer=None):
     """One launch on fresh results; returns everything it produced."""
     args = dataclasses.replace(args, results={}, stream_cache=cache)
-    stats = GPU(config).launch(kernel, n_threads, args=args)
+    stats = GPU(config).launch(kernel, n_threads, args=args, tracer=tracer)
     return {
         "cycles": stats.cycles,
         "warp_instructions": stats.warp_instructions.as_dict(),
@@ -158,11 +150,10 @@ def test_trace_build_and_reuse_match_live(case):
 
 
 def _traced(kernel, n_threads, args, config, cache):
-    tracer = obs.enable()
-    out = _launch(kernel, n_threads, args, config, cache)
+    tracer = obs.Tracer()
+    out = _launch(kernel, n_threads, args, config, cache, tracer=tracer)
     sm_events = [event for event in tracer.events() if event[0] == "sm"]
     assert tracer.events_dropped == 0
-    obs.reset()
     return out, sm_events
 
 
