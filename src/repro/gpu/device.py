@@ -1,6 +1,7 @@
 """The whole GPU: SMs + memory hierarchy + kernel launch interface."""
 
 import math
+from itertools import repeat
 from typing import Any, Callable, Dict, Generator, List, Optional
 
 from repro.errors import ConfigurationError
@@ -180,7 +181,8 @@ class GPU:
                     args.results[tid] = value
                 sms[warp_id % cfg.n_sms].add_warp(trace)
             else:
-                threads = [kernel(tid, args) for tid in thread_ids]
+                # Generators are created when an SM slot starts the warp.
+                threads = map(kernel, thread_ids, repeat(args))
                 sms[warp_id % cfg.n_sms].add_warp(Warp(warp_id, threads))
 
         if guard is not None:

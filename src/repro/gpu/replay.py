@@ -39,8 +39,10 @@ class WarpTrace:
     """The cached :meth:`~repro.gpu.warp.Warp.schedule` of one warp.
 
     ``steps`` holds the schedule's Compute/Load/Store macro steps
-    (codes 0-2); ``writes`` holds the ``(tid, result)`` pairs the
-    kernel wrote, applied to each launch's results dict.
+    (codes 0-2), equal steps interned to one object and a Load's
+    sector list stored as a tuple; ``writes`` holds the
+    ``(tid, result)`` pairs the kernel wrote, applied to each launch's
+    results dict.
     """
 
     __slots__ = ("steps", "writes")
@@ -69,14 +71,20 @@ def warp_trace(kernel: Callable[[int, Any], Generator],
 def _build_trace(kernel, thread_ids, args, sector_size) -> WarpTrace:
     warp = Warp(0, [kernel(tid, args) for tid in thread_ids])
     steps = []
+    # A warp repeats the same few Compute groups many times: one object
+    # per distinct step.  The table lives for this build only.
+    interned = {}
     for step in warp.schedule(sector_size):
-        if step[0] == 3:
+        code = step[0]
+        if code == 3:
             raise SimulationError(
                 "value-independent kernel yielded an AccelCall; only "
                 "Compute/Load/Store schedules can be replayed (AccelCall "
                 "kernels must not be marked value_independent)"
             )
-        steps.append(step)
+        if code == 1:
+            step = (1, step[1], tuple(step[2]))
+        steps.append(interned.setdefault(step, step))
     results = args.results
     writes = tuple((tid, results[tid]) for tid in thread_ids
                    if tid in results)

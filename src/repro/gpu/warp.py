@@ -16,7 +16,7 @@ op's own (a Compute's ``n``, one lane's coalesced sectors).
 """
 
 from functools import partial
-from typing import Any, Generator, List, Optional, Sequence
+from typing import Any, Generator, Iterable, List, Optional, Sequence
 
 from repro.errors import SimulationError
 from repro.gpu.isa import OP_TYPES, AccelCall, Compute, Load, Store
@@ -31,17 +31,29 @@ _RUN_CLASSES = frozenset((Compute, Load, Store))
 
 
 class Warp:
-    """Up to ``warp_size`` thread generators plus their pending ops."""
+    """Up to ``warp_size`` thread generators plus their pending ops.
+
+    ``threads`` may be any iterable of generators; it is drawn when the
+    warp is primed, i.e. when an SM slot starts it.  A launch queues
+    each warp with a lazy ``map`` of the kernel over its thread ids, so
+    only resident warps hold generators and per-lane state.  Creating a
+    generator runs no kernel code, so when it happens does not change
+    any op or event order.
+    """
 
     __slots__ = ("warp_id", "threads", "pending", "_sends", "_runs", "_pos",
                  "_checked")
 
-    def __init__(self, warp_id: int, threads: Sequence[Generator]):
+    def __init__(self, warp_id: int, threads: Iterable[Generator]):
         self.warp_id = warp_id
-        self.threads: List[Generator] = list(threads)
-        n = len(self.threads)
+        self.threads = threads
+
+    def prime(self) -> None:
+        """Create the lanes and advance every thread to its first op."""
+        self.threads = threads = list(self.threads)
+        n = len(threads)
         self.pending: List[Optional[Any]] = [None] * n
-        self._sends = [thread.send for thread in self.threads]
+        self._sends = [thread.send for thread in threads]
         # Per-lane op-run cursor: the run a lane is inside (or None) and
         # the position of its pending op in it.
         self._runs: List[Optional[tuple]] = [None] * n
@@ -49,12 +61,9 @@ class Warp:
         # id -> run for every run checked in this warp (holding the run
         # keeps its id from being reused by another object).
         self._checked = {}
-
-    def prime(self) -> None:
-        """Advance every thread to its first op."""
         advance = self._advance
         pending = self.pending
-        for tid in range(len(self.threads)):
+        for tid in range(n):
             pending[tid] = advance(tid, None)
 
     def _advance(self, tid: int, value: Any):

@@ -18,8 +18,8 @@ from repro.errors import ConfigurationError
 from repro.gpu.isa import AccelCall, Compute, Load
 from repro.gpu.replay import launch_replayable, value_independent
 from repro.kernels import common
-from repro.kernels.common import epilogue, prologue, visit_header
-from repro.rta.traversal import Step, TraversalJob
+from repro.kernels.common import StepTable, epilogue, prologue, visit_header
+from repro.rta.traversal import TraversalJob
 from repro.trees.layout import NODE_STRIDE
 
 #: instructions per key-scan iteration (load key, compare, two branches)
@@ -98,12 +98,14 @@ def btree_accel_kernel(tid: int, args: BTreeKernelArgs):
 
 def build_btree_jobs(tree, queries: Sequence[int],
                      flavor: str = "tta") -> List[TraversalJob]:
-    """Lower each query's search path into accelerator steps."""
+    """Lower each query's search path into accelerator steps (one
+    shared step per node and op, see :class:`StepTable`)."""
     if flavor not in ("tta", "ttaplus"):
         raise ConfigurationError(
             f"B-Tree search needs Query-Key support; baseline RTAs cannot "
             f"run it (got flavor {flavor!r})"
         )
+    step = StepTable().step
     jobs = []
     for qid, query in enumerate(queries):
         trace = tree.search(query)
@@ -113,6 +115,6 @@ def build_btree_jobs(tree, queries: Sequence[int],
                 op = "query_key"
             else:
                 op = "uop:btree_leaf" if node.is_leaf else "uop:btree_inner"
-            steps.append(Step(node.address, NODE_STRIDE, op))
+            steps.append(step(node.address, NODE_STRIDE, op))
         jobs.append(TraversalJob(qid, steps, trace.found))
     return jobs

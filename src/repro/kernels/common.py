@@ -11,6 +11,7 @@ breakdown.
 from typing import Iterator
 
 from repro.gpu.isa import Compute, Load, Store
+from repro.rta.traversal import Step
 
 # -- program-order tags (shared skeleton across kernels) -----------------------
 # Gaps leave room for per-key / per-primitive scan tags: a data-dependent
@@ -56,3 +57,24 @@ def epilogue(result_addr: int) -> Iterator:
     """Result writeback."""
     yield Compute(EPILOGUE_ALU, TAG_EPILOGUE, kind="alu")
     yield Store(result_addr, 4, TAG_EPILOGUE)
+
+
+class StepTable(dict):
+    """One shared :class:`Step` per distinct field tuple.
+
+    A node's step has the same value for every query that visits it,
+    so a lowering call hands out one ``Step`` per distinct
+    ``(address, size, op, count, shader_insts)`` instead of one per
+    (query, node) visit.  Keyed on those values, not on node identity.
+    A table lives for one lowering call; it is not a memo.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, key: tuple) -> Step:
+        step = self[key] = Step._make(key)
+        return step
+
+    def step(self, address: int, size: int, op: str, count: int = 1,
+             shader_insts: int = 0) -> Step:
+        return self[(address, size, op, count, shader_insts)]

@@ -16,8 +16,8 @@ from repro.geometry.vec import Vec3
 from repro.gpu.isa import AccelCall, Compute
 from repro.gpu.replay import launch_replayable, value_independent
 from repro.kernels import common
-from repro.kernels.common import epilogue, prologue, visit_header
-from repro.rta.traversal import Step, TraversalJob
+from repro.kernels.common import StepTable, epilogue, prologue, visit_header
+from repro.rta.traversal import TraversalJob
 from repro.trees.kdtree import KDTree
 from repro.trees.layout import NODE_STRIDE
 
@@ -74,6 +74,7 @@ def build_knn_jobs(tree: KDTree, queries: Sequence[Vec3], k: int,
         raise ConfigurationError(
             f"kNN needs Query-Key/Point-to-Point support (got {flavor!r})"
         )
+    step = StepTable().step
     jobs = []
     for qid, query in enumerate(queries):
         result = tree.knn(query, k)
@@ -81,10 +82,10 @@ def build_knn_jobs(tree: KDTree, queries: Sequence[Vec3], k: int,
         for visit in result.visits:
             if visit.kind == "inner":
                 op = "query_key" if flavor == "tta" else "uop:knn_inner"
-                steps.append(Step(visit.node.address, NODE_STRIDE, op))
+                steps.append(step(visit.node.address, NODE_STRIDE, op))
             else:
                 op = "point_dist" if flavor == "tta" else "uop:rtnn_leaf"
-                steps.append(Step(visit.node.address, NODE_STRIDE, op,
+                steps.append(step(visit.node.address, NODE_STRIDE, op,
                                   count=visit.tests))
         jobs.append(TraversalJob(qid, steps, result.ids))
     return jobs

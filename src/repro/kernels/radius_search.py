@@ -22,8 +22,8 @@ from repro.geometry.vec import Vec3
 from repro.gpu.isa import AccelCall, Compute
 from repro.gpu.replay import launch_replayable, value_independent
 from repro.kernels import common
-from repro.kernels.common import epilogue, prologue, visit_header
-from repro.rta.traversal import Step, TraversalJob
+from repro.kernels.common import StepTable, epilogue, prologue, visit_header
+from repro.rta.traversal import TraversalJob
 from repro.trees.layout import NODE_STRIDE
 
 #: scalarized point-in-AABB test
@@ -176,25 +176,26 @@ def build_radius_jobs(bvh, queries: Sequence[Vec3], radius: float,
     if flavor not in _FLAVORS:
         raise ConfigurationError(f"unknown radius-search flavor {flavor!r}")
     inner_op = "uop:raybox" if flavor.startswith("ttaplus") else "box"
+    step = StepTable().step
     jobs = []
     for qid, center in enumerate(queries):
         trace = radius_query(bvh, center, radius)
         steps = []
         if xform_per_query:
-            steps.append(Step(-1, 0, "uop:xform"
+            steps.append(step(-1, 0, "uop:xform"
                               if flavor.startswith("ttaplus") else "xform"))
         for visit in trace.visits:
             if visit.kind == "inner":
-                steps.append(Step(visit.node.address, NODE_STRIDE, inner_op))
+                steps.append(step(visit.node.address, NODE_STRIDE, inner_op))
             elif flavor == "rta" or flavor == "ttaplus":
-                steps.append(Step(visit.node.address, NODE_STRIDE, "shader",
+                steps.append(step(visit.node.address, NODE_STRIDE, "shader",
                                   count=visit.tests,
                                   shader_insts=SHADER_INSTS_PER_TEST))
             elif flavor == "tta":
-                steps.append(Step(visit.node.address, NODE_STRIDE,
+                steps.append(step(visit.node.address, NODE_STRIDE,
                                   "point_dist", count=visit.tests))
             else:  # ttaplus_opt (*RTNN)
-                steps.append(Step(visit.node.address, NODE_STRIDE,
+                steps.append(step(visit.node.address, NODE_STRIDE,
                                   "uop:rtnn_leaf", count=visit.tests))
         jobs.append(TraversalJob(qid, steps, trace.hits))
     return jobs

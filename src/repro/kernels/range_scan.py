@@ -14,8 +14,8 @@ from typing import Any, List, Sequence, Tuple
 from repro.errors import ConfigurationError
 from repro.gpu.isa import AccelCall, Compute, Load
 from repro.kernels import common
-from repro.kernels.common import epilogue, prologue, visit_header
-from repro.rta.traversal import Step, TraversalJob
+from repro.kernels.common import StepTable, epilogue, prologue, visit_header
+from repro.rta.traversal import TraversalJob
 from repro.trees.layout import NODE_STRIDE
 
 #: per-key compare+append while scanning a leaf
@@ -109,6 +109,7 @@ def build_range_scan_jobs(tree, ranges: Sequence[Tuple[int, int]],
         raise ConfigurationError(
             f"range scans need Query-Key support (got {flavor!r})"
         )
+    step = StepTable().step
     jobs = []
     for qid, (lo, _hi) in enumerate(ranges):
         path = _descend_path(tree, lo)
@@ -118,6 +119,6 @@ def build_range_scan_jobs(tree, ranges: Sequence[Tuple[int, int]],
                 op = "query_key"
             else:
                 op = "uop:btree_leaf" if node.is_leaf else "uop:btree_inner"
-            steps.append(Step(node.address, NODE_STRIDE, op))
+            steps.append(step(node.address, NODE_STRIDE, op))
         jobs.append(TraversalJob(qid, steps, tuple(path[-1].keys)))
     return jobs

@@ -10,13 +10,13 @@ TTA+ (*WKND_PT).
 """
 
 from dataclasses import dataclass, field
-from typing import Any, List, Sequence
+from typing import Any, List, Optional, Sequence
 
 from repro.errors import ConfigurationError
 from repro.gpu.isa import AccelCall, Compute
 from repro.gpu.replay import launch_replayable, value_independent
 from repro.kernels import common
-from repro.kernels.common import epilogue, prologue
+from repro.kernels.common import StepTable, epilogue, prologue
 from repro.rta.traversal import Step, TraversalJob
 from repro.trees.layout import NODE_STRIDE
 
@@ -91,12 +91,14 @@ _FLAVORS = ("rta", "ttaplus", "ttaplus_opt")
 
 def build_rt_jobs(visits: Sequence, result: Any, query_id: int,
                   flavor: str = "rta", leaf_geometry: str = "triangle",
-                  xforms: int = 0) -> TraversalJob:
+                  xforms: int = 0,
+                  table: Optional[StepTable] = None) -> TraversalJob:
     """Lower one ray's visit trace into a traversal job.
 
     ``leaf_geometry`` is "triangle" (fixed-function / µop Ray-Tri) or
     "sphere" (procedural: shader on rta/ttaplus, µop Ray-Sphere on
     ttaplus_opt).  ``xforms`` charges TLAS->BLAS ray transforms.
+    Rays lowered with one ``table`` share their equal steps.
     """
     if flavor not in _FLAVORS:
         raise ConfigurationError(f"unknown ray-tracing flavor {flavor!r}")
@@ -105,19 +107,20 @@ def build_rt_jobs(visits: Sequence, result: Any, query_id: int,
     plus = flavor.startswith("ttaplus")
     inner_op = "uop:raybox" if plus else "box"
     xform_op = "uop:xform" if plus else "xform"
-    steps: List[Step] = [Step(-1, 0, xform_op) for _ in range(xforms)]
+    step = (table if table is not None else StepTable()).step
+    steps: List[Step] = [step(-1, 0, xform_op) for _ in range(xforms)]
     for visit in visits:
         if visit.kind == "inner":
-            steps.append(Step(visit.node.address, NODE_STRIDE, inner_op))
+            steps.append(step(visit.node.address, NODE_STRIDE, inner_op))
         elif leaf_geometry == "triangle":
             leaf_op = "uop:raytri" if plus else "tri"
-            steps.append(Step(visit.node.address, NODE_STRIDE, leaf_op,
+            steps.append(step(visit.node.address, NODE_STRIDE, leaf_op,
                               count=visit.tests))
         elif flavor == "ttaplus_opt":
-            steps.append(Step(visit.node.address, NODE_STRIDE,
+            steps.append(step(visit.node.address, NODE_STRIDE,
                               "uop:raysphere", count=visit.tests))
         else:  # sphere geometry without the optimization: shader bounce
-            steps.append(Step(visit.node.address, NODE_STRIDE, "shader",
+            steps.append(step(visit.node.address, NODE_STRIDE, "shader",
                               count=visit.tests,
                               shader_insts=SPHERE_SHADER_INSTS))
     return TraversalJob(query_id, steps, result)

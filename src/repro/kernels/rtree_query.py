@@ -15,8 +15,8 @@ from repro.geometry.aabb import AABB
 from repro.gpu.isa import AccelCall, Compute
 from repro.gpu.replay import launch_replayable, value_independent
 from repro.kernels import common
-from repro.kernels.common import epilogue, prologue, visit_header
-from repro.rta.traversal import Step, TraversalJob
+from repro.kernels.common import StepTable, epilogue, prologue, visit_header
+from repro.rta.traversal import TraversalJob
 from repro.trees.layout import NODE_STRIDE
 from repro.trees.rtree import RTree
 
@@ -79,10 +79,11 @@ def build_rtree_jobs(tree: RTree, windows: Sequence[AABB],
             f"R-Tree queries need box-test support (got {flavor!r})"
         )
     op = "box" if flavor == "tta" else "uop:raybox"
+    step = StepTable().step
     jobs = []
     for qid, window in enumerate(windows):
         trace = tree.range_query(window)
-        steps = [Step(v.node.address, NODE_STRIDE, op)
+        steps = [step(v.node.address, NODE_STRIDE, op)
                  for v in trace.visits]
         jobs.append(TraversalJob(qid, steps, trace.ids))
     return jobs

@@ -259,14 +259,33 @@ _KIND_COLUMNS = {"sphere": ("centers", "radii"),
                  "triangle": ("v0", "v1", "v2")}
 
 
+def bounds_columns(prims: Sequence) -> Tuple[np.ndarray, np.ndarray]:
+    """``(lo, hi)`` columns of each primitive's ``bounds()``.
+
+    A sphere's box is ``center ± radius``: computed on the packed
+    columns it is bit-identical to :meth:`Sphere.bounds` and builds no
+    per-primitive box.
+    """
+    # A list, not a generator: no Python frame resumes per primitive.
+    if all([isinstance(p, Sphere) for p in prims]):
+        centers, radii = spheres_soa(prims)
+        radii = radii[:, None]
+        return centers - radii, centers + radii
+    return aabbs_soa([p.bounds() for p in prims])
+
+
 def _prim_columns(bvh: "BVH") -> Dict[str, object]:
     """Every primitive column of a view, packed from ``bvh``."""
     order = bvh._prim_order
     prims = [bvh.primitives[i] for i in order]
     columns: Dict[str, object] = dict.fromkeys(
         ("centers", "radii", "v0", "v1", "v2"))
-    columns["prim_lo"], columns["prim_hi"] = box_columns(
-        [bvh._prim_bounds[i] for i in order])
+    if bvh._bounds is None:
+        columns["prim_lo"] = bvh._bounds_lo[order]
+        columns["prim_hi"] = bvh._bounds_hi[order]
+    else:
+        columns["prim_lo"], columns["prim_hi"] = box_columns(
+            [bvh._bounds[i] for i in order])
     columns["prim_id_list"] = [p.prim_id for p in prims]
     columns["prim_ids"] = np.array(columns["prim_id_list"], dtype=np.int64)
     if all(isinstance(p, Sphere) for p in prims):
@@ -459,19 +478,34 @@ class BVH:
             raise ConfigurationError(f"unknown BVH build method {method!r}")
         self.primitives = list(primitives)
         self.max_leaf_size = max_leaf_size
-        self._prim_bounds = [p.bounds() for p in self.primitives]
-        lo, hi = aabbs_soa(self._prim_bounds)
+        lo, hi = bounds_columns(self.primitives)
         if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
             raise ConfigurationError(
                 "BVH primitive bounds must be finite (NaN or inf found)")
+        # Primitive bounds, in primitive order: these columns until the
+        # write path first asks for boxes (:attr:`_prim_bounds`).
+        self._bounds_lo, self._bounds_hi = lo, hi
+        self._bounds: Optional[List[AABB]] = None
         self.root, order, self.node_count = _build_levels(
-            lo, hi, max_leaf_size, sah=method == "sah")
+            lo.copy(), hi.copy(), max_leaf_size, sah=method == "sah")
         self._prim_order = order.tolist()
         self._soa: Optional[BVHArrays] = None
         #: bumped by every mutating operation; derived views (the SoA
         #: arrays, memory images, lowered jobs) key their validity on it.
         self.mutation_epoch = 0
         self._soa_epoch = 0
+
+    @property
+    def _prim_bounds(self) -> List[AABB]:
+        """Each primitive's box, in primitive order, for the write path
+        (``insert``, ``update``, ``fork``).  Unpacked from the build's
+        columns on first use, which then drops them."""
+        if self._bounds is None:
+            self._bounds = [AABB(Vec3(*l), Vec3(*h)) for l, h in
+                            zip(self._bounds_lo.tolist(),
+                                self._bounds_hi.tolist())]
+            self._bounds_lo = self._bounds_hi = None
+        return self._bounds
 
     # -- online mutation --------------------------------------------------------
     #
@@ -637,10 +671,11 @@ class BVH:
             if not node.is_leaf:
                 twin.left = memo[id(node.left)]
                 twin.right = memo[id(node.right)]
+        bounds = list(self._prim_bounds)
         tree = copy.copy(self)
         tree.root = memo[id(self.root)]
         tree.primitives = list(self.primitives)
-        tree._prim_bounds = list(self._prim_bounds)
+        tree._bounds = bounds
         tree._prim_order = list(self._prim_order)
         tree._soa = None if soa is None else soa.derive(nodes=twins)
         return tree

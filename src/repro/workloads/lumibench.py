@@ -17,6 +17,7 @@ from repro.errors import ConfigurationError
 from repro.geometry.ray import Ray
 from repro.geometry.triangle import Triangle, ray_triangle_intersect
 from repro.geometry.vec import Vec3, cross, dot
+from repro.kernels.common import StepTable
 from repro.kernels.ray_trace import RayTraceKernelArgs, build_rt_jobs
 from repro.memsys.memory_image import AddressSpace
 from repro.trees.bvh import BVH
@@ -71,9 +72,11 @@ class LumiWorkload:
     def kernel_args(self, flavor: str = "rta",
                     sato: bool = False) -> RayTraceKernelArgs:
         visits = self._pick_visits(sato)
+        table = StepTable()
         jobs = [
             [build_rt_jobs(trace, result=True, query_id=tid, flavor=flavor,
-                           leaf_geometry=self.leaf_geometry)
+                           leaf_geometry=self.leaf_geometry,
+                           table=table)
              for trace in traces]
             for tid, traces in enumerate(visits)
         ]

@@ -15,6 +15,7 @@ from typing import List, Optional
 from repro.geometry.ray import Ray
 from repro.geometry.sphere import Sphere, ray_sphere_intersect
 from repro.geometry.vec import Vec3, dot
+from repro.kernels.common import StepTable
 from repro.kernels.ray_trace import RayTraceKernelArgs, build_rt_jobs
 from repro.memsys.memory_image import AddressSpace
 from repro.trees.bvh import BVH
@@ -64,9 +65,11 @@ class WKNDWorkload:
         return len(self.rays)
 
     def kernel_args(self, flavor: str = "rta") -> RayTraceKernelArgs:
+        table = StepTable()
         jobs = [
             [build_rt_jobs(trace, result=True, query_id=tid, flavor=flavor,
-                           leaf_geometry="sphere")
+                           leaf_geometry="sphere",
+                           table=table)
              for trace in traces]
             for tid, traces in enumerate(self.visits_per_thread)
         ]

@@ -33,7 +33,7 @@ class ReferenceBVH(BVH):
             raise ConfigurationError(f"unknown BVH build method {method!r}")
         self.primitives = list(primitives)
         self.max_leaf_size = max_leaf_size
-        self._prim_bounds = [p.bounds() for p in self.primitives]
+        self._bounds = [p.bounds() for p in self.primitives]
         self._prim_order = list(range(len(self.primitives)))
         self.root = self._build(0, len(self.primitives), method)
         self.node_count = self._count_nodes(self.root)
@@ -115,8 +115,8 @@ class RecursiveBVH(BVH):
                  method: str = "median"):
         self.primitives = list(primitives)
         self.max_leaf_size = max_leaf_size
-        self._prim_bounds = [p.bounds() for p in self.primitives]
-        lo, hi = aabbs_soa(self._prim_bounds)
+        self._bounds = [p.bounds() for p in self.primitives]
+        lo, hi = aabbs_soa(self._bounds)
         builder = _ArrayBuilder(lo, hi, max_leaf_size, sah=method == "sah")
         self.root = builder.build(0, len(self.primitives))
         self._prim_order = builder.order.tolist()

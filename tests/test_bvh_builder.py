@@ -155,3 +155,68 @@ def test_nan_split_costs_never_win(n_low):
     # The root splits the low boxes from the high ones.
     assert fast.root.left.bounds.hi.x == -1e308
     assert fast.root.right.bounds.lo.x == 1e308
+
+
+class _Opaque:
+    """A sphere seen only through ``bounds()``: a tree of these packs its
+    bounds one primitive at a time, as every build did before spheres
+    were packed from their center and radius columns."""
+
+    def __init__(self, sphere: Sphere):
+        self.sphere = sphere
+        self.prim_id = sphere.prim_id
+
+    def bounds(self) -> AABB:
+        return self.sphere.bounds()
+
+
+def _bits(column):
+    return [tuple(v.hex() for v in row) for row in column.tolist()]
+
+
+def assert_same_bounds(packed, per_prim):
+    assert_same_build(packed, per_prim)
+    for name in ("prim_lo", "prim_hi"):
+        assert _bits(getattr(packed.soa(), name)) == \
+            _bits(getattr(per_prim.soa(), name))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("method", ["median", "sah"])
+def test_sphere_columns_match_per_primitive_bounds(method):
+    """Sphere trees packed from ``center ± radius`` columns equal trees
+    packed from each primitive's ``bounds()``, node for node, and stay
+    equal through inserts, updates, deletes, refits and a fork."""
+    rng = random.Random(f"bvh-sphere-columns-{method}")
+    for n in _sizes(rng, 24):
+        spheres = _prims("sphere", n, rng)
+        leaf = rng.randint(1, 4)
+        packed = BVH(spheres, max_leaf_size=leaf, method=method)
+        per_prim = BVH([_Opaque(s) for s in spheres], max_leaf_size=leaf,
+                       method=method)
+        assert packed._bounds is None  # no per-primitive box was built
+        assert_same_bounds(packed, per_prim)
+        for step in range(rng.randint(1, 12)):
+            roll = rng.random()
+            if roll < 0.4:
+                sphere = Sphere(_point(rng, "uniform"),
+                                rng.uniform(0.01, 1.0), prim_id=n + step)
+                packed.insert(sphere)
+                per_prim.insert(_Opaque(sphere))
+            elif roll < 0.6:
+                prim_id = rng.choice(packed.live_prim_ids())
+                sphere = Sphere(_point(rng, "grid"), 0.5, prim_id=prim_id)
+                packed.update(prim_id, sphere)
+                per_prim.update(prim_id, _Opaque(sphere))
+            elif roll < 0.75 and len(packed.live_prim_ids()) > 1:
+                prim_id = rng.choice(packed.live_prim_ids())
+                packed.remove(prim_id)
+                per_prim.remove(prim_id)
+            elif roll < 0.9:
+                packed.refit()
+                per_prim.refit()
+            else:
+                packed, per_prim = packed.fork({}), per_prim.fork({})
+            assert_same_bounds(packed, per_prim)
+        assert [(b.lo, b.hi) for b in packed._prim_bounds] == \
+            [(b.lo, b.hi) for b in per_prim._prim_bounds]

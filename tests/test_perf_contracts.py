@@ -20,6 +20,11 @@ Contract families:
   arguments (legacy engine, armed faults, guard overrides).
 * **Stream-cache contents** — a baseline run caches whole-warp traces
   and launch records only, never per-thread op recordings.
+* **Bytes per query** — a launch of many times the resident warp
+  capacity never holds more live thread generators than the resident
+  warps' lanes (warps create their generators when an SM slot starts
+  them), and a B-Tree baseline warp trace holds one object per distinct
+  Compute step.
 * **Static op sequences** — an N-Body warp trace build resumes each
   lane's generator a bounded number of times however long the union
   walk is (the walk is one op run), and a TTA+ launch constructs OP
@@ -50,6 +55,7 @@ import random
 import shutil
 import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -61,6 +67,7 @@ from repro.geometry.vec import Vec3
 from repro.core.ttaplus import program_named
 from repro.gpu import GPU, GPUConfig
 from repro.gpu.device import KernelStats
+from repro.gpu.isa import Compute, Load
 from repro.gpu.replay import launch_replay_enabled, value_independent
 from repro.gpu.sm import SM
 from repro.harness.runner import (
@@ -584,6 +591,47 @@ class TestStreamCacheContents:
             for key in cache:
                 assert isinstance(key, tuple) and \
                     key[0] in ("__warp__", "__launch__"), key
+
+
+# -- bytes per query ----------------------------------------------------------
+class TestBytesPerQuery:
+    def test_launch_holds_only_resident_warps_generators(self):
+        config = GPUConfig(n_sms=2, max_warps_per_sm=2)
+        capacity = config.n_sms * config.max_warps_per_sm * config.warp_size
+        live = weakref.WeakSet()
+        peak = [0]
+
+        def lane(tid):
+            yield Compute(2 + tid % 3, 1, kind="alu")
+            yield Load(0x1000 + 128 * tid, 4, 2)
+            yield Compute(1, 3, kind="control")
+
+        def kernel(tid, args):
+            thread = lane(tid)
+            live.add(thread)
+            peak[0] = max(peak[0], len(live))
+            return thread
+
+        stats = GPU(config).launch(kernel, 8 * capacity)
+        assert stats.notes["n_warps"] == 8 * capacity // config.warp_size
+        assert stats.warp_instructions.as_dict()["control"] == \
+            stats.notes["n_warps"]
+        # Generators built at launch for every warp would peak at
+        # 8 * capacity here.
+        assert 0 < peak[0] <= capacity, (peak[0], capacity)
+
+    def test_btree_baseline_trace_interns_compute_steps(self):
+        wl = make_btree_workload("btree", n_keys=512, n_queries=256, seed=9)
+        run_btree(wl, "gpu")
+        traces = [trace for key, trace in wl._stream_cache.items()
+                  if key[0] == "__warp__"]
+        assert len(traces) == 256 // 32
+        for trace in traces:
+            compute = [step for step in trace.steps if step[0] == 0]
+            assert len(compute) > len(set(compute))  # repeats to share
+            assert len({id(step) for step in compute}) == len(set(compute))
+            loads = [step for step in trace.steps if step[0] == 1]
+            assert loads and all(type(step[2]) is tuple for step in loads)
 
 
 # -- vectorized radius query --------------------------------------------------
