@@ -835,82 +835,94 @@ def _serve_policy(args):
                        max_wait_s=args.max_wait_ms / 1e3)
 
 
-def cmd_serve(args, guard=None) -> int:
-    """``repro serve``: answer JSON-lines queries over warm indexes."""
-    import asyncio
+def _parse_query(line: str, indexes):
+    """One JSON-lines query as ``(class, qid, payload)``, or the reason
+    it cannot be served."""
+    try:
+        record = json.loads(line)
+        cls = record["class"]
+        qid = record.get("qid")
+        payload = record.get("payload")
+    except (ValueError, KeyError, TypeError):
+        return repr(line)
+    if not isinstance(cls, str) or cls not in indexes:
+        return (f"no resident index for query class {cls!r} "
+                f"(serving: {', '.join(sorted(indexes))})")
+    if qid is None and payload is None:
+        return "needs a qid or a payload"
+    native = type(indexes[cls].payload(0))
+    if qid is None and type(payload) is not native:
+        return (f"payload {payload!r} is not a {cls!r} query "
+                f"(expected {native.__name__})")
+    if qid is not None and (type(qid) is not int
+                            or not 0 <= qid < indexes[cls].n_canonical):
+        return (f"qid {qid!r} out of range for {cls!r} (canonical "
+                f"stream has {indexes[cls].n_canonical})")
+    return cls, qid, payload
 
-    from repro.serve import ServeService
+
+def cmd_serve(args, guard=None) -> int:
+    """``repro serve``: answer JSON-lines queries over warm indexes.
+
+    Every line arrives at virtual t=0 in file order and runs through
+    the loadtest's event loop (:func:`repro.serve.replay_queries`), so
+    the same file always gives the same output."""
+    from repro.serve import replay_queries
 
     error = _validate_serve_args(args)
     if error is not None:
         print(error, file=sys.stderr)
         return 2
     indexes, _ = _build_indexes(args.mix, args.scale, args.no_cache)
-    service = ServeService(indexes, platform=args.platform,
-                           policy=_serve_policy(args), guard=guard,
-                           resilience=_resilience_config(args))
-
-    if args.input is not None:
-        lines = args.input.read_text().splitlines()
-    else:
-        lines = sys.stdin.read().splitlines()
-    requests = []
-    for lineno, line in enumerate(lines, 1):
+    text = args.input.read_text() if args.input is not None \
+        else sys.stdin.read()
+    queries = []
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        try:
-            record = json.loads(line)
-            cls = record["class"]
-        except (ValueError, KeyError, TypeError):
-            print(f"[serve] bad query on line {lineno}: {line!r}",
+        query = _parse_query(line, indexes)
+        if isinstance(query, str):
+            print(f"[serve] bad query on line {lineno}: {query}",
                   file=sys.stderr)
             return 2
-        requests.append((cls, record.get("qid"), record.get("payload")))
-
-    async def run():
-        async with service:
-            return await asyncio.gather(
-                *[service.query(cls, qid=qid, payload=payload)
-                  for cls, qid, payload in requests],
-                return_exceptions=True)
-
-    responses = asyncio.run(run())
+        queries.append(query)
+    try:
+        report, outcomes = replay_queries(
+            args.platform, indexes, queries, policy=_serve_policy(args),
+            guard=guard, resilience=_resilience_config(args))
+    except ConfigurationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     sink = args.out.open("w") if args.out is not None else sys.stdout
     failures = 0
     try:
-        for (cls, qid, _), response in zip(requests, responses):
-            if isinstance(response, BaseException):
+        for (cls, qid, _), outcome in zip(queries, outcomes):
+            record = {"class": cls, "qid": qid}
+            if "error" in outcome:
                 failures += 1
-                record = {"class": cls, "qid": qid,
-                          "error": f"{type(response).__name__}: {response}"}
+                record["error"] = outcome["error"]
             else:
-                record = {
-                    "class": response.query_class,
-                    "qid": response.qid,
-                    "result": _json_safe(response.result),
-                    "batch_size": response.batch_size,
-                    "sim_us": round(response.sim_seconds * 1e6, 3),
-                    "engine": response.engine,
-                }
+                record.update(result=_json_safe(outcome["result"]),
+                              batch_size=outcome["batch_size"],
+                              sim_us=round(outcome["sim_s"] * 1e6, 3),
+                              engine=outcome["engine"])
             print(json.dumps(record), file=sink)
     finally:
         if args.out is not None:
             sink.close()
-    stats = service.stats()
-    print(f"[serve] {stats['queries_served']} queries in "
-          f"{stats['batches_served']} batches on {args.platform} "
-          f"({stats['degraded_batches']} failed)", file=sys.stderr)
-    res = stats["resilience"]
-    if res["mode"] != "off":
-        print(f"[serve] resilience={res['mode']}: "
-              f"{res['queries_shed']} shed, "
-              f"{res['queries_expired']} expired, "
-              f"{res['queries_failed']} failed, "
-              f"{res['retries']} retries", file=sys.stderr)
-    if res["degraded_reasons"]:
+    print(f"[serve] {report.served} queries in {report.batches} batches "
+          f"on {args.platform} ({report.degraded_batches} failed)",
+          file=sys.stderr)
+    if report.resilience_mode != "off":
+        expired = report.shed_reasons.get("expired", 0)
+        print(f"[serve] resilience={report.resilience_mode}: "
+              f"{report.shed - expired} shed, {expired} expired, "
+              f"{report.failed} failed, {report.retries} retries",
+              file=sys.stderr)
+    if report.degraded_reasons:
         detail = ", ".join(f"{reason}={count}" for reason, count
-                           in res["degraded_reasons"].items())
+                           in report.degraded_reasons.items())
         print(f"[serve] failed batches by reason: {detail}",
               file=sys.stderr)
     return 1 if failures else 0

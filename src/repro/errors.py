@@ -89,30 +89,7 @@ class FaultInjectionError(GuardError):
     """The fault-injection harness was configured or targeted incorrectly."""
 
 
-class ResilienceError(ReproError):
-    """Base class for ``repro.serve.resilience`` failure semantics.
-
-    Unlike guard errors these are *expected* under overload: they are
-    the serving layer refusing work it cannot finish in time, not the
-    simulator detecting that it is broken.
-    """
-
-
-class OverloadShedError(ResilienceError):
-    """A query was shed by admission control (queue/backlog watermark,
-    deadline infeasibility, or an open circuit breaker).  ``reason``
-    names the watermark that fired."""
-
-    def __init__(self, message, reason="overload"):
-        super().__init__(message)
-        self.reason = reason
-
-
-class DeadlineExceededError(ResilienceError):
-    """A query's deadline expired before its batch could launch."""
-
-
-class BackendLaunchError(ResilienceError):
+class BackendLaunchError(ReproError):
     """A batch launch failed for a transient, retryable reason (in this
     behavioral model: the ``launch_fail`` serve-path fault injector).
     Retried with backoff; repeated failures open the circuit breaker."""

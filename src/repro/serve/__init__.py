@@ -7,13 +7,14 @@ arriving queries into accelerator launches timeout-or-size
 (:mod:`repro.serve.batcher`), launches them through per-platform
 backends that reuse the harness's kernels and scaled configs verbatim
 (:mod:`repro.serve.backends`), and maps simulated cycles onto a
-wall-clock timeline (:mod:`repro.serve.clock`) so open-loop load
-generation (:mod:`repro.serve.loadgen`) yields latency percentiles and
-QPS-vs-latency curves (:mod:`repro.serve.loadtest`).  An asyncio facade
-(:mod:`repro.serve.service`) serves real callers with the same
-machinery.  Failure semantics — deadlines, load shedding, circuit
-breaking, hedged re-dispatch, result integrity — live in
-:mod:`repro.serve.resilience` (``$REPRO_RESILIENCE``).
+virtual timeline (:mod:`repro.serve.clock`).  One event loop
+(:mod:`repro.serve.loadtest`) serves both the open-loop loadtest
+(:mod:`repro.serve.loadgen`'s arrivals; latency percentiles and
+QPS-vs-latency curves) and ``repro serve``'s JSON-lines queries, so
+both apply the same admission, batching and dispatch.  Failure
+semantics — deadlines, load shedding, circuit breaking, hedged
+re-dispatch, result integrity — live in :mod:`repro.serve.resilience`
+(``$REPRO_RESILIENCE``).
 
 Entry points: ``repro serve`` / ``repro loadtest``; MODEL.md §10 (the
 serving model) and §12 (resilience) have the semantics.
@@ -54,8 +55,10 @@ from repro.serve.loadtest import (
     ClassReport,
     LoadtestReport,
     percentile,
+    replay_queries,
     run_loadtest,
     run_qps_sweep,
+    serve_arrivals,
 )
 from repro.serve.resilience import (
     DEFAULT_PRIORITIES,
@@ -68,7 +71,6 @@ from repro.serve.resilience import (
     resilience_mode,
     slo_summary,
 )
-from repro.serve.service import QueryResponse, ServeService
 
 __all__ = [
     "ARRIVAL_PROCESSES",
@@ -91,14 +93,12 @@ __all__ = [
     "QUERY_CLASSES",
     "QueryClassSpec",
     "QueryRequest",
-    "QueryResponse",
     "RESILIENCE_ENV",
     "RESILIENCE_MODES",
     "ResidentIndex",
     "ResilienceConfig",
     "SERVE_PLATFORMS",
     "SERVE_SCALES",
-    "ServeService",
     "ServiceClock",
     "build_resident_index",
     "check_batch_integrity",
@@ -106,9 +106,11 @@ __all__ = [
     "parse_mix",
     "percentile",
     "query_class_spec",
+    "replay_queries",
     "resilience_mode",
     "run_loadtest",
     "run_qps_sweep",
+    "serve_arrivals",
     "slo_summary",
     "stream_signature",
 ]

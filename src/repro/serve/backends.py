@@ -143,8 +143,8 @@ class LaunchBackend:
                qids: Sequence[int], now: float = 0.0) -> BatchLaunch:
         """Launch one batch of canonical query ids.
 
-        ``now`` is the caller's clock (virtual loadtest time or
-        ``time.monotonic()``), consulted only by the circuit breaker.
+        ``now`` is the serving loop's virtual time, consulted only by
+        the circuit breaker.
         """
         if self.platform not in index.spec.platforms:
             raise ConfigurationError(

@@ -12,12 +12,12 @@ set; :class:`MicroBatcher` is the mechanism — a per-class
 * a batch **closes on timeout** ``max_wait_s`` after its *first* query
   arrived, whichever comes first.
 
-The batcher is deliberately time-source-agnostic: callers feed it
-arrivals stamped with their own clock (the virtual-time loadtest loop,
-or the asyncio service's wall clock) and ask for the pending deadline.
-Deadlines are generation-counted so a stale timer firing after its
-batch already closed on size is a no-op — the size/timeout race can
-drop or double-serve nothing (``tests/test_serve.py`` hammers this).
+Callers feed it arrivals stamped with the serving loop's virtual clock
+(:func:`repro.serve.loadtest.serve_arrivals`) and ask for the pending
+deadline.  Deadlines are generation-counted so a stale timer firing
+after its batch already closed on size is a no-op — the size/timeout
+race can drop or double-serve nothing (``tests/test_serve.py`` hammers
+this).
 """
 
 from dataclasses import dataclass, field
@@ -49,7 +49,7 @@ class QueryRequest:
     seq: int                    # global submission order (unique)
     query_class: str
     qid: Optional[int]          # canonical-stream index, or None
-    payload: Any = None         # raw payload when qid is None
+    payload: Any = None         # the caller's handle (the loop's Arrival)
     t_arrival: float = 0.0      # seconds, caller's time domain
     #: Absolute completion deadline on the caller's timeline (None =
     #: no deadline; set by resilience-aware admission, carried through

@@ -23,7 +23,7 @@ what makes loadtest percentiles byte-reproducible.
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.serve.index import QUERY_CLASSES
@@ -40,8 +40,9 @@ class Arrival:
 
     t: float                 # seconds since loadtest start
     query_class: str
-    qid: int                 # canonical-stream index within the class
+    qid: Optional[int]       # canonical-stream index within the class
     measured: bool           # False while inside the warmup window
+    payload: Any = None      # raw query when qid is None (repro serve)
 
 
 @dataclass(frozen=True)

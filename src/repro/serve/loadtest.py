@@ -1,18 +1,26 @@
-"""Deterministic virtual-time loadtest: the measured serving core.
+"""Deterministic virtual-time serving: one event loop, two front ends.
 
-The loadtest replays an open-loop arrival schedule
-(:mod:`repro.serve.loadgen`) against resident indexes on one platform
-and reports latency percentiles — entirely in *virtual time*.  No real
-sleeps, no real clocks: arrivals, batch deadlines, device occupancy,
-and completions all live on one simulated wall-clock timeline, so a
-given ``(profile, platform, policy)`` triple always produces the same
-percentiles, byte for byte.
+:func:`serve_arrivals` is the serving core.  It takes a time-ordered
+list of query arrivals (and, under ``--write-mix``, of writes) and
+serves them against resident indexes on one platform entirely in
+*virtual time*.  No real sleeps, no real clocks: arrivals, batch
+deadlines, device occupancy, and completions all live on one simulated
+timeline, so the same input always produces the same report, byte for
+byte.  Two front ends feed it:
+
+* :func:`run_loadtest` replays a seeded open-loop arrival schedule
+  (:mod:`repro.serve.loadgen`) and reports latency percentiles;
+* :func:`replay_queries` (``repro serve``) lands every query of a
+  JSON-lines file at t=0 in file order and hands each query's outcome
+  to a caller sink.
 
 The event loop is a plain heap of ``(t, seq)``-ordered events:
 
-* **arrival** — admission check, then offer to the
-  :class:`~repro.serve.batcher.MicroBatcher`; a batch that closes on
-  size dispatches immediately,
+* **arrival** — admission check (:mod:`repro.serve.resilience`), then
+  offer to the :class:`~repro.serve.batcher.MicroBatcher`; a batch
+  that closes on size dispatches immediately,
+* **write** — mutate one resident tree and charge its cycles on the
+  devices,
 * **deadline** — generation-checked timeout closure of an open batch.
 
 Dispatch shards a closed batch across ``n_shards`` simulated devices:
@@ -29,7 +37,8 @@ is supposed to surface (MODEL.md §10).
 import heapq
 import random
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
+                    Sequence, Tuple)
 
 from repro.errors import ConfigurationError
 from repro.obs import MetricsRegistry, MetricsSnapshot
@@ -37,18 +46,22 @@ from repro.serve.backends import LaunchBackend
 from repro.serve.batcher import Batch, BatchPolicy, MicroBatcher, QueryRequest
 from repro.serve.clock import DEFAULT_CLOCK, ServiceClock
 from repro.serve.index import ResidentIndex
-from repro.serve.loadgen import LoadProfile, generate_arrivals
+from repro.serve.loadgen import Arrival, LoadProfile, generate_arrivals
 from repro.serve.resilience import (HEDGE_TIMEOUT_S, EwmaEstimator,
                                     ResilienceConfig, slo_summary)
 
 if TYPE_CHECKING:
     from repro.mutation import MutationConfig
+    from repro.mutation.stream import WriteEvent
 
 #: Percentiles every report carries.
 REPORT_PERCENTILES = (50.0, 95.0, 99.0)
 
 #: Time buckets in the ``--write-mix`` churn curve.
 CHURN_CURVE_BUCKETS = 12
+
+#: Per-query outcome callback of :func:`serve_arrivals`.
+Sink = Callable[[Arrival, Dict[str, Any]], None]
 
 
 def percentile(samples: Sequence[float], pct: float) -> float:
@@ -91,7 +104,7 @@ class LoadtestReport:
     classes: Dict[str, ClassReport] = field(default_factory=dict)
     offered: int = 0              # measured-window arrivals
     served: int = 0               # measured-window completions
-    rejected: int = 0
+    rejected: int = 0             # always 0: admission sheds instead
     batches: int = 0
     #: Failed batch launches, under the report format's key name.
     degraded_batches: int = 0
@@ -240,13 +253,14 @@ class _Devices:
         return None, None
 
 
-def _shard(qids: Sequence[int], n_shards: int) -> List[List[int]]:
-    n = min(n_shards, len(qids))
-    base, extra = divmod(len(qids), n)
+def _shard(queries: Sequence[QueryRequest],
+           n_shards: int) -> List[List[QueryRequest]]:
+    n = min(n_shards, len(queries))
+    base, extra = divmod(len(queries), n)
     shards, at = [], 0
     for i in range(n):
         size = base + (1 if i < extra else 0)
-        shards.append(list(qids[at:at + size]))
+        shards.append(list(queries[at:at + size]))
         at += size
     return shards
 
@@ -257,7 +271,6 @@ def run_loadtest(platform: str,
                  policy: Optional[BatchPolicy] = None,
                  clock: ServiceClock = DEFAULT_CLOCK,
                  n_shards: int = 1,
-                 max_pending: Optional[int] = None,
                  backend: Optional[LaunchBackend] = None,
                  guard=None,
                  tracer=None,
@@ -266,10 +279,11 @@ def run_loadtest(platform: str,
                  ) -> LoadtestReport:
     """Replay one open-loop profile against ``indexes`` on ``platform``.
 
-    ``indexes`` must cover every class in the profile's mix.
-    ``max_pending`` is optional admission control: an arrival that finds
-    that many queries still in flight is rejected (counted, not served).
-    ``resilience`` selects the failure-semantics policy
+    The loadtest front end: it draws the seeded arrival schedule
+    (:func:`~repro.serve.loadgen.generate_arrivals`) and, with
+    ``mutation`` set, the write stream, and hands both to
+    :func:`serve_arrivals`.  ``indexes`` must cover every class in the
+    profile's mix.  ``resilience`` selects the failure-semantics policy
     (:mod:`repro.serve.resilience`; default ``$REPRO_RESILIENCE``, i.e.
     ``off``, which adds no shedding, deadlines or hedging).
 
@@ -282,9 +296,88 @@ def run_loadtest(platform: str,
     constructs no mutation machinery at all.  Note the write stream
     mutates the caller's ``indexes``.
     """
+    if resilience is None:
+        resilience = backend.resilience if backend is not None \
+            else ResilienceConfig.from_env()
+    if backend is None:
+        backend = LaunchBackend(platform, guard=guard,
+                                resilience=resilience)
+    capacities = {cls: idx.n_canonical for cls, idx in indexes.items()}
+    writes = ()
+    if mutation is not None:
+        from repro.mutation import generate_write_events
+
+        writes = generate_write_events(profile, mutation.write,
+                                       profile.classes())
+    report = LoadtestReport(platform, profile, n_shards,
+                            policy or BatchPolicy(),
+                            resilience_mode=resilience.mode)
+    return serve_arrivals(report, indexes,
+                          generate_arrivals(profile, capacities), backend,
+                          resilience, clock=clock, tracer=tracer,
+                          mutation=mutation, writes=writes)
+
+
+def replay_queries(platform: str,
+                   indexes: Dict[str, ResidentIndex],
+                   queries: Sequence[Tuple[str, Optional[int], Any]],
+                   policy: BatchPolicy,
+                   resilience: ResilienceConfig,
+                   guard=None
+                   ) -> Tuple[LoadtestReport, List[Dict[str, Any]]]:
+    """The ``repro serve`` front end: every query arrives at virtual t=0.
+
+    ``queries`` are ``(query_class, qid, payload)`` triples in arrival
+    order; a query with no ``qid`` is the raw ``payload`` (a key,
+    window or point in the class's native shape).  Returns the report
+    (its profile is a nominal one-second window over the served
+    classes) and each query's outcome in input order, as
+    :func:`serve_arrivals` hands it to its sink.  The same queries
+    always give the same outcomes.
+    """
+    arrivals = [Arrival(0.0, cls, qid, measured=True, payload=payload)
+                for cls, qid, payload in queries]
+    profile = LoadProfile(qps=max(1, len(arrivals)), duration_s=1.0,
+                          mix=dict.fromkeys(indexes, 1.0))
+    report = LoadtestReport(platform, profile, 1, policy,
+                            resilience_mode=resilience.mode)
+    outcomes: Dict[int, Dict[str, Any]] = {}
+
+    def sink(arrival: Arrival, outcome: Dict[str, Any]) -> None:
+        outcomes[id(arrival)] = outcome
+
+    serve_arrivals(report, indexes, arrivals,
+                   LaunchBackend(platform, guard=guard,
+                                 resilience=resilience),
+                   resilience, sink=sink)
+    return report, [outcomes[id(arrival)] for arrival in arrivals]
+
+
+def serve_arrivals(report: LoadtestReport,
+                   indexes: Dict[str, ResidentIndex],
+                   arrivals: Sequence[Arrival],
+                   backend: LaunchBackend,
+                   resilience: ResilienceConfig,
+                   clock: ServiceClock = DEFAULT_CLOCK,
+                   tracer=None,
+                   mutation: Optional["MutationConfig"] = None,
+                   writes: Sequence["WriteEvent"] = (),
+                   sink: Optional[Sink] = None) -> LoadtestReport:
+    """The serving event loop (module docstring): fill ``report``.
+
+    ``report`` names the platform, the profile (its classes, window and
+    warmup), the shard count and the batch policy.  ``arrivals`` and
+    ``writes`` are each sorted by time; ``writes`` (with ``mutation``)
+    mutate ``indexes`` in place.  ``sink``, if given, is called once
+    per arrival with its outcome: ``{"result", "batch_size", "sim_s",
+    "engine"}`` when served, else ``{"error": "shed: <reason>"}`` or
+    ``{"error": "failed: <reason>"}``.
+    """
+    platform, policy, n_shards = report.platform, report.policy, \
+        report.n_shards
+    profile = report.profile
     if n_shards < 1:
         raise ConfigurationError(f"n_shards must be >= 1, got {n_shards}")
-    policy = policy or BatchPolicy()
     for cls in profile.classes():
         if cls not in indexes:
             raise ConfigurationError(
@@ -294,59 +387,39 @@ def run_loadtest(platform: str,
             raise ConfigurationError(
                 f"max_batch {policy.max_batch} exceeds the {cls!r} "
                 f"index's buffer capacity {indexes[cls].capacity}")
-    if resilience is None:
-        resilience = getattr(backend, "resilience", None) \
-            if backend is not None else None
-        if resilience is None:
-            resilience = ResilienceConfig.from_env()
-    if backend is None:
-        backend = LaunchBackend(platform, guard=guard,
-                                resilience=resilience)
-    elif backend.platform != platform:
+    if backend.platform != platform:
         raise ConfigurationError(
             f"backend is for {backend.platform!r}, loadtest for "
             f"{platform!r}")
 
-    capacities = {cls: idx.n_canonical for cls, idx in indexes.items()}
-    arrivals = generate_arrivals(profile, capacities)
-
-    report = LoadtestReport(platform, profile, n_shards, policy,
-                            resilience_mode=resilience.mode)
     registry = MetricsRegistry()
     batcher = MicroBatcher(policy)
-    # Duck-typed backend knobs: test stubs carry neither faults nor a
-    # breaker, and the loadtest must run them unchanged.
-    faults = getattr(backend, "faults", None)
-    breaker = getattr(backend, "breaker", None)
-    blackouts = faults.blackouts(n_shards) if faults else {}
-    devices = _Devices(n_shards, blackouts)
+    breaker = backend.breaker
+    devices = _Devices(n_shards, backend.faults.blackouts(n_shards))
     estimators: Dict[str, EwmaEstimator] = {}
-    # Arrival index of every query still in flight, popped as virtual
-    # time passes its completion (admission control's "pending" count).
+    # Completion time of every query still in flight, popped as virtual
+    # time passes it (the queue gate's in-flight count).
     in_flight: List[float] = []
-    failed_before = getattr(backend, "failed_batches", 0)
-    reasons_before = dict(getattr(backend, "failed_reasons", {}))
-    retries_before = getattr(backend, "retries", 0)
-    corrupt_before = getattr(backend, "corrupt_detected", 0)
-    opens_before = breaker.opens if breaker is not None else 0
+    failed_before = backend.failed_batches
+    reasons_before = dict(backend.failed_reasons)
+    retries_before = backend.retries
+    corrupt_before = backend.corrupt_detected
+    opens_before = breaker.opens
 
     mutables = None
     write_rng = None
     curve_buckets = None
     if mutation is not None:
-        from repro.mutation import (MutableResidentIndex,
-                                    generate_write_events)
+        from repro.mutation import MutableResidentIndex
+
         mutables = {
             cls: MutableResidentIndex(
                 indexes[cls], policy=mutation.policy,
                 refit_threshold=mutation.refit_threshold, clock=clock,
                 registry=registry, tracer=tracer, platform=platform)
             for cls in profile.classes()}
-        write_events = generate_write_events(profile, mutation.write,
-                                             profile.classes())
         write_rng = random.Random(mutation.write.seed + 0x5EED)
-        total_s = profile.warmup_s + profile.duration_s
-        bucket_w = total_s / CHURN_CURVE_BUCKETS
+        bucket_w = profile.total_s / CHURN_CURVE_BUCKETS
         curve_buckets = [
             {"t0": i * bucket_w, "t1": (i + 1) * bucket_w, "writes": 0,
              "served": 0, "lat": [], "decay": []}
@@ -362,7 +435,7 @@ def run_loadtest(platform: str,
         events.append((arrival.t, seq, "arrival", arrival))
         seq += 1
     if mutables is not None:
-        for write_event in write_events:
+        for write_event in writes:
             events.append((write_event.t, seq, "write", write_event))
             seq += 1
     heapq.heapify(events)
@@ -380,25 +453,24 @@ def run_loadtest(platform: str,
             tracer.emit("resilience", platform, name, clock.cycles(t),
                         0.0, arg)
 
-    def shed(query_or_arrival, t: float, reason: str,
-             query_class: str) -> None:
+    def shed(arrival: Arrival, t: float, reason: str) -> None:
         """Refuse one query; measured sheds feed the SLO accounting."""
-        measured = getattr(query_or_arrival, "measured", None)
-        if measured is None:                  # a batched QueryRequest
-            measured = query_or_arrival.payload.measured
-        if measured:
+        if arrival.measured:
             report.shed += 1
             report.shed_reasons[reason] = \
                 report.shed_reasons.get(reason, 0) + 1
         note("serve.resilience.shed")
         note(f"serve.resilience.shed.{reason}")
-        emit_res("shed", t, arg={"class": query_class, "reason": reason})
+        emit_res("shed", t, arg={"class": arrival.query_class,
+                                 "reason": reason})
+        if sink is not None:
+            sink(arrival, {"error": f"shed: {reason}"})
 
     def admission_reason(cls: str, t: float) -> Optional[str]:
         """Why this arrival must be shed right now (None = admit)."""
         if len(in_flight) + batcher.pending() >= resilience.queue_limit(cls):
             return "queue"
-        if breaker is not None and breaker.opened_at is not None \
+        if breaker.opened_at is not None \
                 and t - breaker.opened_at < breaker.cooldown_s:
             # Breaker is hard-open: every admitted query is doomed, so
             # refuse it up front.
@@ -428,6 +500,16 @@ def run_loadtest(platform: str,
             note("serve.resilience.failed")
             emit_res("failed", t, arg={"class": query.query_class,
                                        "reason": reason})
+            if sink is not None:
+                sink(query.payload, {"error": f"failed: {reason}"})
+
+    def launch_shard(index: ResidentIndex, shard: List[QueryRequest],
+                     raw: bool, now: float):
+        if not raw:
+            return backend.launch(index, [q.qid for q in shard], now)
+        return backend.launch_payloads(
+            index, [q.payload.payload if q.qid is None
+                    else index.payload(q.qid) for q in shard], now)
 
     def dispatch(batch: Batch) -> None:
         index = indexes[batch.query_class]
@@ -439,13 +521,13 @@ def run_loadtest(platform: str,
         if resilience.sheds:
             # Expire queries whose deadline already passed while they
             # waited in the open batch.
-            live = [q for q in queries
-                    if q.deadline is None or q.deadline > batch.t_close]
+            live = []
             for query in queries:
                 if query.deadline is not None \
                         and query.deadline <= batch.t_close:
-                    shed(query, batch.t_close, "expired",
-                         batch.query_class)
+                    shed(query.payload, batch.t_close, "expired")
+                else:
+                    live.append(query)
             queries = live
             if not queries:
                 return
@@ -457,24 +539,26 @@ def run_loadtest(platform: str,
         emit("batch", batch.t_close, arg={
             "class": batch.query_class, "size": len(queries),
             "closed_by": batch.closed_by})
+        # A batch holding any raw payload launches every shard by payload.
+        raw = any(q.qid is None for q in queries)
         finishes: List[float] = []
-        failed_shards: List[List[QueryRequest]] = []
+        served: List[QueryRequest] = []
+        failed_shards: List[Tuple[List[QueryRequest], str]] = []
         service_s = 0.0               # slowest shard's launch occupancy
-        for shard_slots in _shard(range(len(queries)), n_shards):
-            shard_queries = [queries[i] for i in shard_slots]
-            shard_qids = [q.qid for q in shard_queries]
-            launch = backend.launch(index, shard_qids, batch.t_close)
-            if getattr(launch, "failed", False):
-                failed_shards.append(shard_queries)
+        for shard in _shard(queries, n_shards):
+            launch = launch_shard(index, shard, raw, batch.t_close)
+            if launch.failed:
+                failed_shards.append(
+                    (shard, launch.notes["failed_reason"]))
                 note("serve.resilience.failed_launches")
                 emit_res("launch_failed", batch.t_close, arg={
                     "class": batch.query_class,
                     "error": launch.error})
                 continue
             report.sim_cycles += launch.cycles
-            duration = clock.launch_seconds(
-                launch.cycles, getattr(launch, "slow_factor", 1.0)) \
-                + getattr(launch, "backoff_s", 0.0)
+            duration = clock.launch_seconds(launch.cycles,
+                                            launch.slow_factor) \
+                + launch.backoff_s
             service_s = max(service_s, duration)
             slot, finish = devices.assign(batch.t_close, duration)
             if finish is None:
@@ -489,38 +573,39 @@ def run_loadtest(platform: str,
                             "class": batch.query_class,
                             "from_shard": slot, "to_shard": hedge_slot})
                 if finish is None:
-                    failed_shards.append(shard_queries)
+                    failed_shards.append((shard, "shard_dead"))
                     continue
             finishes.append(finish)
+            served.extend(shard)
             note("serve.launches")
             note("serve.sim_cycles", launch.cycles)
             emit("launch", finish - duration, duration, arg={
-                "class": batch.query_class, "queries": len(shard_qids),
+                "class": batch.query_class, "queries": len(shard),
                 "cycles": launch.cycles, "engine": launch.engine})
-        for shard_queries in failed_shards:
-            fail_queries(shard_queries, batch.t_close, "launch")
+            if sink is not None:
+                for i, query in enumerate(shard):
+                    sink(query.payload, {
+                        "result": launch.results.get(i),
+                        "batch_size": len(queries), "sim_s": duration,
+                        "engine": launch.engine})
+        for shard, reason in failed_shards:
+            fail_queries(shard, batch.t_close, reason)
         if not finishes:
             return
         t_done = max(finishes)
         report.t_end = max(report.t_end, t_done)
         emit("complete", t_done, arg={"class": batch.query_class,
                                       "size": len(queries)})
-        n_failed = sum(len(s) for s in failed_shards)
-        served_queries = queries if n_failed == 0 else [
-            q for s in _shard(range(len(queries)), n_shards)
-            for q in [queries[i] for i in s]
-            if not any(q in fs for fs in failed_shards)]
-        if resilience.sheds and served_queries:
+        if resilience.sheds:
             # Pure service time, never sojourn — the admission gate adds
             # the live backlog itself, and a sojourn estimate would wedge
             # above the deadline with no completions left to correct it.
             estimators.setdefault(
                 batch.query_class, EwmaEstimator(resilience.ewma_alpha)
             ).observe(service_s)
-        for query in served_queries:
+        for query in served:
             heapq.heappush(in_flight, t_done)
-            arrival = query.payload  # the Arrival this request wraps
-            if arrival.measured:
+            if query.payload.measured:
                 report.served += 1
                 note("serve.queries_served")
                 latency_ms = (t_done - query.t_arrival) * 1e3
@@ -545,15 +630,10 @@ def run_loadtest(platform: str,
             note("serve.queries_offered")
             if payload.measured:
                 report.offered += 1
-            if max_pending is not None and \
-                    len(in_flight) + batcher.pending() >= max_pending:
-                report.rejected += 1
-                note("serve.queries_rejected")
-                continue
             if resilience.sheds:
                 reason = admission_reason(payload.query_class, t)
                 if reason is not None:
-                    shed(payload, t, reason, payload.query_class)
+                    shed(payload, t, reason)
                     continue
             emit("enqueue", t, arg={"class": payload.query_class,
                                     "qid": payload.qid})
@@ -602,17 +682,14 @@ def run_loadtest(platform: str,
     for batch in batcher.flush(report.t_end):   # defensive; heap drains all
         dispatch(batch)
 
-    report.degraded_batches = \
-        getattr(backend, "failed_batches", 0) - failed_before
+    report.degraded_batches = backend.failed_batches - failed_before
     report.degraded_reasons = {
         reason: delta for reason, count in
-        sorted(getattr(backend, "failed_reasons", {}).items())
+        sorted(backend.failed_reasons.items())
         if (delta := count - reasons_before.get(reason, 0)) > 0}
-    report.retries = getattr(backend, "retries", 0) - retries_before
-    report.corrupt_results = \
-        getattr(backend, "corrupt_detected", 0) - corrupt_before
-    report.breaker_opens = \
-        (breaker.opens if breaker is not None else 0) - opens_before
+    report.retries = backend.retries - retries_before
+    report.corrupt_results = backend.corrupt_detected - corrupt_before
+    report.breaker_opens = breaker.opens - opens_before
     registry.set("serve.degraded_batches", report.degraded_batches)
     registry.set("serve.offered_qps", report.offered_qps)
     registry.set("serve.achieved_qps", report.achieved_qps)

@@ -1,10 +1,10 @@
 """Failure semantics for the serving layer: ``repro.resilience``.
 
-The loadtest and the asyncio facade answer "how fast"; this module
-answers "what happens when traffic exceeds capacity".  Overload is the
-common case for a shared accelerator (RTNN-style asymmetric neighbor
-loads, clustering bursts), so the serving stack needs explicit
-semantics for the work it *refuses*, not just the work it serves:
+The serving loop answers "how fast"; this module answers "what happens
+when traffic exceeds capacity".  Overload is the common case for a
+shared accelerator (RTNN-style asymmetric neighbor loads, clustering
+bursts), so the serving stack needs explicit semantics for the work
+it *refuses*, not just the work it serves:
 
 * **Deadlines** — every admitted query carries an absolute deadline on
   the service timeline; a query is shed at admission when the current
@@ -242,9 +242,9 @@ class CircuitBreaker:
     opens at ``threshold``; OPEN rejects every attempt until
     ``cooldown_s`` has passed; then HALF_OPEN admits a single probe —
     success closes the breaker, failure re-opens it for another full
-    cooldown.  All times are caller-supplied (the loadtest feeds virtual
-    time, the asyncio facade feeds ``time.monotonic()``), so the state
-    machine itself is pure and deterministic.
+    cooldown.  All times are the serving loop's virtual time, passed in
+    by the caller, so the state machine itself is pure and
+    deterministic.
     """
 
     __slots__ = ("threshold", "cooldown_s", "failures", "opened_at",

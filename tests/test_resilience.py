@@ -521,14 +521,12 @@ class TestDeadlines:
         assert_conserved(report)
 
 
-class _SlowStub:
+class _SlowStub(LaunchBackend):
     """Fixed-cost backend double: saturates at a known capacity."""
 
     def __init__(self, platform="tta", cycles=6_825_000.0):  # 5ms @ 1365MHz
-        self.platform = platform
+        super().__init__(platform, faults=ServeFaults(None))
         self.cycles = cycles
-        self.launches = 0
-        self.degraded = 0
 
     def launch(self, index, qids, now=0.0):
         self.launches += 1

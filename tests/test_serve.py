@@ -3,8 +3,9 @@
 Covers the batcher's no-loss/no-duplication contract under size vs
 timeout races, deterministic loadtest percentiles under seeded
 arrivals, per-platform equivalence of the serve path with the one-shot
-harness, guard-triggered degradation of a poisoned batch to the legacy
-engine, and the exec build cache the resident indexes ride on.
+harness, guard-triggered failure of a poisoned batch, the exec build
+cache the resident indexes ride on, and ``repro serve``'s replay of
+JSON-lines queries through the loadtest's event loop.
 """
 
 import copy
@@ -16,7 +17,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.exec import ResultCache, build_fingerprint, build_key
-from repro.guard import Guard, GuardConfig
+from repro.guard import Guard, GuardConfig, ServeFaults
 from repro.harness.runner import run_btree, run_knn, run_rtree, scaled_config_for
 from repro.serve import (
     Batch,
@@ -27,6 +28,7 @@ from repro.serve import (
     MicroBatcher,
     QueryRequest,
     SERVE_PLATFORMS,
+    SERVE_SCALES,
     ServiceClock,
     build_resident_index,
     generate_arrivals,
@@ -279,15 +281,13 @@ class TestPercentile:
 
 
 # -- the virtual-time loadtest ------------------------------------------------------
-class _StubBackend:
-    """Launch backend double: fixed cycles, no simulation."""
+class _StubBackend(LaunchBackend):
+    """Launch backend double: fixed cycles, no simulation, no faults."""
 
     def __init__(self, platform="tta", cycles=1365.0):
-        self.platform = platform
+        super().__init__(platform, faults=ServeFaults(None))
         self.cycles = cycles
         self.launched = []     # list of qid tuples, in dispatch order
-        self.launches = 0
-        self.degraded = 0
 
     def launch(self, index, qids, now=0.0):
         self.launches += 1
@@ -348,19 +348,6 @@ class TestLoadtest:
                    for _ in range(2)]
         assert reports[0].to_dict() == reports[1].to_dict()
         assert reports[0].sim_cycles > 0
-
-    def test_admission_control_rejects_over_capacity(self, point_index):
-        profile = LoadProfile(qps=5000, duration_s=0.05,
-                              mix={"point": 1.0}, seed=1)
-        report = run_loadtest("tta", {"point": point_index}, profile,
-                              policy=BatchPolicy(max_batch=4,
-                                                 max_wait_s=1e-3),
-                              max_pending=8,
-                              backend=_StubBackend(cycles=1e7))
-        assert report.rejected > 0
-        arrivals = generate_arrivals(
-            profile, {"point": point_index.n_canonical})
-        assert report.served + report.rejected <= len(arrivals)
 
     def test_sharding_uses_all_devices(self, point_index):
         backend = _StubBackend()
@@ -583,47 +570,103 @@ class TestBuildCache:
         assert cache.stats()["builds"] == 0
 
 
-# -- asyncio service ----------------------------------------------------------------
-class TestServeService:
-    def test_queries_batch_and_match_golden(self, point_index):
-        import asyncio
+# -- repro serve: JSON-lines queries through the loadtest's loop -------------------
+class TestServeCommand:
+    """``repro serve`` end to end.  CI also runs these under each
+    ``$REPRO_FAULTS`` injector with ``REPRO_RESILIENCE=degrade``, so they
+    assert accounting and determinism, not fault-free outcomes."""
 
-        from repro.serve import ServeService
+    @pytest.fixture(autouse=True)
+    def _build_cache(self, tmp_path_factory, monkeypatch):
+        cache = tmp_path_factory.getbasetemp() / "serve-build-cache"
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(cache))
 
-        async def main():
-            service = ServeService(
-                {"point": point_index}, platform="tta",
-                policy=BatchPolicy(max_batch=8, max_wait_s=0.02))
-            async with service:
-                responses = await asyncio.gather(
-                    *[service.query("point", qid=i) for i in range(12)])
-            return service, responses
+    @staticmethod
+    def _serve(tmp_path, lines, *flags, name="out"):
+        from repro.__main__ import main
 
-        service, responses = asyncio.run(main())
-        wl = point_index.workload
-        assert all(r.result == wl.golden[r.qid] for r in responses)
-        assert all(r.engine == "fast" for r in responses)
-        assert max(r.batch_size for r in responses) > 1
-        assert service.stats()["queries_served"] == 12
+        queries = tmp_path / f"{name}.jsonl"
+        queries.write_text("".join(json.dumps(line) + "\n"
+                                   for line in lines))
+        out = tmp_path / f"{name}.out.jsonl"
+        code = main(["serve", "--platform", "tta", "--input", str(queries),
+                     "--out", str(out), *flags])
+        records = [json.loads(line) for line in out.read_text().splitlines()] \
+            if out.exists() else None
+        return code, records, out
 
-    def test_bad_requests_rejected(self, point_index):
-        import asyncio
+    @staticmethod
+    def _point_index():
+        return build_resident_index("point", SERVE_SCALES["smoke"]["point"])
 
-        from repro.serve import ServeService
+    @staticmethod
+    def _check_accounting(code, records, n):
+        served = [r for r in records if "result" in r]
+        refused = [r for r in records if "error" in r]
+        assert len(records) == len(served) + len(refused) == n
+        assert all(r["error"].split(":")[0] in ("shed", "failed")
+                   for r in refused)
+        assert code == (1 if refused else 0)
+        return served, refused
 
-        async def main():
-            service = ServeService({"point": point_index}, platform="tta")
-            with pytest.raises(ConfigurationError):
-                await service.query("point", qid=0)   # not started
-            async with service:
-                with pytest.raises(ConfigurationError):
-                    await service.query("knn", qid=0)
-                with pytest.raises(ConfigurationError):
-                    await service.query("point")
-                with pytest.raises(ConfigurationError):
-                    await service.query("point", qid=10**6)
+    def test_batches_and_matches_golden(self, tmp_path):
+        lines = [{"class": "point", "qid": i} for i in range(40)]
+        code, records, _ = self._serve(tmp_path, lines, "--mix", "point",
+                                       "--max-batch", "8")
+        served, _ = self._check_accounting(code, records, 40)
+        golden = self._point_index().workload.golden
+        assert [r["qid"] for r in records] == list(range(40))
+        assert all(r["result"] == golden[r["qid"]] for r in served)
+        assert all(r["engine"] == "fast" for r in served)
+        assert max(r["batch_size"] for r in served) == 8
 
-        asyncio.run(main())
+    def test_raw_payloads_for_present_and_absent_keys(self, tmp_path):
+        index = self._point_index()
+        golden = index.workload.golden
+        present = index.payload(golden.index(True))
+        absent = index.payload(golden.index(False))
+        lines = [{"class": "point", "payload": present},
+                 {"class": "point", "qid": 3},
+                 {"class": "point", "payload": absent}]
+        code, records, _ = self._serve(tmp_path, lines, "--mix", "point")
+        served, _ = self._check_accounting(code, records, 3)
+        expected = {0: True, 1: golden[3], 2: False}
+        for slot, record in enumerate(records):
+            assert record["qid"] == lines[slot].get("qid")
+            if "result" in record:
+                assert record["result"] is expected[slot]
+                assert record["batch_size"] == 3
+
+    @pytest.mark.parametrize("line, fragment", [
+        ({"class": "knn", "qid": 0}, "no resident index"),
+        ({"class": "point", "qid": 10**6}, "out of range"),
+        ({"class": "point", "qid": "7"}, "out of range"),
+        ({"class": "point"}, "needs a qid or a payload"),
+        ({"class": "point", "payload": "7"}, "expected int"),
+        ({"qid": 3}, "'{\"qid\": 3}'"),
+    ], ids=["unknown-class", "qid-out-of-range", "qid-not-int",
+            "no-qid-or-payload", "payload-wrong-type", "no-class"])
+    def test_bad_query_rejected_up_front(self, tmp_path, capsys, line,
+                                         fragment):
+        code, records, out = self._serve(
+            tmp_path, [{"class": "point", "qid": 0}, line], "--mix", "point")
+        assert code == 2 and records is None and not out.exists()
+        err = capsys.readouterr().err
+        assert "[serve] bad query on line 2: " in err
+        assert fragment in err
+
+    def test_shed_replay_is_deterministic_and_accounted(self, tmp_path):
+        # 300 range queries at t=0 against a queue limit of 128 (range
+        # is a priority-2 class: half of the 256 watermark).
+        lines = [{"class": "range", "qid": i % 256} for i in range(300)]
+        runs = [self._serve(tmp_path, lines, "--mix", "range",
+                            "--resilience", "shed", name=f"run{i}")
+                for i in range(2)]
+        (code, records, first), (code2, _, second) = runs
+        assert first.read_bytes() == second.read_bytes() and code == code2
+        _, refused = self._check_accounting(code, records, 300)
+        queue_sheds = sum(r["error"] == "shed: queue" for r in refused)
+        assert queue_sheds >= 300 - 128
 
 
 # -- obs TimeSeries retention bound -------------------------------------------------
