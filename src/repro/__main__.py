@@ -379,7 +379,7 @@ def _resilience_config(args):
 def _validate_serve_args(args):
     """Friendly up-front validation of serve/loadtest options; returns
     an error message, or None when the options are sound."""
-    from repro.serve import QUERY_CLASSES, parse_mix
+    from repro.serve import QUERY_CLASSES, parse_mix, query_class_spec
 
     if getattr(args, "max_batch", 1) < 1:
         return f"--max-batch must be >= 1, got {args.max_batch}"
@@ -414,6 +414,13 @@ def _validate_serve_args(args):
                 f"{', '.join(negative)}")
     if sum(mix.values()) <= 0:
         return f"--mix weights sum to zero: {args.mix!r}"
+    platforms = [p.strip() for p in args.platform.split(",") if p.strip()]
+    for cls in sorted(c for c, w in mix.items() if w > 0):
+        valid = query_class_spec(cls).platforms
+        bad = [p for p in platforms if p not in valid]
+        if bad:
+            return (f"error: --mix class {cls!r} cannot serve on "
+                    f"{', '.join(bad)} (valid: {', '.join(valid)})")
     write_mix = getattr(args, "write_mix", None)
     if write_mix is not None:
         from repro.mutation.stream import parse_write_mix
@@ -835,6 +842,21 @@ def _serve_policy(args):
                        max_wait_s=args.max_wait_ms / 1e3)
 
 
+def _native_payload(values: list, native: type):
+    """A JSON list as the class's native query: 3 numbers as a
+    ``Vec3``, 6 (lo xyz, hi xyz) as an ``AABB``.  Any other list comes
+    back unchanged, for the caller to reject."""
+    from repro.geometry import AABB, Vec3
+
+    if not all(type(v) in (int, float) for v in values):
+        return values
+    if native is Vec3 and len(values) == 3:
+        return Vec3(*values)
+    if native is AABB and len(values) == 6:
+        return AABB(Vec3(*values[:3]), Vec3(*values[3:]))
+    return values
+
+
 def _parse_query(line: str, indexes):
     """One JSON-lines query as ``(class, qid, payload)``, or the reason
     it cannot be served."""
@@ -851,6 +873,8 @@ def _parse_query(line: str, indexes):
     if qid is None and payload is None:
         return "needs a qid or a payload"
     native = type(indexes[cls].payload(0))
+    if qid is None and isinstance(payload, list):
+        payload = _native_payload(payload, native)
     if qid is None and type(payload) is not native:
         return (f"payload {payload!r} is not a {cls!r} query "
                 f"(expected {native.__name__})")

@@ -28,6 +28,7 @@ there is no queue server to talk to.
 import hashlib
 import itertools
 import json
+import math
 import pathlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
@@ -316,22 +317,32 @@ def worker_order(points: Sequence[CampaignPoint],
     Every worker sees all points (any of them may need stealing), but
     each starts at a different, id-derived offset and stride so that
     concurrent workers claim disjoint runs of the table instead of
-    racing pairwise on the same next cell.
+    racing pairwise on the same next cell.  The walk is dataset-major:
+    the offset and stride step over the distinct datasets (points
+    grouped by kind and workload params, seed included, in table
+    order), and each dataset's points run back to back, rotated by the
+    same offset.  A worker thus builds each dataset once even though
+    the workload memo keeps only one seed per shape.
     """
-    n = len(points)
-    if n <= 1:
+    if len(points) <= 1:
         return list(points)
     digest = hashlib.sha256(worker_id.encode("utf-8")).digest()
-    offset = int.from_bytes(digest[:4], "big") % n
+    offset = int.from_bytes(digest[:4], "big")
+    groups: Dict[Any, List[CampaignPoint]] = {}
+    for point in points:
+        dataset = (point.spec.kind,
+                   json.dumps(point.spec.workload, sort_keys=True))
+        groups.setdefault(dataset, []).append(point)
+    datasets = list(groups.values())
+    n = len(datasets)
     # An odd stride is coprime with any power-of-two n and rarely shares
     # factors otherwise; fall back to 1 when it does.
     stride = int.from_bytes(digest[4:8], "big") % n | 1
-    if _gcd(stride, n) != 1:
+    if math.gcd(stride, n) != 1:
         stride = 1
-    return [points[(offset + i * stride) % n] for i in range(n)]
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
+    order: List[CampaignPoint] = []
+    for i in range(n):
+        dataset = datasets[(offset + i * stride) % n]
+        start = offset % len(dataset)
+        order.extend(dataset[start:] + dataset[:start])
+    return order

@@ -68,8 +68,10 @@ checks — are provable the same way the watchdog is:
     holds).  Caught by deadline-aware admission: the class's EWMA
     service time inflates and infeasible arrivals shed.
 ``shard_blackout``
-    Simulated device ``shard`` dies at ``at_ms`` virtual milliseconds:
-    in-flight launches never complete and the shard takes no new work.
+    Simulated device ``shard`` dies at ``at_ms`` virtual milliseconds
+    of every loadtest on the backend (``after``/``times`` do not
+    apply): in-flight launches never complete and the shard takes no
+    new work.
     Caught by hedged re-dispatch onto a healthy shard (``degrade``/
     ``strict`` policies); with resilience off the batch's queries are
     lost and accounted as failed.
@@ -502,13 +504,14 @@ class ServeFaults:
 
     def blackouts(self, n_shards: int) -> Dict[int, float]:
         """``{device index: death time (virtual seconds)}`` for every
-        armed ``shard_blackout`` that targets an existing shard."""
-        out: Dict[int, float] = {}
-        for armed in self._armed.get("shard_blackout", ()):
-            plan = armed.plan
-            if plan.shard < n_shards and armed.take():
-                out[plan.shard] = plan.at_ms / 1e3
-        return out
+        armed ``shard_blackout`` that targets an existing shard.
+
+        A blackout is a schedule, not a trigger: reading it consumes
+        nothing, so every loadtest on this backend (each leg of a qps
+        sweep) sees the same dead shards."""
+        return {armed.plan.shard: armed.plan.at_ms / 1e3
+                for armed in self._armed.get("shard_blackout", ())
+                if armed.plan.shard < n_shards}
 
 
 class _CorruptResult:

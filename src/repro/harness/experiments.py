@@ -79,7 +79,10 @@ def params(scale: str) -> Dict:
 def clear_cache() -> None:
     """Drop all in-memory memoization (run results and built workloads).
 
-    The on-disk result cache, when enabled, is *not* touched — use
+    Between calls the workload memo holds one replicate per dataset
+    shape: a new seed of a shape replaces the seed built before it, so
+    it grows with the shapes a process uses, not with the seeds.  The
+    on-disk result cache, when enabled, is *not* touched — use
     ``python -m repro cache clear`` for that.
     """
     from repro.harness import runner

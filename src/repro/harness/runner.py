@@ -17,7 +17,7 @@ never produces a data point.
 """
 
 from dataclasses import dataclass, field as dc_field
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 from repro.core.ttaplus import make_ttaplus_factory
 from repro.energy.model import EnergyBreakdown, energy_report
@@ -417,7 +417,12 @@ def run_wknd(workload: WKNDWorkload, platform: str,
 # — pure data — to worker processes; this section turns a spec back
 # into (workload, config, runner call).  Workload construction is
 # memoized per process so a worker executing several points of the same
-# sweep builds each tree once.
+# sweep builds each tree once.  The memo holds one replicate per dataset
+# shape: it is keyed on ``(kind, params without "seed")`` and keeps the
+# seed beside the workload, so a request for another seed of a shape
+# replaces that shape's entry (a resample supersedes the previous
+# replicate).  A process walking seed after seed then holds one dataset
+# per shape, not every one it has built.
 
 def _workload_factories() -> Dict[str, Any]:
     from repro.workloads import (
@@ -443,21 +448,33 @@ def _workload_factories() -> Dict[str, Any]:
     }
 
 
-_WORKLOAD_CACHE: Dict[Any, Any] = {}
+#: ``(kind, params without "seed")`` -> ``(seed, workload)``.
+_WORKLOAD_CACHE: Dict[Any, Tuple[Any, Any]] = {}
 
 
 def build_workload(kind: str, params: Dict[str, Any]):
-    """Construct (or reuse) the workload a spec describes."""
+    """Construct (or reuse) the workload a spec describes.
+
+    Only the latest seed of each dataset shape is kept: building
+    another seed of a shape replaces the shape's entry.
+    """
     factories = _workload_factories()
     if kind not in factories:
         raise ConfigurationError(
             f"no workload factory for kind {kind!r}; "
             f"known: {sorted(factories)}"
         )
-    key = (kind, tuple(sorted(params.items())))
-    if key not in _WORKLOAD_CACHE:
-        _WORKLOAD_CACHE[key] = factories[kind](**params)
-    return _WORKLOAD_CACHE[key]
+    seed = params.get("seed")
+    shape = (kind, tuple(sorted((k, v) for k, v in params.items()
+                                if k != "seed")))
+    entry = _WORKLOAD_CACHE.pop(shape, None)
+    if entry is None or entry[0] != seed:
+        # Let go of the superseded replicate before building its
+        # successor, so the two are never alive together.
+        entry = None
+        entry = (seed, factories[kind](**params))
+    _WORKLOAD_CACHE[shape] = entry
+    return entry[1]
 
 
 def clear_workload_cache() -> None:

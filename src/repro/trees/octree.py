@@ -16,7 +16,10 @@ Algorithm 2 kernel, and forces are summed bottom-up in the scalar
 recursion's order, so accelerations and visit lists are bit-identical
 to :meth:`BarnesHutTree.force_on`, which stays as the uncached golden
 reference.  :meth:`BarnesHutTree.union_walk` is the same descent for
-warps of bodies, the baseline kernel's warp-voting traversal.
+warps of bodies, the baseline kernel's warp-voting traversal.  Both
+walk one block of bodies (:data:`_WALK_BLOCK`) at a time and join the
+blocks' visit lists; no sum crosses bodies, so the result does not
+depend on the block size.
 """
 
 import math
@@ -30,6 +33,10 @@ from repro.geometry.intersect import point_distance_below
 from repro.geometry.vec import Vec3
 
 _MAX_DEPTH = 48  # beyond this, coincident bodies share a leaf
+#: Bodies per block of a walk: a level-synchronous descent holds every
+#: level's (body, cell) pairs of one block at a time, so peak memory
+#: follows the block, not the body count.
+_WALK_BLOCK = 128
 
 
 class Body(NamedTuple):
@@ -162,6 +169,16 @@ def _visit_csr(flat: FlatTree, n_groups: int, parts: list) -> VisitCSR:
     offsets = np.zeros(n_groups + 1, dtype=np.int64)
     np.cumsum(np.bincount(group, minlength=n_groups), out=offsets[1:])
     return VisitCSR(offsets, node[order], leaf[order], opened[order])
+
+
+def _concat_csr(blocks: List[VisitCSR]) -> VisitCSR:
+    """Visit lists of consecutive blocks of walks as one CSR."""
+    ends = np.cumsum([b.offsets[-1] for b in blocks])
+    offsets = np.concatenate(
+        [blocks[0].offsets] + [b.offsets[1:] + end
+                               for b, end in zip(blocks[1:], ends)])
+    return VisitCSR(offsets, *(np.concatenate(column) for column in
+                               zip(*(b[1:] for b in blocks))))
 
 
 class BarnesHutTree:
@@ -342,23 +359,36 @@ class BarnesHutTree:
     def _body_walk(self) -> "BodyWalk":
         flat = self.flat()
         n = len(self.bodies)
-        levels = self._descend(flat, np.arange(n).reshape(n, 1),
-                               np.ones((n, 1), dtype=bool))
+        accelerations, visits = [], []
+        for lo in range(0, n, _WALK_BLOCK):
+            block = np.arange(lo, min(lo + _WALK_BLOCK, n))
+            values, csr = self._block_walk(flat, block)
+            accelerations.extend(Vec3(x, y, z) for x, y, z in values.tolist())
+            visits.append(csr)
+        return BodyWalk(tuple(accelerations), _concat_csr(visits))
+
+    def _block_walk(self, flat: "FlatTree", bodies: np.ndarray
+                    ) -> Tuple[np.ndarray, VisitCSR]:
+        """One block of bodies' walks: their (n, 3) accelerations and
+        visits.  Groups are block-local; ``bodies`` maps them to bodies."""
+        levels = self._descend(flat, bodies.reshape(-1, 1),
+                               np.ones((len(bodies), 1), dtype=bool))
         values, visits = [], []
         for level in levels:
             group, node = level.group, level.node
+            body = bodies[group]
             value = np.zeros((len(node), 3))
             inner = level.live & ~flat.is_leaf[node]
             closed = inner & ~level.opened
             value[closed] = self._pair_forces(
-                flat.body_pos[group[closed]], flat.com[node[closed]],
+                flat.body_pos[body[closed]], flat.com[node[closed]],
                 flat.mass[node[closed]])
             visits.append((group[inner], node[inner], False,
                            level.opened[inner]))
             leaves = np.flatnonzero(level.live & flat.is_leaf[node])
             if leaves.size:
                 value[leaves], interacted = self._leaf_forces(
-                    flat, group[leaves], node[leaves])
+                    flat, body[leaves], node[leaves])
                 hit = leaves[interacted]
                 visits.append((group[hit], node[hit], True, False))
             values.append(value)
@@ -369,8 +399,7 @@ class BarnesHutTree:
             for k in range(int(level.slot.max()) + 1):
                 sel = level.slot == k
                 parent_value[level.parent[sel]] += values[depth][sel]
-        accelerations = tuple(Vec3(x, y, z) for x, y, z in values[0].tolist())
-        return BodyWalk(accelerations, _visit_csr(flat, n, visits))
+        return values[0], _visit_csr(flat, len(bodies), visits)
 
     def _leaf_forces(self, flat: "FlatTree", group: np.ndarray,
                      node: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -420,18 +449,24 @@ class BarnesHutTree:
         flat = self.flat()
         n = len(self.bodies)
         n_warps = -(-n // warp_size)
-        lanes = np.arange(n_warps * warp_size).reshape(n_warps, warp_size)
-        levels = self._descend(flat, np.minimum(lanes, n - 1), lanes < n)
-        visits = []
-        for level in levels:
-            node = level.node
-            leaf = flat.is_leaf[node]
-            inner = level.live & ~leaf
-            visits.append((level.group[inner], node[inner], False,
-                           level.opened[inner]))
-            hit = level.live & leaf
-            visits.append((level.group[hit], node[hit], True, False))
-        return _visit_csr(flat, n_warps, visits)
+        per_block = max(1, _WALK_BLOCK // warp_size)
+        blocks = []
+        for first in range(0, n_warps, per_block):
+            lanes = np.arange(first * warp_size,
+                              min(first + per_block, n_warps) * warp_size
+                              ).reshape(-1, warp_size)
+            levels = self._descend(flat, np.minimum(lanes, n - 1), lanes < n)
+            visits = []
+            for level in levels:
+                node = level.node
+                leaf = flat.is_leaf[node]
+                inner = level.live & ~leaf
+                visits.append((level.group[inner], node[inner], False,
+                               level.opened[inner]))
+                hit = level.live & leaf
+                visits.append((level.group[hit], node[hit], True, False))
+            blocks.append(_visit_csr(flat, len(lanes), visits))
+        return _concat_csr(blocks)
 
     def _descend(self, flat: "FlatTree", lanes: np.ndarray,
                  lane_ok: np.ndarray) -> List["_Level"]:

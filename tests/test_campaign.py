@@ -171,6 +171,26 @@ class TestCampaignSpec:
             assert sorted(order) == sorted(p.key for p in points)
         assert len({tuple(o) for o in orders.values()}) > 1
 
+    def test_worker_order_runs_each_dataset_back_to_back(self):
+        points = tiny_table(n_keys=(256, 512, 1024),
+                            platforms=("gpu", "tta", "ttaplus"),
+                            reps=3).expand()
+        for wid in ("w0", "w1", "w2", "w3"):
+            datasets = [(p.spec.kind, p.axes["params"]["n_keys"],
+                         p.axes["params"]["seed"])
+                        for p in worker_order(points, wid)]
+            runs = [d for i, d in enumerate(datasets)
+                    if i == 0 or d != datasets[i - 1]]
+            assert len(runs) == len(set(datasets)) == 9
+
+    def test_worker_ids_differ_on_a_one_dataset_table(self):
+        points = tiny_table(platforms=("gpu", "tta", "ttaplus")).expand()
+        first, second = ([p.key for p in worker_order(points, wid)]
+                         for wid in ("w0", "w1"))
+        assert sorted(first) == sorted(second) == \
+            sorted(p.key for p in points)
+        assert first != second
+
 
 # -- leases -------------------------------------------------------------------------
 class TestLeaseBoard:

@@ -275,6 +275,28 @@ class TestServingCLI:
         assert fragment in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["loadtest", "--platform", "rta", "--mix", "point", "--qps", "400",
+         "--duration", "0.02", "--warmup", "0"],
+        ["loadtest", "--platform", "tta,rta", "--mix", "radius,range"],
+        ["serve", "--platform", "rta", "--mix", "knn"],
+    ])
+    def test_mix_class_off_its_platforms_rejected_up_front(
+            self, argv, capsys, monkeypatch):
+        """A class that cannot serve on a requested platform exits 2
+        before any index is built."""
+        import repro.__main__ as cli
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("index built before validation")
+
+        monkeypatch.setattr(cli, "_build_indexes", no_build)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --mix class ")
+        assert "cannot serve on rta" in err
+        assert "Traceback" not in err
+
     def test_resilience_mode_rejects_unknown_choice(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["loadtest", "--resilience", "yolo"])

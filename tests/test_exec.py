@@ -296,6 +296,68 @@ def _rows_equal(a, b):
     return True
 
 
+# -- the runner's workload memo -----------------------------------------------------
+class TestWorkloadMemo:
+    """``runner.build_workload`` keeps one replicate per dataset shape."""
+
+    @pytest.fixture
+    def memo(self, monkeypatch):
+        from repro.harness import runner
+
+        calls = []
+
+        def factory(**params):
+            calls.append(params)
+            return object()
+
+        monkeypatch.setattr(runner, "_WORKLOAD_CACHE", {})
+        monkeypatch.setattr(runner, "_workload_factories",
+                            lambda: {"btree": factory, "nbody": factory})
+        return runner, calls
+
+    def test_same_key_returns_same_object(self, memo):
+        runner, calls = memo
+        first = runner.build_workload("btree", {"n_keys": 8, "seed": 0})
+        assert runner.build_workload("btree", {"seed": 0, "n_keys": 8}) \
+            is first
+        assert len(calls) == 1
+
+    def test_new_seed_replaces_its_shape(self, memo):
+        runner, calls = memo
+        first = runner.build_workload("btree", {"n_keys": 8, "seed": 0})
+        second = runner.build_workload("btree", {"n_keys": 8, "seed": 1})
+        assert second is not first
+        assert len(runner._WORKLOAD_CACHE) == 1
+        assert runner.build_workload("btree", {"n_keys": 8, "seed": 1}) \
+            is second
+        # Going back to seed 0 rebuilds it: the replicate was dropped.
+        assert runner.build_workload("btree", {"n_keys": 8, "seed": 0}) \
+            is not first
+        assert len(calls) == 3
+
+    def test_two_shapes_coexist(self, memo):
+        runner, _ = memo
+        small = runner.build_workload("btree", {"n_keys": 8, "seed": 0})
+        large = runner.build_workload("btree", {"n_keys": 16, "seed": 0})
+        bodies = runner.build_workload("nbody", {"n_keys": 8, "seed": 0})
+        assert len(runner._WORKLOAD_CACHE) == 3
+        assert runner.build_workload("btree", {"n_keys": 8, "seed": 0}) \
+            is small
+        assert runner.build_workload("btree", {"n_keys": 16, "seed": 0}) \
+            is large
+        assert runner.build_workload("nbody", {"n_keys": 8, "seed": 0}) \
+            is bodies
+
+    def test_fixed_seed_requests_build_each_dataset_once(self, memo):
+        runner, calls = memo
+        requests = [("btree", n) for n in (8, 16, 8, 32, 16, 8)] + \
+            [("nbody", 8), ("btree", 32), ("nbody", 8)]
+        for kind, n_keys in requests:
+            runner.build_workload(kind, {"n_keys": n_keys, "seed": 3})
+        assert sorted(c["n_keys"] for c in calls) == [8, 8, 16, 32]
+        assert len(runner._WORKLOAD_CACHE) == 4
+
+
 class TestFigureEquivalence:
     def test_fig12_parallel_equals_serial_and_resumes(self, global_service):
         from repro.harness import experiments

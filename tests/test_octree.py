@@ -4,6 +4,7 @@ import math
 import random
 
 import hypothesis
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,8 +12,9 @@ from hypothesis import strategies as st
 from repro.errors import ConfigurationError
 from repro.geometry import Vec3
 from repro.trees import BarnesHutTree
-from repro.trees.octree import _MAX_DEPTH, make_body
-from tests.octree_reference import warp_walk
+from repro.trees.octree import _MAX_DEPTH, _WALK_BLOCK, make_body
+from tests.octree_reference import (unblocked_body_walk,
+                                    unblocked_union_walk, warp_walk)
 
 
 def random_bodies(n, dims=3, seed=0, span=10.0):
@@ -218,3 +220,26 @@ def test_coincident_clump_splits_past_max_depth():
         ref = tree.force_on(body)
         assert _hex(walk.accelerations[i]) == _hex(ref.acceleration)
         assert _csr_events(tree, walk.visits, i) == _events(ref.visits)
+
+
+def _assert_same_csr(got, want):
+    for name in got._fields:
+        column, expected = getattr(got, name), getattr(want, name)
+        assert column.dtype == expected.dtype, name
+        assert np.array_equal(column, expected), name
+
+
+@pytest.mark.parametrize("dims", [2, 3])
+@pytest.mark.parametrize("n", [1, _WALK_BLOCK - 1, _WALK_BLOCK,
+                               _WALK_BLOCK + 1, 2 * _WALK_BLOCK + 7])
+def test_blocked_walks_equal_unblocked_walks(n, dims):
+    """Walking block by block changes nothing: accelerations are equal
+    floats and every visit column is equal, dtype included."""
+    tree = BarnesHutTree(random_bodies(n, dims=dims, seed=n), dims=dims,
+                         theta=0.5)
+    walk, want = tree._body_walk(), unblocked_body_walk(tree)
+    assert walk.accelerations == want.accelerations
+    _assert_same_csr(walk.visits, want.visits)
+    for warp_size in (4, 32):
+        _assert_same_csr(tree.union_walk(warp_size),
+                         unblocked_union_walk(tree, warp_size))

@@ -28,6 +28,7 @@ from repro.serve import (
     build_resident_index,
     check_batch_integrity,
     run_loadtest,
+    run_qps_sweep,
 )
 from repro.serve.resilience import DEFAULT_DEADLINE_MS, DEFAULT_MAX_QUEUE
 
@@ -471,6 +472,20 @@ class TestLoadtestFaultMatrix:
         assert report.failed == 0
         assert report.served == report.offered
         assert_conserved(report)
+
+    def test_blackout_hits_every_sweep_leg(self, point_index, monkeypatch):
+        """Two identical qps legs share one backend; the blackout is a
+        schedule, so the second leg is faulted exactly like the first."""
+        monkeypatch.setenv("REPRO_FAULTS", "slow_backend:factor=400:times=0;"
+                                           "shard_blackout:shard=1:at_ms=25")
+        profile = LoadProfile(qps=2000.0, duration_s=0.1, warmup_s=0.02,
+                              mix={"point": 1.0}, seed=5)
+        sweep = run_qps_sweep(["tta"], [2000.0, 2000.0],
+                              {"point": point_index}, profile, n_shards=3,
+                              resilience=DEGRADE)
+        first, second = sweep["curves"]["tta"]
+        assert first["resilience"]["hedges"] >= 1
+        assert first == second
 
     def test_slow_backend_inflates_latency_not_cycles(self, point_index):
         baseline = _tiny_loadtest(point_index, OFF)

@@ -637,15 +637,47 @@ class TestServeCommand:
                 assert record["result"] is expected[slot]
                 assert record["batch_size"] == 3
 
+    @pytest.mark.parametrize("query_class", ["range", "knn", "radius"])
+    def test_list_payloads_answer_like_their_qid(self, tmp_path,
+                                                 query_class):
+        """A JSON list is the class's native query: 3 numbers a point,
+        6 (lo xyz, hi xyz) a box."""
+        index = build_resident_index(query_class,
+                                     SERVE_SCALES["smoke"][query_class])
+        lines = []
+        for qid in (5, 17):
+            query = index.payload(qid)
+            corners = (query.lo, query.hi) if query_class == "range" \
+                else (query,)
+            values = [c for v in corners for c in (v.x, v.y, v.z)]
+            lines += [{"class": query_class, "qid": qid},
+                      {"class": query_class, "payload": values}]
+        code, records, _ = self._serve(tmp_path, lines,
+                                       "--mix", query_class)
+        self._check_accounting(code, records, 4)
+        for by_qid, by_list in (records[0:2], records[2:4]):
+            if "result" in by_qid and "result" in by_list:
+                assert by_list["result"] == by_qid["result"]
+
+    def test_list_of_the_wrong_shape_rejected_up_front(self, tmp_path,
+                                                       capsys):
+        code, records, _ = self._serve(
+            tmp_path, [{"class": "range", "payload": [1.0, 2.0, 3.0]}],
+            "--mix", "range")
+        assert code == 2 and records is None
+        assert "expected AABB" in capsys.readouterr().err
+
     @pytest.mark.parametrize("line, fragment", [
         ({"class": "knn", "qid": 0}, "no resident index"),
         ({"class": "point", "qid": 10**6}, "out of range"),
         ({"class": "point", "qid": "7"}, "out of range"),
         ({"class": "point"}, "needs a qid or a payload"),
         ({"class": "point", "payload": "7"}, "expected int"),
+        ({"class": "point", "payload": [1, 2, 3]}, "expected int"),
         ({"qid": 3}, "'{\"qid\": 3}'"),
     ], ids=["unknown-class", "qid-out-of-range", "qid-not-int",
-            "no-qid-or-payload", "payload-wrong-type", "no-class"])
+            "no-qid-or-payload", "payload-wrong-type", "payload-list",
+            "no-class"])
     def test_bad_query_rejected_up_front(self, tmp_path, capsys, line,
                                          fragment):
         code, records, out = self._serve(
