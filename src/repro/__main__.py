@@ -104,7 +104,7 @@ command groups:
     loadtest            open-loop load generation -> QPS vs latency curves
 
   maintenance:
-    cache               inspect, prune, or clear the on-disk caches
+    cache               inspect, prune, or clear the on-disk result cache
 """
 
 
@@ -207,8 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="MS",
                        help="close a batch MS after its first query "
                             "(default: 2.0)")
-        p.add_argument("--no-cache", action="store_true",
-                       help="do not read or write the on-disk build cache")
         _add_guard_options(p)
         p.add_argument("--resilience", default=None,
                        choices=("off", "shed", "degrade", "strict"),
@@ -338,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     cexpand.add_argument("--json", action="store_true")
 
     cache = sub.add_parser(
-        "cache", help="inspect, prune, or clear the on-disk caches")
+        "cache", help="inspect, prune, or clear the on-disk result cache")
     cache.add_argument("action", choices=("stats", "prune", "clear"))
     cache.add_argument("--stale-leases", action="store_true",
                        help="with prune: also remove expired campaign "
@@ -707,31 +705,32 @@ def cmd_sweep(kind: str, platforms, params, csv_dir=None, json_dir=None,
 
 
 def cmd_cache(action: str, stale_leases: bool = False) -> int:
+    from repro.campaign import CAMPAIGNS_SUBDIR, sweep_campaigns
     from repro.exec import ResultCache
 
     cache = ResultCache()
+    campaigns = cache.base / CAMPAIGNS_SUBDIR
     if action == "stats":
         stats = cache.stats()
+        leases = sweep_campaigns(campaigns)
         print(f"cache root: {stats['root']} (format {stats['format']})")
         print(f"entries:    {stats['entries']}")
-        print(f"builds:     {stats['builds']} (resident-index workloads)")
         print(f"size:       {stats['bytes'] / 1e6:.2f} MB")
         print(f"corrupt:    {stats['corrupt']} (quarantined)")
-        print(f"campaigns:  {stats['campaigns']} "
-              f"(leases: {stats['leases']}, "
-              f"stale: {stats['stale_leases']})")
+        print(f"campaigns:  {leases['campaigns']} "
+              f"(leases: {leases['live'] + leases['expired']}, "
+              f"stale: {leases['expired']})")
         print(f"quarantine: {stats['quarantine']} guard bundles")
     elif action == "prune":
         bundles = cache.prune_quarantine()
         line = f"pruned {bundles} quarantine/corrupt file(s)"
         if stale_leases:
-            leases = cache.prune_stale_leases()
-            line += f", {leases} stale campaign lease(s)"
+            pruned = sweep_campaigns(campaigns, prune=True)["expired"]
+            line += f", {pruned} stale campaign lease(s)"
         print(f"{line} from {cache.base}")
     else:
         removed = cache.clear()
-        print(f"removed {removed} cached entries (runs + builds) "
-              f"from {cache.base}")
+        print(f"removed {removed} cached run entries from {cache.base}")
     return 0
 
 
@@ -813,23 +812,19 @@ def cmd_campaign(args, guard=None) -> int:
 
 
 # -- serving ---------------------------------------------------------------------
-def _build_indexes(mix_text: str, scale: str, no_cache: bool):
-    """Resident indexes for every class in a CLI mix string, routed
-    through the exec build cache; returns ``(indexes, mix)``."""
-    from repro.exec import ResultCache
+def _build_indexes(mix_text: str, scale: str):
+    """Resident indexes for every class in a CLI mix string, built in
+    process; returns ``(indexes, mix)``."""
     from repro.serve import SERVE_SCALES, build_resident_index, parse_mix
 
     mix = parse_mix(mix_text)
-    cache = None if no_cache else ResultCache()
     indexes = {}
     for cls in sorted(mix):
         if mix[cls] <= 0:
             continue
         started = time.time()
-        indexes[cls] = build_resident_index(cls, SERVE_SCALES[scale][cls],
-                                            cache=cache)
-        how = "cached" if indexes[cls].from_cache else "built"
-        print(f"[serve] {cls}: {indexes[cls].spec.kind} index {how} in "
+        indexes[cls] = build_resident_index(cls, SERVE_SCALES[scale][cls])
+        print(f"[serve] {cls}: {indexes[cls].spec.kind} index built in "
               f"{time.time() - started:.2f}s "
               f"(capacity {indexes[cls].capacity})", file=sys.stderr)
     return indexes, mix
@@ -897,7 +892,7 @@ def cmd_serve(args, guard=None) -> int:
     if error is not None:
         print(error, file=sys.stderr)
         return 2
-    indexes, _ = _build_indexes(args.mix, args.scale, args.no_cache)
+    indexes, _ = _build_indexes(args.mix, args.scale)
     text = args.input.read_text() if args.input is not None \
         else sys.stdin.read()
     queries = []
@@ -991,7 +986,7 @@ def cmd_loadtest(args, guard=None) -> int:
         print(error, file=sys.stderr)
         return 2
 
-    indexes, mix = _build_indexes(args.mix, args.scale, args.no_cache)
+    indexes, mix = _build_indexes(args.mix, args.scale)
     profile = LoadProfile(qps=qps_values[0], duration_s=args.duration,
                           warmup_s=args.warmup, mix=mix,
                           arrival=args.arrival, burst_size=args.burst_size,

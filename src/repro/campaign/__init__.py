@@ -20,7 +20,11 @@ exec cache plus the per-point record files, so re-running a campaign
 only executes the missing points, and a second full run executes none.
 """
 
-from repro.campaign.leases import LeaseBoard
+from repro.campaign.leases import (
+    DEFAULT_LEASE_TTL_S,
+    LeaseBoard,
+    sweep_campaigns,
+)
 from repro.campaign.orchestrator import (
     CAMPAIGNS_SUBDIR,
     campaign_dir_for,
@@ -31,7 +35,6 @@ from repro.campaign.orchestrator import (
     status,
 )
 from repro.campaign.spec import (
-    DEFAULT_LEASE_TTL_S,
     KIND_PLATFORMS,
     CampaignPoint,
     CampaignSpec,
@@ -63,5 +66,6 @@ __all__ = [
     "run_campaign",
     "run_worker",
     "status",
+    "sweep_campaigns",
     "worker_order",
 ]

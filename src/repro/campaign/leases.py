@@ -30,7 +30,9 @@ deterministic and cache writes are atomic, so both produce the same
 bytes and one of the two identical results wins the ``os.replace``.
 Expiry uses each writer's own clock plus the file mtime (whichever is
 later), so multi-host stealing only assumes clocks agree to within the
-TTL, not to the millisecond.
+TTL, not to the millisecond.  Cache maintenance (``repro cache stats``,
+``repro cache prune --stale-leases``) applies this same rule through
+:func:`sweep_campaigns`.
 """
 
 import json
@@ -41,6 +43,15 @@ import time
 import uuid
 from typing import Any, Dict, Optional
 
+from repro.errors import ConfigurationError
+
+#: Default lease time-to-live: how long a claimed point may sit without
+#: its worker finishing before siblings may steal it.
+DEFAULT_LEASE_TTL_S = 300.0
+
+#: A campaign directory's lease subdirectory.
+LEASES_DIR = "leases"
+
 #: Lease sidecars end in .json; everything else in the directory is a
 #: writer's temp file and can be ignored.
 _SUFFIX = ".json"
@@ -50,7 +61,7 @@ class LeaseBoard:
     """One worker's view of a campaign's lease directory."""
 
     def __init__(self, root, worker_id: str,
-                 ttl_s: float = 300.0) -> None:
+                 ttl_s: float = DEFAULT_LEASE_TTL_S) -> None:
         self.root = pathlib.Path(root)
         self.worker_id = worker_id
         self.ttl_s = float(ttl_s)
@@ -169,15 +180,58 @@ class LeaseBoard:
         return self._read(self._path(key))
 
     # -- maintenance -----------------------------------------------------------
-    def sweep(self) -> Dict[str, int]:
-        """Count live vs expired leases (``repro campaign status``)."""
+    def sweep(self, prune: bool = False) -> Dict[str, int]:
+        """Count live vs expired leases (``repro campaign status``);
+        ``prune`` also unlinks the expired ones."""
         live = expired = 0
         for path in self.root.glob(f"*{_SUFFIX}"):
-            if self._expired(path, self._read(path)):
-                expired += 1
-            else:
+            if not self._expired(path, self._read(path)):
                 live += 1
+                continue
+            expired += 1
+            if prune:
+                self.release(path.stem)
         return {"live": live, "expired": expired}
+
+
+def sweep_campaigns(campaigns_root, prune: bool = False) -> Dict[str, int]:
+    """Lease counts over every campaign directory under ``campaigns_root``.
+
+    Backs ``repro cache stats`` and ``repro cache prune --stale-leases``
+    (``prune`` unlinks the expired leases).  Each campaign's leases are
+    judged by a :class:`LeaseBoard` with that campaign's TTL, so a lease
+    is expired here exactly when ``repro campaign status`` says so.
+    Pruning is safe against live sweeps: a worker that was merely slow
+    re-acquires through the same claim/steal protocol, and running a
+    deterministic point twice yields the same bytes.
+    """
+    totals = {"campaigns": 0, "live": 0, "expired": 0}
+    root = pathlib.Path(campaigns_root)
+    if not root.is_dir():
+        return totals
+    for directory in root.iterdir():
+        if not directory.is_dir():
+            continue
+        totals["campaigns"] += 1
+        if not (directory / LEASES_DIR).is_dir():
+            continue
+        board = LeaseBoard(directory / LEASES_DIR, "cache-maintenance",
+                           ttl_s=_campaign_ttl(directory))
+        for name, count in board.sweep(prune).items():
+            totals[name] += count
+    return totals
+
+
+def _campaign_ttl(directory: pathlib.Path) -> float:
+    """The lease TTL a campaign directory's run table declares (the
+    default when the table is missing or unreadable)."""
+    from repro.campaign.spec import CampaignSpec
+    from repro.campaign.worker import CAMPAIGN_FILE
+
+    try:
+        return CampaignSpec.from_file(directory / CAMPAIGN_FILE).lease_ttl_s
+    except (ConfigurationError, OSError, TypeError, ValueError):
+        return DEFAULT_LEASE_TTL_S
 
 
 def _pid_alive(pid: int) -> bool:

@@ -34,10 +34,10 @@ from typing import Any, Dict, List, Optional
 from repro.errors import ConfigurationError
 from repro.exec.cache import ResultCache
 from repro.exec.service import STATUS_FAILED
+from repro.campaign.leases import LEASES_DIR
 from repro.campaign.spec import CampaignPoint, CampaignSpec
 from repro.campaign.worker import (
     CAMPAIGN_FILE,
-    LEASES_DIR,
     MANIFEST_FILE,
     RECORDS_DIR,
     WORKERS_DIR,

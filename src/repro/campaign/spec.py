@@ -33,6 +33,7 @@ import pathlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
+from repro.campaign.leases import DEFAULT_LEASE_TTL_S
 from repro.errors import ConfigurationError
 from repro.exec.spec import KINDS, RunSpec, code_fingerprint, make_spec
 
@@ -48,11 +49,6 @@ KIND_PLATFORMS = {
     "lumi": ("gpu", "rta", "ttaplus", "ttaplus_opt"),
     "rangescan": ("gpu", "tta"),
 }
-
-#: Default lease time-to-live: how long a claimed point may sit without
-#: its worker finishing before siblings may steal it.
-DEFAULT_LEASE_TTL_S = 300.0
-
 
 @dataclass(frozen=True)
 class CampaignPoint:
@@ -230,8 +226,7 @@ class CampaignSpec:
                 # Churn is a workload axis like any grid parameter: a
                 # list of specs multiplies, and the value rides in the
                 # spec's workload params so the factory pre-churns the
-                # build (pre-churned builds are never persisted to the
-                # exec build cache — see repro.exec.cache.put_build).
+                # build (only run results are persisted, never builds).
                 grid_params["churn"] = entry["churn"]
             grid = _as_grid(grid_params)
             for combo in grid:

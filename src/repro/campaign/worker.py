@@ -50,13 +50,12 @@ from repro.exec.service import (
     STATUS_FAILED,
     ExecutionService,
 )
-from repro.campaign.leases import LeaseBoard
+from repro.campaign.leases import LEASES_DIR, LeaseBoard
 from repro.campaign.spec import CampaignPoint, CampaignSpec, worker_order
 
 #: File names inside a campaign directory.
 CAMPAIGN_FILE = "campaign.json"
 RECORDS_DIR = "records"
-LEASES_DIR = "leases"
 WORKERS_DIR = "workers"
 MANIFEST_FILE = "manifest.json"
 

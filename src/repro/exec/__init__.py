@@ -5,7 +5,8 @@ Public surface:
 * :class:`~repro.exec.spec.RunSpec` / :func:`~repro.exec.spec.make_spec`
   — declarative, content-addressable description of one simulation run;
 * :class:`~repro.exec.cache.ResultCache` — on-disk memo of completed
-  runs, keyed by spec SHA-256;
+  runs, keyed by spec SHA-256 (run results only: nothing else is
+  persisted here);
 * :class:`~repro.exec.service.ExecutionService` — memo + cache + worker
   pool; executes figure point sets with ``--jobs N`` parallelism and a
   structured :class:`~repro.exec.service.RunManifest`;
@@ -23,8 +24,6 @@ from typing import Optional
 from repro.exec.cache import (
     CACHE_DIR_ENV,
     ResultCache,
-    build_fingerprint,
-    build_key,
     default_cache_dir,
 )
 from repro.exec.pool import Outcome, ParallelRunner, run_serial
@@ -47,8 +46,6 @@ __all__ = [
     "RunRecord",
     "RunSpec",
     "StubResult",
-    "build_fingerprint",
-    "build_key",
     "code_fingerprint",
     "configure",
     "default_cache_dir",

@@ -26,8 +26,8 @@ against whichever tree ``ensure_ready`` left installed.
 **Staleness contract.**  A refresh rebuilds the memory image in a fresh
 address space, re-allocates the query/result buffers, clears the
 index's lowered-job memo and the workload's job/stream caches, and
-bumps ``mutation_epoch`` on both — the epoch the exec build cache and
-the backend config cache key on.
+bumps ``mutation_epoch`` on both, so a churned workload never reads
+as its pristine (epoch-0) build.
 """
 
 from dataclasses import dataclass, field

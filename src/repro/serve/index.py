@@ -13,11 +13,9 @@ onto one of the repo's workload families:
 ``radius``  rtnn       fixed-radius neighbour search (BVH)
 ==========  =========  ==========================================
 
-Builds route through the exec layer's **build cache**
-(:func:`repro.exec.build_key` + ``ResultCache.get_build``): a build is
-keyed on construction parameters and the dataset fingerprint alone — no
-platform, no GPU config — so one cached tree serves every platform the
-loadtest sweeps.
+Indexes are always built in process from their construction
+parameters; nothing is read from or written to disk.  One build serves
+every platform the loadtest sweeps (each leg forks it).
 
 The index also owns per-query *job lowering* memoization: lowering a
 query's traversal into accelerator steps is pure per (tree, query,
@@ -196,13 +194,12 @@ class ResidentIndex:
 
     def __init__(self, query_class: str, workload: Any,
                  params: Optional[Dict[str, Any]] = None,
-                 build_seconds: float = 0.0, from_cache: bool = False):
+                 build_seconds: float = 0.0):
         self.spec = query_class_spec(query_class)
         self.query_class = query_class
         self.workload = workload
         self.params = dict(params or {})
         self.build_seconds = build_seconds
-        self.from_cache = from_cache
         self._canonical: Sequence[Any] = self.spec.payloads(workload)
         # (flavor, canonical qid) -> (steps, functional result); the
         # TraversalJob wrapper is rebuilt per batch with the batch-local
@@ -290,37 +287,16 @@ class ResidentIndex:
     def __repr__(self) -> str:
         return (f"ResidentIndex({self.query_class}/{self.spec.kind}, "
                 f"capacity={self.capacity}, "
-                f"{'cached' if self.from_cache else 'built'} in "
-                f"{self.build_seconds:.2f}s)")
+                f"built in {self.build_seconds:.2f}s)")
 
 
 def build_resident_index(query_class: str,
-                         params: Optional[Dict[str, Any]] = None,
-                         cache=None) -> ResidentIndex:
-    """Build (or load from the exec build cache) one resident index.
-
-    ``cache`` is a :class:`repro.exec.ResultCache` (or None to always
-    build in-process).  The cache key folds construction parameters and
-    the dataset fingerprint only — see :func:`repro.exec.build_key` —
-    so a build made for a GPU loadtest is reused verbatim for the TTA
-    and TTA+ legs.
-    """
-    from repro.exec import build_key
-
+                         params: Optional[Dict[str, Any]] = None
+                         ) -> ResidentIndex:
+    """Build one resident index in process from its parameters."""
     spec = query_class_spec(query_class)
     params = dict(params or {})
-    key = build_key(spec.kind, params)
     started = time.monotonic()
-    if cache is not None:
-        workload = cache.get_build(key)
-        if workload is not None:
-            return ResidentIndex(query_class, workload, params,
-                                 build_seconds=time.monotonic() - started,
-                                 from_cache=True)
     workload = spec.make_workload(**params)
-    seconds = time.monotonic() - started
-    if cache is not None:
-        cache.put_build(key, workload, kind=spec.kind, params=params,
-                        seconds=seconds)
     return ResidentIndex(query_class, workload, params,
-                         build_seconds=seconds)
+                         build_seconds=time.monotonic() - started)

@@ -763,8 +763,8 @@ def run_qps_sweep(platforms: Sequence[str],
                   ) -> Dict[str, Any]:
     """QPS-vs-latency curves: one loadtest per (platform, qps) point.
 
-    Resident indexes are shared across every leg — the build cache's
-    whole point — and each platform keeps one backend so its per-index
+    Resident indexes are built once and shared across every leg, and
+    each platform keeps one backend so its per-index
     scaled config is derived once.  Returns the ``repro loadtest`` JSON
     shape: ``{"curves": {platform: [point, ...]}, ...}``.
 

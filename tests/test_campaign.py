@@ -20,6 +20,7 @@ import pytest
 
 import repro.campaign as campaign
 from repro.campaign import (
+    CAMPAIGNS_SUBDIR,
     CampaignSpec,
     CampaignWorker,
     LeaseBoard,
@@ -407,10 +408,10 @@ class TestCacheMaintenance:
         directory = campaign.init_campaign(spec, cache=cache)
         board = LeaseBoard(directory / "leases", "w0", ttl_s=300.0)
         board.claim("somekey")
-        stats = cache.stats()
+        stats = campaign.sweep_campaigns(cache.base / CAMPAIGNS_SUBDIR)
         assert stats["campaigns"] == 1
-        assert stats["leases"] == 1
-        assert stats["stale_leases"] == 0
+        assert stats["live"] + stats["expired"] == 1
+        assert stats["expired"] == 0
 
     def test_prune_stale_leases(self, cache):
         spec = tiny_table()
@@ -423,8 +424,9 @@ class TestCacheMaintenance:
         lease["acquired"] = time.time() - 9999
         stale.write_text(json.dumps(lease))
         os.utime(stale, (time.time() - 9999, time.time() - 9999))
-        assert cache.stats()["stale_leases"] == 1
-        assert cache.prune_stale_leases() == 1
+        root = cache.base / CAMPAIGNS_SUBDIR
+        assert campaign.sweep_campaigns(root)["expired"] == 1
+        assert campaign.sweep_campaigns(root, prune=True)["expired"] == 1
         assert not stale.exists()
         assert board._path("fresh").exists()
 

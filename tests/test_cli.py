@@ -359,14 +359,18 @@ class TestServingCLI:
         assert "[mutation]" in captured.err
         assert "point:" in captured.err
 
-    def test_loadtest_reuses_build_cache(self, capsys):
+    def test_loadtest_builds_in_process_and_writes_nothing(
+            self, tmp_path, capsys):
+        """Resident indexes are always built in process: a loadtest
+        leaves the cache directory without any entry, builds included."""
         argv = ["loadtest", "--platform", "tta", "--qps", "400",
                 "--duration", "0.02", "--warmup", "0", "--mix", "point"]
-        assert main(argv) == 0
-        first = capsys.readouterr().err
-        assert "index built" in first
-        assert main(argv) == 0
-        assert "index cached" in capsys.readouterr().err
+        for _ in range(2):
+            assert main(argv) == 0
+            assert "index built" in capsys.readouterr().err
+        cache_dir = tmp_path / "cache"
+        assert not (cache_dir / "builds").exists()
+        assert not cache_dir.exists() or not any(cache_dir.iterdir())
 
     def test_serve_answers_jsonl_queries(self, tmp_path, capsys):
         queries = tmp_path / "queries.jsonl"
@@ -394,15 +398,17 @@ class TestServingCLI:
         assert code == 2
         assert "bad query" in capsys.readouterr().err
 
-    def test_cache_stats_reports_builds(self, capsys):
-        assert main(["loadtest", "--platform", "tta", "--qps", "400",
-                     "--duration", "0.02", "--warmup", "0",
-                     "--mix", "point"]) == 0
-        capsys.readouterr()
-        assert main(["cache", "stats"]) == 0
-        out = capsys.readouterr().out
-        assert "builds:" in out
-        assert "builds:     0" not in out
+    def test_serve_builds_in_process_and_writes_nothing(
+            self, tmp_path, capsys):
+        queries = tmp_path / "queries.jsonl"
+        queries.write_text('{"class": "point", "qid": 0}\n')
+        assert main(["serve", "--platform", "tta", "--mix", "point",
+                     "--input", str(queries),
+                     "--out", str(tmp_path / "out.jsonl")]) == 0
+        assert "index built" in capsys.readouterr().err
+        cache_dir = tmp_path / "cache"
+        assert not (cache_dir / "builds").exists()
+        assert not cache_dir.exists() or not any(cache_dir.iterdir())
 
 
 class TestCampaignCLI:
@@ -486,6 +492,33 @@ class TestCampaignCLI:
         assert "campaigns:  1" in out
         assert main(["cache", "prune", "--stale-leases"]) == 0
         assert "stale campaign lease" in capsys.readouterr().out
+
+    def test_dead_local_lease_is_expired_everywhere(self, table, capsys):
+        """One expiry rule: a fresh lease held by a reaped local process
+        is stale to ``cache stats``/``cache prune`` exactly as it is
+        expired to ``campaign status``."""
+        import socket
+        import subprocess
+        import sys
+        import time
+
+        from repro.campaign import CampaignSpec, init_campaign
+
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        child.wait()
+        directory = init_campaign(CampaignSpec.from_file(table))
+        lease = directory / "leases" / "somekey.json"
+        lease.write_text(json.dumps({
+            "worker": "w9", "host": socket.gethostname(), "pid": child.pid,
+            "nonce": "0" * 32, "acquired": time.time(), "ttl_s": 300.0}))
+        assert main(["campaign", "status", str(directory), "--json"]) == 0
+        leases = json.loads(capsys.readouterr().out)["leases"]
+        assert leases == {"live": 0, "expired": 1}
+        assert main(["cache", "stats"]) == 0
+        assert "(leases: 1, stale: 1)" in capsys.readouterr().out
+        assert main(["cache", "prune", "--stale-leases"]) == 0
+        assert "1 stale campaign lease(s)" in capsys.readouterr().out
+        assert not lease.exists()
 
     def test_help_epilog_groups_campaigns(self, capsys):
         with pytest.raises(SystemExit):

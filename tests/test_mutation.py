@@ -3,7 +3,7 @@
 Covers the seeded write stream, per-flavor mutators (refit and rebuild
 equivalence against a fresh-build oracle, on every serving platform),
 the rebuild-vs-refit scheduler, epoch-swapped installs through
-``MutableResidentIndex``, the staleness contracts (exec build cache,
+``MutableResidentIndex``, the staleness contracts (fresh builds,
 BVH SoA views, backend config cache), loadtest integration
 (determinism, decay-and-recovery, read-only transparency), and the
 campaign churn axis.
@@ -16,7 +16,6 @@ import random
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.exec import ResultCache, build_key
 from repro.mutation import (
     CHURN_KINDS,
     MutableResidentIndex,
@@ -454,24 +453,23 @@ class TestMutableResidentIndex:
 
 # -- staleness contracts ------------------------------------------------------------
 class TestStalenessContracts:
-    def test_build_cache_never_persists_mutated_workload(self, tmp_path):
-        """Satellite: a mutated index must never poison the on-disk
-        build cache; ``put_build`` refuses any nonzero epoch."""
-        cache = ResultCache(tmp_path)
+    def test_fresh_build_ignores_mutated_index(self):
+        """A mutated index never leaks into a later build: indexes are
+        built in process from their parameters, so the next build of
+        the same parameters is the pristine epoch-0 tree."""
         params = dict(TINY["point"], seed=0)
-        index = build_resident_index("point", params, cache=cache)
-        key = build_key("btree", params)
-        assert cache.get_build(key) is not None, "pristine build cached"
+        index = build_resident_index("point", params)
+        pristine = len(index.workload.tree)
         mutator = make_mutator("point", index.workload)
         churn(mutator, 40, seed=0)
         refresh_workload_image("point", index.workload)
         assert index.workload.mutation_epoch >= 1
-        assert cache.put_build(key, index.workload) is False
-        # The cached pristine build is still the pristine one.
-        cached = cache.get_build(key)
-        assert getattr(cached, "mutation_epoch", 0) == 0
-        assert len(cached.tree) == len(index.workload.tree) - \
-            (mutator.live_size - len(cached.tree))
+        fresh = build_resident_index("point", params)
+        assert fresh.workload is not index.workload
+        assert fresh.workload.mutation_epoch == 0
+        assert len(fresh.workload.tree) == pristine
+        assert len(fresh.workload.tree) == len(index.workload.tree) - \
+            (mutator.live_size - pristine)
 
     def test_bvh_soa_refreshes_after_mutation(self):
         """Satellite regression: ``soa()`` must serve a new view after

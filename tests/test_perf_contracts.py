@@ -60,7 +60,6 @@ import weakref
 import numpy as np
 import pytest
 
-from repro.exec.cache import build_fingerprint
 from repro.geometry import batch
 from repro.geometry.aabb import AABB
 from repro.geometry.vec import Vec3
@@ -98,9 +97,8 @@ from repro.workloads import (
 
 _SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
 
-#: Packages whose sources feed either fingerprint (superset is fine:
-#: the hash functions only glob what they cover).
-_FINGERPRINT_PACKAGES = ("sim", "geometry", "rta", "trees", "workloads")
+#: Packages whose sources feed the model fingerprint.
+_FINGERPRINT_PACKAGES = ("sim", "geometry", "rta")
 
 
 def _pin_fast_engine(monkeypatch):
@@ -122,7 +120,6 @@ class TestModelFingerprint:
     def test_copy_matches_repo_hashes(self, tmp_path):
         root = _copy_model_tree(tmp_path)
         assert _model_source_hash(root) == _model_source_hash()
-        assert build_fingerprint(root=root) == build_fingerprint()
 
     def test_geometry_edit_flips_scheduler_hash(self, tmp_path):
         root = _copy_model_tree(tmp_path)
@@ -137,13 +134,6 @@ class TestModelFingerprint:
         target = root / "rta" / "rta.py"
         target.write_text(target.read_text() + "\n# perturbed\n")
         assert _model_source_hash(root) != before
-
-    def test_geometry_edit_flips_build_fingerprint(self, tmp_path):
-        root = _copy_model_tree(tmp_path)
-        before = build_fingerprint(root=root)
-        target = root / "geometry" / "intersect.py"
-        target.write_text(target.read_text() + "\n# perturbed\n")
-        assert build_fingerprint(root=root) != before
 
     def test_scheduler_fingerprint_folds_model_hash(self):
         assert scheduler_fingerprint().startswith(_model_source_hash())

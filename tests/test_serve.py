@@ -16,7 +16,6 @@ import random
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.exec import ResultCache, build_fingerprint, build_key
 from repro.guard import Guard, GuardConfig, ServeFaults
 from repro.harness.runner import run_btree, run_knn, run_rtree, scaled_config_for
 from repro.serve import (
@@ -510,64 +509,6 @@ class TestGuardDegradation:
         assert report.metrics.get("serve.degraded_batches") == \
             report.degraded_batches
         assert report.offered == report.served + report.failed + report.shed
-
-
-# -- the exec build cache -----------------------------------------------------------
-class TestBuildCache:
-    def test_round_trip_and_reuse(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        built = build_resident_index("point", TINY["point"], cache=cache)
-        assert not built.from_cache
-        assert cache.stats()["builds"] == 1
-        reloaded = build_resident_index("point", TINY["point"], cache=cache)
-        assert reloaded.from_cache
-        assert reloaded.workload.golden == built.workload.golden
-        # The reloaded build serves identical results.
-        launch = LaunchBackend("tta").launch(reloaded, [0, 1, 2, 3])
-        for slot in range(4):
-            assert launch.results[slot] == built.workload.golden[slot]
-
-    def test_deep_tree_builds_survive_pickling(self, tmp_path):
-        """A B-Tree big enough to blow the default recursion limit
-        still round-trips (the serve presets are all deeper)."""
-        cache = ResultCache(tmp_path)
-        params = dict(n_keys=16384, n_queries=32)
-        built = build_resident_index("point", params, cache=cache)
-        assert cache.stats()["builds"] == 1
-        assert build_resident_index("point", params,
-                                    cache=cache).from_cache
-
-    def test_key_excludes_platform_and_config(self):
-        """Build keys fold construction params + dataset fingerprint
-        only — no platform, no GPU config, no RunSpec."""
-        key = build_key("btree", {"n_keys": 512, "n_queries": 64})
-        assert key == build_key("btree", {"n_queries": 64, "n_keys": 512})
-        assert key != build_key("btree", {"n_keys": 1024, "n_queries": 64})
-        assert key != build_key("rtree", {"n_keys": 512, "n_queries": 64})
-        assert len(key) == 64
-        assert build_fingerprint() in json.dumps(
-            {"build": build_fingerprint()})  # fingerprint is stable
-
-    def test_corrupt_build_quarantined_as_miss(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        key = build_key("btree", dict(TINY["point"]))
-        build_resident_index("point", TINY["point"], cache=cache)
-        pkl, _ = cache._build_paths(key)
-        pkl.write_bytes(b"garbage")
-        assert cache.get_build(key) is None
-        assert (tmp_path / "corrupt" / pkl.name).exists()
-        assert cache.stats()["builds"] == 0
-
-    def test_unpicklable_build_is_soft_miss(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        assert cache.put_build("ab" * 32, lambda: None) is False
-        assert cache.stats()["builds"] == 0
-
-    def test_clear_removes_builds(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        build_resident_index("point", TINY["point"], cache=cache)
-        assert cache.clear() == 1
-        assert cache.stats()["builds"] == 0
 
 
 # -- repro serve: JSON-lines queries through the loadtest's loop -------------------
