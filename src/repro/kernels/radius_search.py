@@ -48,25 +48,30 @@ class RadiusQueryTrace(NamedTuple):
 
 def radius_query_scalar(bvh, center: Vec3, radius: float) -> RadiusQueryTrace:
     """Scalar reference: one node-containment/distance test at a time."""
+    soa = bvh.soa()
+    nodes, boxes = soa.nodes, soa.boxes
+    left, right = soa.left_list, soa.right_list
+    first, count = soa.first_list, soa.count_list
+    prims, order = bvh.primitives, bvh._prim_order
     visits: List[RadiusVisit] = []
     hits: List[int] = []
-    stack = [bvh.root]
+    stack = [0]
     while stack:
-        node = stack.pop()
-        if node.is_leaf:
+        i = stack.pop()
+        if left[i] < 0:
             found = 0
-            for sphere in bvh.leaf_prims(node):
+            for k in range(first[i], first[i] + count[i]):
+                sphere = prims[order[k]]
                 if point_distance_below(center, sphere.center, radius):
                     hits.append(sphere.prim_id)
                     found += 1
-            visits.append(RadiusVisit(node, "leaf", node.prim_count,
-                                      found > 0))
+            visits.append(RadiusVisit(nodes[i], "leaf", count[i], found > 0))
         else:
-            inside = node.bounds.contains_point(center)
-            visits.append(RadiusVisit(node, "inner", 1, inside))
+            inside = boxes[i].contains_point(center)
+            visits.append(RadiusVisit(nodes[i], "inner", 1, inside))
             if inside:
-                stack.append(node.right)
-                stack.append(node.left)
+                stack.append(right[i])
+                stack.append(left[i])
     return RadiusQueryTrace(tuple(sorted(hits)), tuple(visits))
 
 
@@ -77,10 +82,10 @@ def radius_query(bvh, center: Vec3, radius: float) -> RadiusQueryTrace:
     every node and Algorithm-2 distance over every primitive — run as
     two batch kernels up front, then a pure-Python DFS replays the exact
     scalar visit order against the precomputed masks.  Falls back to
-    :func:`radius_query_scalar` for trees without a sphere SoA view.
+    :func:`radius_query_scalar` for trees not all of spheres.
     """
-    soa = bvh.soa() if hasattr(bvh, "soa") else None
-    if soa is None or soa.prim_kind != "sphere":
+    soa = bvh.soa()
+    if soa.prim_kind != "sphere":
         return radius_query_scalar(bvh, center, radius)
     c = np.array((center.x, center.y, center.z), dtype=np.float64)
     inside_all = contains_points_batch(soa.lo, soa.hi, c).tolist()

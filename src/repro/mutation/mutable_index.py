@@ -24,10 +24,9 @@ dispatch is atomic in virtual time: lowering happens at ``t_close``
 against whichever tree ``ensure_ready`` left installed.
 
 **Staleness contract.**  A refresh rebuilds the memory image in a fresh
-address space, re-allocates the query/result buffers, clears the
-index's lowered-job memo and the workload's job/stream caches, and
-bumps ``mutation_epoch`` on both, so a churned workload never reads
-as its pristine (epoch-0) build.
+address space, re-allocates the query/result buffers, and clears the
+index's lowered-job memo and the workload's job/stream caches, so
+nothing derived from the old layout outlives it.
 """
 
 from dataclasses import dataclass, field
@@ -75,20 +74,17 @@ def refresh_workload_image(query_class: str, workload: Any) -> None:
     derived cache keyed on the old layout.
     """
     tree = workload.bvh if query_class == "radius" else workload.tree
-    # A BVH's SoA view lists its nodes in the order ``nodes()`` walks.
-    nodes = tree.soa().nodes if query_class == "radius" else tree.nodes()
     n = workload.n_queries
     q_bytes, r_bytes = _BUF_BYTES[query_class]
     if query_class == "knn":
         r_bytes *= workload.k
     space = AddressSpace()
     workload.space = space
-    workload.image = space.place_tree(nodes)
+    workload.image = space.place_tree(tree.nodes())
     workload.query_buf = space.alloc(q_bytes * n, align=128)
     workload.result_buf = space.alloc(r_bytes * n, align=128)
     workload._jobs_cache.clear()
     workload._stream_cache.clear()
-    workload.mutation_epoch = getattr(workload, "mutation_epoch", 0) + 1
 
 
 class MutableResidentIndex:
@@ -206,8 +202,6 @@ class MutableResidentIndex:
     def _refresh(self) -> None:
         refresh_workload_image(self.index.query_class, self.index.workload)
         self.index._lowered.clear()
-        self.index.mutation_epoch = getattr(
-            self.index, "mutation_epoch", 0) + 1
         self._dirty = False
 
     # -- inspection --------------------------------------------------------

@@ -337,7 +337,7 @@ class BVHMutator(Mutator):
     def __init__(self, workload):
         self.wl = workload
         self.pool = _LivePool(workload.bvh.live_prim_ids())
-        root = workload.bvh.root.bounds
+        root = workload.bvh.soa().box(0)
         self.lo, self.hi = root.lo, root.hi
 
     @property
@@ -381,8 +381,9 @@ class BVHMutator(Mutator):
         self.wl.bvh = self.fresh_tree()
 
     def fresh_tree(self):
-        spheres = [Sphere(self.wl.points[i], self.wl.radius, prim_id=i)
-                   for i in sorted(self.pool.items())]
+        # The tree's live spheres are the pool's points at the workload
+        # radius (every write puts a new sphere in), so they are reused.
+        spheres = sorted(self.wl.bvh.live_prims(), key=lambda s: s.prim_id)
         return BVH(spheres, max_leaf_size=self.wl.bvh.max_leaf_size,
                    method="sah")
 

@@ -84,9 +84,6 @@ class _BTreeBase:
         # Search traces are pure while the tree is unchanged; runners
         # replay the same query stream many times.  Mutations clear it.
         self._trace_cache: dict = {}
-        #: bumped by every mutating operation; derived views (memory
-        #: images, lowered jobs) key their validity on it.
-        self.mutation_epoch = 0
 
     # -- queries -----------------------------------------------------------
     def __len__(self) -> int:
@@ -210,7 +207,6 @@ class _BTreeBase:
         leaf.values.insert(idx, value if value is not None else key)
         self._count += 1
         self._repair_upward(path + [leaf])
-        self.mutation_epoch = getattr(self, "mutation_epoch", 0) + 1
 
     def _descend_to_leaf(self, key: int) -> Tuple[BTreeNode, List[BTreeNode]]:
         path: List[BTreeNode] = []
@@ -324,7 +320,6 @@ class _BTreeBase:
         # Collapse trivial roots (and empty-leaf roots stay as-is).
         while not self.root.is_leaf and len(self.root.children) == 1:
             self.root = self.root.children[0]
-        self.mutation_epoch = getattr(self, "mutation_epoch", 0) + 1
 
     def _fix_underflow(self, node: BTreeNode, parent: BTreeNode) -> None:
         idx = parent.children.index(node)

@@ -14,7 +14,9 @@ Construction packs the primitive bounds once into ``(N, 3)`` arrays and
 splits top-down, one tree level at a time: every open segment of a
 level is handled by the same few numpy passes, so the Python cost
 grows with the depth, not the node count.  Each node's box is the
-column min/max of its segment; a split sorts the segment (stably) by
+column min/max of its segment, written straight into the tree's
+:class:`BVHArrays` view, which holds every box and leaf slice (a node
+object holds only its children, address and view row); a split sorts the segment (stably) by
 centroid along the box's longest axis.  ``median`` splits at the
 middle; ``sah`` scores the 11 equal-count splits at ``k/12`` of the
 sorted segment — there are no spatial bins — from the boxes of its 12
@@ -38,7 +40,6 @@ rules:
 
 import copy
 import math
-from itertools import compress
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -55,48 +56,65 @@ from repro.geometry.vec import Vec3
 _SAH_BINS = 12
 
 
+def _list_mirror(slot: str, column: str) -> property:
+    """A view property: ``column`` as a list, kept in ``slot`` from its
+    first read."""
+    def read(self) -> list:
+        value = getattr(self, slot)
+        if value is None:
+            value = getattr(self, column).tolist()
+            setattr(self, slot, value)
+        return value
+    return property(read, doc=f"``{column}`` as a list, built on first "
+                              f"read.")
+
+
+#: list mirror slot -> the columns whose replacement drops it
+_MIRRORS = {"_first_list": ("first_prim",), "_count_list": ("prim_count",),
+            "_prim_id_list": ("prim_ids",), "_boxes": ("lo", "hi")}
+
+
 class BVHArrays:
-    """Struct-of-arrays view of a BVH, one per mutation epoch.
+    """Struct-of-arrays view of a BVH: the only store of its boxes and
+    leaf slices.
 
-    Nodes appear in DFS order (the order :meth:`BVH.nodes` serializes,
-    which is also the memory-image layout order), primitives in
+    Nodes appear in DFS order (the order :meth:`BVH.nodes` lists, which
+    is also the memory-image layout order), primitives in
     ``_prim_order`` order so ``prim k`` here is the k-th primitive a
-    leaf's ``[first_prim, first_prim + prim_count)`` slice touches.
-    The numpy columns feed the batch kernels in
-    :mod:`repro.geometry.batch`; the plain-list mirrors keep scalar DFS
-    loops free of per-element numpy indexing overhead.
+    leaf's ``[first_prim, first_prim + prim_count)`` slice touches.  A
+    node object holds its children and address; its box and slice are
+    the view's rows at ``node.row``.  The numpy columns feed the batch
+    kernels in :mod:`repro.geometry.batch`; the plain-list mirrors keep
+    scalar DFS loops free of per-element numpy indexing overhead.
+    ``left_list``/``right_list`` are made with the view; ``first_list``,
+    ``count_list``, ``prim_id_list`` and the ``boxes`` of the scalar ray
+    traversals are built on first read, so a write pays for none.
 
-    A view is packed from the tree once; the online writes, which never
-    restructure the tree, derive the next epoch's view from the last
-    one (:meth:`derive`).  The node list and the structural columns
+    The build makes the first view; the online writes, which never
+    restructure the tree, derive each next view from the last one
+    (:meth:`derive`).  The node list and the structural columns
     (``left``/``right``, ``parent``, ``leaves``, ``levels``) are then
-    shared, the changed columns are fresh copies, and no view is ever
-    written after it is made.
+    shared, the changed columns are fresh copies, and no column is ever
+    written after its view is made.
     """
 
     __slots__ = (
         "nodes", "lo", "hi", "left", "right", "first_prim", "prim_count",
-        "left_list", "right_list", "first_list", "count_list",
-        "parent", "leaves", "levels",
-        "prim_ids", "prim_id_list", "prim_lo", "prim_hi", "prim_kind",
+        "left_list", "right_list", "parent", "leaves", "levels",
+        "prim_ids", "prim_lo", "prim_hi", "prim_kind",
         "centers", "radii", "v0", "v1", "v2",
+        "_first_list", "_count_list", "_prim_id_list", "_boxes",
     )
 
-    def __init__(self, bvh: "BVH"):
-        self.nodes = bvh.nodes()
-        index_of = {id(node): i for i, node in enumerate(self.nodes)}
-        self.lo, self.hi = box_columns([node.bounds for node in self.nodes])
-        self.left_list = [-1 if n.is_leaf else index_of[id(n.left)]
-                          for n in self.nodes]
-        self.right_list = [-1 if n.is_leaf else index_of[id(n.right)]
-                           for n in self.nodes]
-        self.first_list = [n.first_prim for n in self.nodes]
-        self.count_list = [n.prim_count for n in self.nodes]
-        self.left = np.array(self.left_list, dtype=np.int32)
-        self.right = np.array(self.right_list, dtype=np.int32)
-        self.first_prim = np.array(self.first_list, dtype=np.int32)
-        self.prim_count = np.array(self.count_list, dtype=np.int32)
-
+    def __init__(self, nodes: List["BVHNode"], lo: np.ndarray,
+                 hi: np.ndarray, left: np.ndarray, right: np.ndarray,
+                 first_prim: np.ndarray, prim_count: np.ndarray,
+                 prims: Dict[str, object]):
+        self.nodes = nodes
+        self.lo, self.hi = lo, hi
+        self.left, self.right = left, right
+        self.first_prim, self.prim_count = first_prim, prim_count
+        self.left_list, self.right_list = left.tolist(), right.tolist()
         inner = np.flatnonzero(self.left >= 0)
         self.leaves = np.flatnonzero(self.left < 0)
         self.parent = np.full(len(self.nodes), -1, dtype=np.int32)
@@ -112,35 +130,41 @@ class BVHArrays:
             self.levels.append(frontier)
             frontier = np.concatenate((self.left[frontier],
                                        self.right[frontier]))
-        for name, column in _prim_columns(bvh).items():
+        for name, column in prims.items():
             setattr(self, name, column)
+        self._first_list = self._count_list = None
+        self._prim_id_list = self._boxes = None
 
     def derive(self, **columns) -> "BVHArrays":
         """A new view with ``columns`` replaced and every other one
-        shared; ``first_prim``/``prim_count`` bring their list mirrors."""
+        shared; the mirrors of replaced columns are dropped."""
         view = object.__new__(BVHArrays)
         for name in self.__slots__:
             setattr(view, name, columns.get(name, getattr(self, name)))
-        if "first_prim" in columns:
-            view.first_list = view.first_prim.tolist()
-        if "prim_count" in columns:
-            view.count_list = view.prim_count.tolist()
+        for mirror, sources in _MIRRORS.items():
+            if not columns.keys().isdisjoint(sources):
+                setattr(view, mirror, None)
         return view
 
-    def edit_prims(self, bvh: "BVH", pos: int, prim=None,
+    def edit_prims(self, bvh: "BVH", pos: int,
+                   rows: Optional[Dict[str, object]] = None,
                    insert: bool = False) -> Dict[str, object]:
         """The primitive columns after a write at slice position ``pos``
-        of ``bvh``'s primitive order: ``prim`` inserted there
-        (``insert``) or put in place of the old entry, or without
-        ``prim`` the entry deleted.  The columns are re-packed from
-        ``bvh`` when their kind could change."""
-        names = ("prim_ids", "prim_lo", "prim_hi") \
-            + _KIND_COLUMNS.get(self.prim_kind, ())
-        rows = None if prim is None else _prim_rows(prim)
-        if self.prim_kind is None or (rows is None and self.n_prims == 1) \
-                or (rows is not None and not rows.keys() >= set(names)):
-            return _prim_columns(bvh)
-        columns = {}
+        of ``bvh``'s primitive order: a primitive's ``rows``
+        (:func:`_prim_rows`) inserted there (``insert``) or put in place
+        of the old entry, or without ``rows`` the entry deleted.  Rows
+        are edited; the kind columns are re-packed from ``bvh``'s live
+        primitives when their kind could change."""
+        names = ("prim_ids", "prim_lo", "prim_hi")
+        kind = _KIND_COLUMNS.get(self.prim_kind, ())
+        if self.prim_kind is not None and (
+                self.n_prims > 1 if rows is None
+                else rows.keys() >= set(kind)):
+            names += kind
+            columns = {}
+        else:
+            columns = _kind_columns([bvh.primitives[i]
+                                     for i in bvh._prim_order])
         for name in names:
             column = getattr(self, name)
             if rows is None:
@@ -150,8 +174,26 @@ class BVHArrays:
             else:
                 columns[name] = column.copy()
                 columns[name][pos] = rows[name]
-        columns["prim_id_list"] = columns["prim_ids"].tolist()
         return columns
+
+    first_list = _list_mirror("_first_list", "first_prim")
+    count_list = _list_mirror("_count_list", "prim_count")
+    prim_id_list = _list_mirror("_prim_id_list", "prim_ids")
+
+    @property
+    def boxes(self) -> List[AABB]:
+        """Each node's box as an :class:`AABB`, for the scalar ray
+        traversals; built on first read, so only the static scenes
+        traversed that way hold them."""
+        if self._boxes is None:
+            self._boxes = [AABB(Vec3(*l), Vec3(*h)) for l, h in
+                           zip(self.lo.tolist(), self.hi.tolist())]
+        return self._boxes
+
+    def box(self, row: int) -> AABB:
+        """Node ``row``'s box as an :class:`AABB`."""
+        return AABB(Vec3(*self.lo[row].tolist()),
+                    Vec3(*self.hi[row].tolist()))
 
     @property
     def n_nodes(self) -> int:
@@ -259,40 +301,17 @@ _KIND_COLUMNS = {"sphere": ("centers", "radii"),
                  "triangle": ("v0", "v1", "v2")}
 
 
-def bounds_columns(prims: Sequence) -> Tuple[np.ndarray, np.ndarray]:
-    """``(lo, hi)`` columns of each primitive's ``bounds()``.
-
-    A sphere's box is ``center ± radius``: computed on the packed
-    columns it is bit-identical to :meth:`Sphere.bounds` and builds no
-    per-primitive box.
-    """
-    # A list, not a generator: no Python frame resumes per primitive.
-    if all([isinstance(p, Sphere) for p in prims]):
-        centers, radii = spheres_soa(prims)
-        radii = radii[:, None]
-        return centers - radii, centers + radii
-    return aabbs_soa([p.bounds() for p in prims])
-
-
-def _prim_columns(bvh: "BVH") -> Dict[str, object]:
-    """Every primitive column of a view, packed from ``bvh``."""
-    order = bvh._prim_order
-    prims = [bvh.primitives[i] for i in order]
+def _kind_columns(prims: Sequence) -> Dict[str, object]:
+    """``prim_kind`` and the kind columns of ``prims``: centers and
+    radii when all are spheres, vertices when all are triangles."""
     columns: Dict[str, object] = dict.fromkeys(
         ("centers", "radii", "v0", "v1", "v2"))
-    if bvh._bounds is None:
-        columns["prim_lo"] = bvh._bounds_lo[order]
-        columns["prim_hi"] = bvh._bounds_hi[order]
-    else:
-        columns["prim_lo"], columns["prim_hi"] = box_columns(
-            [bvh._bounds[i] for i in order])
-    columns["prim_id_list"] = [p.prim_id for p in prims]
-    columns["prim_ids"] = np.array(columns["prim_id_list"], dtype=np.int64)
-    if all(isinstance(p, Sphere) for p in prims):
+    # Lists, not generators: no Python frame resumes per primitive.
+    if all([isinstance(p, Sphere) for p in prims]):
         columns["prim_kind"] = "sphere"
         centers, columns["radii"] = spheres_soa(prims)
         columns["centers"] = centers.reshape(-1, 3)
-    elif all(isinstance(p, Triangle) for p in prims):
+    elif all([isinstance(p, Triangle) for p in prims]):
         columns["prim_kind"] = "triangle"
         columns["v0"], columns["v1"], columns["v2"] = (
             v.reshape(-1, 3) for v in triangles_soa(prims))
@@ -314,17 +333,17 @@ def _prim_rows(prim) -> Dict[str, object]:
 
 
 class BVHNode:
-    """Binary BVH node; leaves hold a slice of the primitive list."""
+    """Binary BVH node: its children, its memory-image address, and its
+    ``row`` in the tree's :class:`BVHArrays` view, which holds its box
+    and, at a leaf, its primitive slice."""
 
-    __slots__ = ("bounds", "left", "right", "first_prim", "prim_count", "address")
+    __slots__ = ("left", "right", "address", "row")
 
-    def __init__(self, bounds: AABB):
-        self.bounds = bounds
+    def __init__(self, row: int):
         self.left: Optional["BVHNode"] = None
         self.right: Optional["BVHNode"] = None
-        self.first_prim = 0
-        self.prim_count = 0
         self.address = -1
+        self.row = row
 
     @property
     def is_leaf(self) -> bool:
@@ -335,9 +354,16 @@ class BVHNode:
         return [] if self.is_leaf else [self.left, self.right]
 
     def __repr__(self) -> str:
-        if self.is_leaf:
-            return f"BVHNode(leaf, prims={self.prim_count})"
-        return "BVHNode(inner)"
+        return f"BVHNode({'leaf' if self.is_leaf else 'inner'}, " \
+               f"row={self.row})"
+
+
+def _link_nodes(nodes: List[BVHNode], left: Sequence[int],
+                right: Sequence[int]) -> None:
+    """Give each inner node of ``nodes`` (DFS rows) its children."""
+    for node, l, r in zip(nodes, left, right):
+        if l >= 0:
+            node.left, node.right = nodes[l], nodes[r]
 
 
 def surface_areas(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -350,32 +376,26 @@ def surface_areas(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 
 def _build_levels(lo: np.ndarray, hi: np.ndarray, max_leaf_size: int,
-                  sah: bool) -> Tuple[BVHNode, np.ndarray, int]:
+                  sah: bool) -> Tuple[np.ndarray, Tuple[np.ndarray, ...]]:
     """Top-down median/SAH construction, one tree level at a time.
 
-    ``lo``/``hi`` are the ``(N, 3)`` primitive bounds, permuted in step
-    with the returned order so each open segment of a level is a run of
-    contiguous rows; the arrays live only for one build.  Each level
-    boxes all its segments with :func:`fold_extremes`, sorts the rows of
-    every segment that splits with one stable ``lexsort`` keyed by
-    (segment, centroid on the segment's longest axis), and picks all
-    its cuts at once (:func:`_sah_cuts`).  Returns the root, the
-    primitive order and the node count.
+    ``lo``/``hi`` are the ``(N, 3)`` primitive bounds; they are permuted
+    in place in step with the returned order, so each open segment of a
+    level is a run of contiguous rows and, at the end, row ``k`` is the
+    box of the ``k``-th primitive in slice order.  Each level boxes all
+    its segments with :func:`fold_extremes`, sorts the rows of every
+    segment that splits with one stable ``lexsort`` keyed by (segment,
+    centroid on the segment's longest axis), and picks all its cuts at
+    once (:func:`_sah_cuts`).  Returns the primitive order and the node
+    columns in DFS order (:func:`_dfs_columns`).
     """
     order = np.arange(len(lo))
     first = np.zeros(1, dtype=np.intp)
     count = np.array([len(lo)], dtype=np.intp)
-    root, parents, node_count = None, [], 0
+    levels = []
     while len(first):
         box_lo = fold_extremes(lo, first, first + count, lower=True)
         box_hi = fold_extremes(hi, first, first + count, lower=False)
-        nodes = [BVHNode(AABB(Vec3(*l), Vec3(*h)))
-                 for l, h in zip(box_lo.tolist(), box_hi.tolist())]
-        node_count += len(nodes)
-        if root is None:
-            root = nodes[0]
-        for parent, left, right in zip(parents, nodes[::2], nodes[1::2]):
-            parent.left, parent.right = left, right
         # AABB.longest_axis, ties to the lower axis.
         e = box_hi - box_lo
         axis = np.where((e[:, 0] >= e[:, 1]) & (e[:, 0] >= e[:, 2]), 0,
@@ -400,16 +420,50 @@ def _build_levels(lo: np.ndarray, hi: np.ndarray, max_leaf_size: int,
                     count[scored] * surface_areas(box_lo[scored],
                                                   box_hi[scored]))
         split &= (cut > 0) & (cut < count)
-        inner = split.tolist()
-        for node, f, c, s in zip(nodes, first.tolist(), count.tolist(),
-                                 inner):
-            if not s:
-                node.first_prim, node.prim_count = f, c
-        parents = list(compress(nodes, inner))
+        levels.append((box_lo, box_hi, np.where(split, 0, first),
+                       np.where(split, 0, count), split))
         first, count, cut = first[split], count[split], cut[split]
         first = np.column_stack((first, first + cut)).ravel()
         count = np.column_stack((cut, count - cut)).ravel()
-    return root, order, node_count
+    return order, _dfs_columns(levels)
+
+
+def _dfs_columns(levels: list) -> Tuple[np.ndarray, ...]:
+    """``(lo, hi, left, right, first_prim, prim_count)`` node columns in
+    DFS order from the build's per-level ``(box_lo, box_hi, first,
+    count, split)``.
+
+    In breadth-first numbering the ``k``-th inner node's children are
+    nodes ``2k + 1`` and ``2k + 2``.  Subtree sizes, summed deepest
+    level first, then place each left child just after its parent and
+    each right child after the left child's subtree.
+    """
+    split = np.concatenate([level[4] for level in levels])
+    n = len(split)
+    inner = np.flatnonzero(split)
+    kids = 1 + 2 * np.arange(len(inner))
+    # ``inner[cuts[d]:cuts[d + 1]]``: the inner nodes of level ``d``.
+    ends = np.cumsum([len(level[4]) for level in levels])
+    cuts = np.searchsorted(inner, np.concatenate(([0], ends)))
+    size = np.ones(n, dtype=np.intp)
+    for d in reversed(range(len(levels))):
+        at = slice(cuts[d], cuts[d + 1])
+        size[inner[at]] += size[kids[at]] + size[kids[at] + 1]
+    row = np.zeros(n, dtype=np.intp)
+    for d in range(len(levels)):
+        at = slice(cuts[d], cuts[d + 1])
+        row[kids[at]] = row[inner[at]] + 1
+        row[kids[at] + 1] = row[kids[at]] + size[kids[at]]
+    lo, hi = np.empty((n, 3)), np.empty((n, 3))
+    lo[row] = np.concatenate([level[0] for level in levels])
+    hi[row] = np.concatenate([level[1] for level in levels])
+    left, right = np.full(n, -1, np.int32), np.full(n, -1, np.int32)
+    left[row[inner]] = row[kids]
+    right[row[inner]] = row[kids + 1]
+    first, count = np.empty(n, np.int32), np.empty(n, np.int32)
+    first[row] = np.concatenate([level[2] for level in levels])
+    count[row] = np.concatenate([level[3] for level in levels])
+    return lo, hi, left, right, first, count
 
 
 def _sah_cuts(lo: np.ndarray, hi: np.ndarray, first: np.ndarray,
@@ -467,7 +521,8 @@ class BVH:
 
     ``intersector(ray, prim)`` must return ``None`` or an object with a
     ``t`` attribute — the triangle/sphere tests from :mod:`repro.geometry`
-    plug straight in.
+    plug straight in.  The boxes and leaf slices live in the
+    :class:`BVHArrays` view the build installs (:meth:`soa`).
     """
 
     def __init__(self, primitives: Sequence, max_leaf_size: int = 2,
@@ -478,34 +533,34 @@ class BVH:
             raise ConfigurationError(f"unknown BVH build method {method!r}")
         self.primitives = list(primitives)
         self.max_leaf_size = max_leaf_size
-        lo, hi = bounds_columns(self.primitives)
+        kind = _kind_columns(self.primitives)
+        # Sphere and triangle boxes computed on the kind columns are
+        # bit-identical to their ``bounds()`` and build no box objects.
+        if kind["prim_kind"] == "sphere":
+            centers, radii = kind["centers"], kind["radii"][:, None]
+            lo, hi = centers - radii, centers + radii
+        elif kind["prim_kind"] == "triangle":
+            v0, v1, v2 = kind["v0"], kind["v1"], kind["v2"]
+            lo = first_min(first_min(v0, v1), v2)
+            hi = first_max(first_max(v0, v1), v2)
+        else:
+            lo, hi = aabbs_soa([p.bounds() for p in self.primitives])
         if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
             raise ConfigurationError(
                 "BVH primitive bounds must be finite (NaN or inf found)")
-        # Primitive bounds, in primitive order: these columns until the
-        # write path first asks for boxes (:attr:`_prim_bounds`).
-        self._bounds_lo, self._bounds_hi = lo, hi
-        self._bounds: Optional[List[AABB]] = None
-        self.root, order, self.node_count = _build_levels(
-            lo.copy(), hi.copy(), max_leaf_size, sah=method == "sah")
+        # The build leaves lo/hi in slice order: the primitive columns.
+        order, nodes = _build_levels(lo, hi, max_leaf_size,
+                                     sah=method == "sah")
         self._prim_order = order.tolist()
-        self._soa: Optional[BVHArrays] = None
-        #: bumped by every mutating operation; derived views (the SoA
-        #: arrays, memory images, lowered jobs) key their validity on it.
-        self.mutation_epoch = 0
-        self._soa_epoch = 0
-
-    @property
-    def _prim_bounds(self) -> List[AABB]:
-        """Each primitive's box, in primitive order, for the write path
-        (``insert``, ``update``, ``fork``).  Unpacked from the build's
-        columns on first use, which then drops them."""
-        if self._bounds is None:
-            self._bounds = [AABB(Vec3(*l), Vec3(*h)) for l, h in
-                            zip(self._bounds_lo.tolist(),
-                                self._bounds_hi.tolist())]
-            self._bounds_lo = self._bounds_hi = None
-        return self._bounds
+        self.node_count = len(nodes[0])
+        prims = {name: column if name == "prim_kind" or column is None
+                 else column[order] for name, column in kind.items()}
+        prims.update(prim_lo=lo, prim_hi=hi, prim_ids=np.array(
+            [self.primitives[i].prim_id for i in self._prim_order],
+            dtype=np.int64))
+        self._soa = soa = BVHArrays(
+            [BVHNode(i) for i in range(self.node_count)], *nodes, prims)
+        _link_nodes(soa.nodes, soa.left_list, soa.right_list)
 
     # -- online mutation --------------------------------------------------------
     #
@@ -514,26 +569,18 @@ class BVH:
     # moves leave the old extents in place), so a conservative AABB can
     # cost extra visits but never miss a hit.  ``refit`` restores exact
     # bounds without restructuring; a full rebuild restores quality.
-    # None of them restructures the tree, so each derives the next
-    # epoch's SoA view from the current one instead of re-packing it.
-
-    def _advance(self, view: BVHArrays) -> None:
-        """Bump the epoch and install ``view`` as its SoA."""
-        self.mutation_epoch = getattr(self, "mutation_epoch", 0) + 1
-        self._soa, self._soa_epoch = view, self.mutation_epoch
+    # None of them restructures the tree, so each derives the next SoA
+    # view from the current one and installs it.
 
     @staticmethod
-    def _grow_rows(soa: BVHArrays, rows: Sequence[int],
-                   bounds: AABB) -> Tuple[np.ndarray, np.ndarray]:
-        """Union ``bounds`` into the boxes of node ``rows``; returns
-        copies of the view's ``lo``/``hi`` with those rows updated."""
-        lo, hi = soa.lo.copy(), soa.hi.copy()
-        for i in rows:
-            node = soa.nodes[i]
-            node.bounds = b = node.bounds.union(bounds)
-            lo[i] = (b.lo.x, b.lo.y, b.lo.z)
-            hi[i] = (b.hi.x, b.hi.y, b.hi.z)
-        return lo, hi
+    def _grow_rows(soa: BVHArrays, rows: Sequence[int], lo: np.ndarray,
+                   hi: np.ndarray) -> Dict[str, np.ndarray]:
+        """Copies of the view's ``lo``/``hi`` with the box ``lo``/``hi``
+        unioned into node ``rows``, as :meth:`AABB.union` does it."""
+        box_lo, box_hi = soa.lo.copy(), soa.hi.copy()
+        box_lo[rows] = first_min(box_lo[rows], lo)
+        box_hi[rows] = first_max(box_hi[rows], hi)
+        return {"lo": box_lo, "hi": box_hi}
 
     def insert(self, prim) -> int:
         """Online insert: descend by least bound growth, append at a leaf.
@@ -545,27 +592,27 @@ class BVH:
         keeps its place.  Returns the number of nodes touched (the
         descent path), which the mutation cost model charges.
         """
-        soa = self.soa()
-        bounds = prim.bounds()
-        nodes, left, right = soa.nodes, soa.left_list, soa.right_list
+        soa = self._soa
+        rows = _prim_rows(prim)
+        lo, hi = np.array(rows["prim_lo"]), np.array(rows["prim_hi"])
+        left, right = soa.left_list, soa.right_list
         leaf, path = 0, []
         while left[leaf] >= 0:
             path.append(leaf)
-            node = nodes[leaf]
-            grow_left = (node.left.bounds.union(bounds).surface_area()
-                         - node.left.bounds.surface_area())
-            grow_right = (node.right.bounds.union(bounds).surface_area()
-                          - node.right.bounds.surface_area())
-            leaf = left[leaf] if grow_left <= grow_right else right[leaf]
+            kids = [left[leaf], right[leaf]]
+            kid_lo, kid_hi = soa.lo[kids], soa.hi[kids]
+            grow = (surface_areas(first_min(kid_lo, lo),
+                                  first_max(kid_hi, hi))
+                    - surface_areas(kid_lo, kid_hi)).tolist()
+            leaf = kids[0] if grow[0] <= grow[1] else kids[1]
         path.append(leaf)
-        pos = soa.first_list[leaf] + soa.count_list[leaf]
+        pos = soa.first_prim[leaf].item() + soa.prim_count[leaf].item()
         self._prim_order.insert(pos, len(self.primitives))
         self.primitives.append(prim)
-        self._prim_bounds.append(bounds)
-        lo, hi = self._grow_rows(soa, path, bounds)
-        self._advance(soa.derive(
-            lo=lo, hi=hi, **self._shift_slices(soa, leaf, +1),
-            **soa.edit_prims(self, pos, prim, insert=True)))
+        self._soa = soa.derive(
+            **self._grow_rows(soa, path, lo, hi),
+            **self._shift_slices(soa, leaf, +1),
+            **soa.edit_prims(self, pos, rows, insert=True))
         return len(path)
 
     def remove(self, prim_id: int) -> int:
@@ -575,12 +622,12 @@ class BVH:
         tombstone (slice indexes stay stable); bounds are left loose.
         Returns the number of nodes touched.
         """
-        soa = self.soa()
+        soa = self._soa
         pos = soa.slice_pos(prim_id)
         self._prim_order.pop(pos)
-        self._advance(soa.derive(
+        self._soa = soa.derive(
             **self._shift_slices(soa, soa.leaf_at(pos), -1),
-            **soa.edit_prims(self, pos)))
+            **soa.edit_prims(self, pos))
         return 1
 
     def update(self, prim_id: int, prim) -> int:
@@ -590,16 +637,15 @@ class BVH:
         to cover the new extent while the old extent stays covered
         (conservative, so results remain exact until the next refit).
         """
-        soa = self.soa()
+        soa = self._soa
         pos = soa.slice_pos(prim_id)
-        prim_index = self._prim_order[pos]
-        self.primitives[prim_index] = prim
-        bounds = prim.bounds()
-        self._prim_bounds[prim_index] = bounds
+        self.primitives[self._prim_order[pos]] = prim
+        rows = _prim_rows(prim)
         path = soa.path_to(soa.leaf_at(pos))
-        lo, hi = self._grow_rows(soa, path, bounds)
-        self._advance(soa.derive(lo=lo, hi=hi,
-                                 **soa.edit_prims(self, pos, prim)))
+        self._soa = soa.derive(
+            **self._grow_rows(soa, path, np.array(rows["prim_lo"]),
+                              np.array(rows["prim_hi"])),
+            **soa.edit_prims(self, pos, rows))
         return len(path)
 
     @staticmethod
@@ -608,12 +654,8 @@ class BVH:
         """Grow (or shrink) ``leaf``'s slice by ``delta`` and move the
         slices of the leaves after it in slice order to match."""
         first, count = soa.first_prim.copy(), soa.prim_count.copy()
-        after = soa.leaves_after(leaf)
-        first[after] += delta
+        first[soa.leaves_after(leaf)] += delta
         count[leaf] += delta
-        soa.nodes[leaf].prim_count += delta
-        for i in after.tolist():
-            soa.nodes[i].first_prim += delta
         return {"first_prim": first, "prim_count": count}
 
     def refit(self) -> int:
@@ -624,11 +666,10 @@ class BVH:
         the primitive bounds (the empty box for an empty leaf), then
         each inner level, deepest first, takes the box of its two
         children.  Both follow :meth:`AABB.union`'s rules, so the bits
-        match a scalar fold of ``union``.  Nodes whose box changed get
-        a new ``bounds`` once.  Returns the number of nodes touched —
-        the quantity the cycle model charges.
+        match a scalar fold of ``union``.  Returns the number of nodes
+        touched — the quantity the cycle model charges.
         """
-        soa = self.soa()
+        soa = self._soa
         leaves = soa.leaves
         starts = soa.first_prim[leaves]
         ends = starts + soa.prim_count[leaves]
@@ -639,88 +680,56 @@ class BVH:
             a, b = soa.left[level], soa.right[level]
             lo[level] = first_min(lo[a], lo[b])
             hi[level] = first_max(hi[a], hi[b])
-        for i, box in changed_boxes(soa.lo, soa.hi, lo, hi):
-            soa.nodes[i].bounds = box
-        self._advance(soa.derive(lo=lo, hi=hi))
+        self._soa = soa.derive(lo=lo, hi=hi)
         return soa.n_nodes
+
+    def live_prims(self) -> List:
+        """The primitives still reachable from a leaf slice, in slice
+        order."""
+        return [self.primitives[i] for i in self._prim_order]
 
     def live_prim_ids(self) -> List[int]:
         """The prim_ids still reachable from a leaf slice."""
-        return [self.primitives[i].prim_id for i in self._prim_order]
+        return [prim.prim_id for prim in self.live_prims()]
 
     def fork(self, memo: dict) -> "BVH":
         """A twin that writes cannot reach through: every node and the
-        primitive, bounds and order lists are copied, primitives and
-        boxes are shared.  The current SoA view carries over on the
-        twins, its columns shared (writes derive new ones).  ``memo``
-        gains ``id(node) -> twin`` for each node."""
-        soa = getattr(self, "_soa", None)
-        if getattr(self, "_soa_epoch", 0) \
-                != getattr(self, "mutation_epoch", 0):
-            soa = None
-        # The view lists the nodes in ``nodes()`` order.
-        nodes = self.nodes() if soa is None else soa.nodes
+        primitive and order lists are copied, primitives are shared.
+        The SoA view carries over on the twins, its columns shared
+        (writes derive new ones).  ``memo`` gains ``id(node) -> twin``
+        for each node."""
+        soa = self._soa
         twins = []
-        for node in nodes:
-            twin = memo[id(node)] = BVHNode(node.bounds)
-            twin.first_prim = node.first_prim
-            twin.prim_count = node.prim_count
+        for node in soa.nodes:
+            twin = memo[id(node)] = BVHNode(node.row)
             twin.address = node.address
             twins.append(twin)
-        for node, twin in zip(nodes, twins):
-            if not node.is_leaf:
-                twin.left = memo[id(node.left)]
-                twin.right = memo[id(node.right)]
-        bounds = list(self._prim_bounds)
+        _link_nodes(twins, soa.left_list, soa.right_list)
         tree = copy.copy(self)
-        tree.root = memo[id(self.root)]
         tree.primitives = list(self.primitives)
-        tree._bounds = bounds
         tree._prim_order = list(self._prim_order)
-        tree._soa = None if soa is None else soa.derive(nodes=twins)
+        tree._soa = soa.derive(nodes=twins)
         return tree
 
     # -- access ---------------------------------------------------------------
     def soa(self) -> BVHArrays:
-        """The struct-of-arrays view of the current mutation epoch.
-
-        Packed from the tree on first use (and after a rebuild, which
-        makes a new tree); the online writes install the view they
-        derive, so it is never stale.  Callers in the kernels/workloads
-        feed its columns to the batch geometry tests instead of walking
-        ``BVHNode`` objects scalar-style.
-        """
-        # getattr guards trees unpickled from caches written before
-        # these attributes existed.
-        epoch = getattr(self, "mutation_epoch", 0)
-        if getattr(self, "_soa", None) is None \
-                or getattr(self, "_soa_epoch", 0) != epoch:
-            self._soa = BVHArrays(self)
-            self._soa_epoch = epoch
+        """The struct-of-arrays view: the tree's boxes, slices and
+        primitive columns.  The build installs it and every online
+        write installs the one it derives, so it is never stale.
+        Callers in the kernels/workloads feed its columns to the batch
+        geometry tests instead of walking ``BVHNode`` objects."""
         return self._soa
 
-    def leaf_prims(self, node: BVHNode) -> List:
-        return [self.primitives[self._prim_order[i]]
-                for i in range(node.first_prim, node.first_prim + node.prim_count)]
+    @property
+    def root(self) -> BVHNode:
+        return self._soa.nodes[0]
 
     def nodes(self) -> List[BVHNode]:
         """All nodes in DFS order (the serialization order real builders emit)."""
-        out: List[BVHNode] = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            out.append(node)
-            if not node.is_leaf:
-                stack.append(node.right)
-                stack.append(node.left)
-        return out
+        return list(self._soa.nodes)
 
     def depth(self) -> int:
-        def rec(node: BVHNode) -> int:
-            if node.is_leaf:
-                return 1
-            return 1 + max(rec(node.left), rec(node.right))
-        return rec(self.root)
+        return self._soa.depth
 
     # -- traversal --------------------------------------------------------------
     def traverse(self, ray: Ray, intersector: Callable,
@@ -733,6 +742,11 @@ class BVH:
         """
         if mode not in ("closest", "any", "all"):
             raise ConfigurationError(f"unknown traversal mode {mode!r}")
+        soa = self._soa
+        nodes, boxes = soa.nodes, soa.boxes
+        left, right = soa.left_list, soa.right_list
+        first, count = soa.first_list, soa.count_list
+        prims, order = self.primitives, self._prim_order
         visits: List[VisitEvent] = []
         all_hits: List[int] = []
         closest_t, closest_prim = ray.tmax, None
@@ -742,12 +756,13 @@ class BVH:
         # actually shrinks is bit-identical to a fresh clip per test —
         # and keeps the hot loop allocation-free outside "closest" hits.
         clipped = ray
-        stack = [self.root]
+        stack = [0]
         while stack:
-            node = stack.pop()
-            if node.is_leaf:
+            i = stack.pop()
+            if left[i] < 0:
                 leaf_hit = False
-                for prim in self.leaf_prims(node):
+                for k in range(first[i], first[i] + count[i]):
+                    prim = prims[order[k]]
                     hit = intersector(clipped, prim)
                     if hit is not None:
                         leaf_hit = True
@@ -758,15 +773,15 @@ class BVH:
                             tmax = hit.t
                             clipped = Ray(ray.origin, ray.direction,
                                           ray.tmin, tmax)
-                visits.append(VisitEvent(node, "leaf", node.prim_count, leaf_hit))
+                visits.append(VisitEvent(nodes[i], "leaf", count[i], leaf_hit))
                 if mode == "any" and leaf_hit:
                     break
             else:
-                span = ray_aabb_intersect(clipped, node.bounds)
-                visits.append(VisitEvent(node, "inner", 1, span is not None))
+                span = ray_aabb_intersect(clipped, boxes[i])
+                visits.append(VisitEvent(nodes[i], "inner", 1, span is not None))
                 if span is not None:
-                    stack.append(node.right)
-                    stack.append(node.left)
+                    stack.append(right[i])
+                    stack.append(left[i])
         if closest_prim is None:
             closest_t = math.inf
         return TraversalResult(closest_t, closest_prim,
@@ -793,7 +808,7 @@ class Instance:
         self.instance_id = instance_id
 
     def bounds(self) -> AABB:
-        b = self.blas.root.bounds
+        b = self.blas.soa().box(0)
         return AABB(self._to_world(b.lo), self._to_world(b.hi))
 
     @property
@@ -841,6 +856,11 @@ class TwoLevelBVH:
         self.tlas = BVH(self.instances, max_leaf_size=1)
 
     def trace(self, ray: Ray, intersector: Callable) -> TwoLevelResult:
+        soa = self.tlas.soa()
+        nodes, boxes = soa.nodes, soa.boxes
+        left, right = soa.left_list, soa.right_list
+        first, count = soa.first_list, soa.count_list
+        instances, order = self.tlas.primitives, self.tlas._prim_order
         tlas_visits: List[VisitEvent] = []
         blas_visits: List[VisitEvent] = []
         xforms = 0
@@ -850,18 +870,20 @@ class TwoLevelBVH:
         # leaf's instances must not affect later instances of the same
         # leaf, so the rebuild happens here rather than at the shrink.
         clipped, clip_tmax = ray, tmax
-        stack = [self.tlas.root]
+        stack = [0]
         while stack:
-            node = stack.pop()
+            i = stack.pop()
             if tmax != clip_tmax:
                 clipped = Ray(ray.origin, ray.direction, ray.tmin, tmax)
                 clip_tmax = tmax
-            span = ray_aabb_intersect(clipped, node.bounds)
-            if node.is_leaf:
-                tlas_visits.append(VisitEvent(node, "leaf", 1, span is not None))
+            span = ray_aabb_intersect(clipped, boxes[i])
+            if left[i] < 0:
+                tlas_visits.append(VisitEvent(nodes[i], "leaf", 1,
+                                              span is not None))
                 if span is None:
                     continue
-                for instance in self.tlas.leaf_prims(node):
+                for k in range(first[i], first[i] + count[i]):
+                    instance = instances[order[k]]
                     xforms += 1
                     object_ray = instance.world_to_object(clipped)
                     result = instance.blas.traverse(object_ray, intersector)
@@ -873,8 +895,9 @@ class TwoLevelBVH:
                             best = TwoLevelHit(t_world, instance.instance_id,
                                                result.closest_prim)
             else:
-                tlas_visits.append(VisitEvent(node, "inner", 1, span is not None))
+                tlas_visits.append(VisitEvent(nodes[i], "inner", 1,
+                                              span is not None))
                 if span is not None:
-                    stack.append(node.right)
-                    stack.append(node.left)
+                    stack.append(right[i])
+                    stack.append(left[i])
         return TwoLevelResult(best, tuple(tlas_visits), tuple(blas_visits), xforms)

@@ -76,9 +76,6 @@ class KDTree:
         self.max_leaf_size = max_leaf_size
         order = list(range(len(self.points)))
         self.root = self._build(order, depth=0)
-        #: bumped by every mutating operation; derived views (memory
-        #: images, lowered jobs) key their validity on it.
-        self.mutation_epoch = 0
         #: tombstoned point ids — slots in ``points`` no leaf references.
         self._deleted: set = set()
         self._leaf_of: Optional[dict] = None
@@ -116,7 +113,6 @@ class KDTree:
         tree.dims = dims
         tree.max_leaf_size = max_leaf_size
         tree.root = tree._build(live, depth=0)
-        tree.mutation_epoch = 0
         tree._deleted = set(range(len(tree.points))) - set(live)
         tree._leaf_of = None
         return tree
@@ -128,9 +124,6 @@ class KDTree:
     # points are at least ``|delta|`` away along the split axis) is
     # preserved.  Leaves overgrow ``max_leaf_size`` instead of
     # splitting — the decay a rebuild later repairs.
-
-    def _invalidate(self) -> None:
-        self.mutation_epoch = getattr(self, "mutation_epoch", 0) + 1
 
     def _deleted_set(self) -> set:
         if getattr(self, "_deleted", None) is None:
@@ -159,7 +152,6 @@ class KDTree:
         node.points.append(point)
         node.point_ids.append(pid)
         self._leaf_map()[pid] = node
-        self._invalidate()
         return pid
 
     def delete_point(self, pid: int) -> int:
@@ -174,7 +166,6 @@ class KDTree:
         leaf.points.pop(at)
         del self._leaf_of[pid]
         self._deleted_set().add(pid)
-        self._invalidate()
         return 1
 
     def live_point_ids(self) -> List[int]:
@@ -195,7 +186,6 @@ class KDTree:
         Returns the number of nodes touched.
         """
         touched = len(self.nodes())
-        self._invalidate()
         return touched
 
     def nodes(self) -> List[KDNode]:

@@ -4,17 +4,19 @@ The timing models need real addresses — cache behaviour, coalescing and
 DRAM traffic all depend on where nodes live.  ``TreeImage`` lays a
 tree's nodes out in breadth-first order (the order real tree builders
 emit, giving siblings contiguity, which the paper's child-offset
-encoding relies on) at a fixed per-node stride, and maps addresses back
-to node objects for the functional side of the simulation.
+encoding relies on) at a fixed per-node stride, writes each node's
+``address``, and maps addresses back to node objects for the functional
+side of the simulation.
 
 Addresses are pure arithmetic — ``base + index * stride`` — so the
 forward map is a lazily-materialized numpy column (one array per tree,
 feeding batched sector math) and the reverse map is division, not a
-per-node hash table.
+per-node hash table: :meth:`TreeImage.address_of` reads the node's
+``address`` and checks it with :meth:`TreeImage.node_at`.
 """
 
 import copy
-from typing import Dict, Iterable, List, Optional
+from typing import Iterable, List, Optional
 
 import numpy as np
 
@@ -24,7 +26,9 @@ NODE_STRIDE = 64  # bytes per node entry: 16 x 32-bit registers (Fig. 7)
 
 
 class TreeImage:
-    """A serialized tree: node list, addresses, and reverse lookup.
+    """A serialized tree: the node list, each node's ``address``
+    (written on the node), the per-node address column, and the
+    reverse lookup by division.
 
     ``base`` offsets the whole tree in the global address space so
     several structures (tree + query buffers + result buffers) can
@@ -42,10 +46,8 @@ class TreeImage:
         self.nodes: List = list(nodes)
         if not self.nodes:
             raise LayoutError("cannot lay out an empty tree")
-        self._index_of: Dict[int, int] = {}
         for index, node in enumerate(self.nodes):
             node.address = base + index * node_stride
-            self._index_of[id(node)] = index
         self._addresses: Optional[np.ndarray] = None
 
     @property
@@ -73,11 +75,12 @@ class TreeImage:
         return self.addresses // sector_size
 
     def address_of(self, node) -> int:
-        try:
-            index = self._index_of[id(node)]
-        except KeyError:
+        """``node.address``, once :meth:`node_at` confirms ``node`` is
+        the node this image holds there."""
+        address = getattr(node, "address", -1)
+        if not self.contains(address) or self.node_at(address) is not node:
             raise LayoutError(f"node {node!r} is not part of this image")
-        return self.base + index * self.node_stride
+        return address
 
     def node_at(self, address: int) -> object:
         offset = address - self.base
@@ -105,7 +108,6 @@ class TreeImage:
         image = copy.copy(self)
         image.nodes = [memo.get(id(node)) or copy.copy(node)
                        for node in self.nodes]
-        image._index_of = {id(node): i for i, node in enumerate(image.nodes)}
         return image
 
     def __len__(self) -> int:

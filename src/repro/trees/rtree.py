@@ -160,9 +160,6 @@ class RTree:
         self.min_entries = max(2, max_entries // 3)
         self.root = RTreeNode()
         self._count = 0
-        #: bumped by every mutating operation; derived views (memory
-        #: images, lowered jobs) key their validity on it.
-        self.mutation_epoch = 0
 
     def __len__(self) -> int:
         return self._count
@@ -200,7 +197,6 @@ class RTree:
         leaf.entries.append(entry)
         self._count += 1
         self._adjust(path + [leaf])
-        self.mutation_epoch = getattr(self, "mutation_epoch", 0) + 1
 
     def _choose_leaf(self, rect: AABB) -> Tuple[RTreeNode, List[RTreeNode]]:
         node, path = self.root, []
@@ -312,7 +308,6 @@ class RTree:
             # logically removed.
             self._count -= 1
             self.insert(entry.rect, entry.data_id)
-        self.mutation_epoch = getattr(self, "mutation_epoch", 0) + 1
 
     def _find_leaf(self, node: RTreeNode, data_id: int, rect,
                    path: List[RTreeNode]):
@@ -359,7 +354,6 @@ class RTree:
         lo, hi = flat.refit_mbrs()
         for i, box in changed_boxes(flat.lo, flat.hi, lo, hi):
             flat.nodes[i].mbr = box
-        self.mutation_epoch = getattr(self, "mutation_epoch", 0) + 1
         return len(flat.nodes)
 
     # -- STR bulk loading ---------------------------------------------------------

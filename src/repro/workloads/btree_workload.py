@@ -42,9 +42,6 @@ class BTreeWorkload:
         default_factory=dict, init=False, repr=False, compare=False)
     _stream_cache: dict = field(
         default_factory=dict, init=False, repr=False, compare=False)
-    #: bumped by every image refresh after structural mutation; 0 marks
-    #: the pristine build.
-    mutation_epoch: int = field(default=0, init=False, compare=False)
 
     def kernel_args(self, jobs: Sequence[TraversalJob] = ()) -> BTreeKernelArgs:
         return BTreeKernelArgs(

@@ -50,9 +50,6 @@ class RTNNWorkload:
     #: ids stay stable, filtered out of golden results.
     _dead_points: set = field(
         default_factory=set, init=False, repr=False, compare=False)
-    #: bumped by every image refresh after structural mutation; 0 marks
-    #: the pristine build.
-    mutation_epoch: int = field(default=0, init=False, compare=False)
 
     def kernel_args(self, jobs: Sequence[TraversalJob] = ()) -> RadiusKernelArgs:
         return RadiusKernelArgs(

@@ -202,39 +202,45 @@ def traverse_any_sato(bvh: BVH, ray: Ray,
     traversal terminate far sooner [65].  The baseline RTA's traversal
     order is fixed; TTA+'s programmable dest tables can encode this.
     """
+    soa = bvh.soa()
+    nodes, boxes = soa.nodes, soa.boxes
+    left, right = soa.left_list, soa.right_list
+    first, count = soa.first_list, soa.count_list
+    prims, order = bvh.primitives, bvh._prim_order
     visits: List[VisitEvent] = []
     all_hits: List[int] = []
-    stack = [bvh.root]
+    stack = [0]
     closest_t, closest_prim = math.inf, None
     while stack:
-        node = stack.pop()
-        if node.is_leaf:
+        i = stack.pop()
+        if left[i] < 0:
             hit_any = False
-            for prim in bvh.leaf_prims(node):
+            for k in range(first[i], first[i] + count[i]):
+                prim = prims[order[k]]
                 hit = intersector(ray, prim)
                 if hit is not None:
                     hit_any = True
                     all_hits.append(prim.prim_id)
                     if hit.t < closest_t:
                         closest_t, closest_prim = hit.t, prim.prim_id
-            visits.append(VisitEvent(node, "leaf", node.prim_count, hit_any))
+            visits.append(VisitEvent(nodes[i], "leaf", count[i], hit_any))
             if hit_any:
                 break
         else:
-            span = ray_aabb_intersect(ray, node.bounds)
-            visits.append(VisitEvent(node, "inner", 1, span is not None))
+            span = ray_aabb_intersect(ray, boxes[i])
+            visits.append(VisitEvent(nodes[i], "inner", 1, span is not None))
             if span is not None:
                 # Ordered descent: visit the child the ray enters first,
                 # weighting by surface area on ties — the SATO-style
                 # occluder-likelihood order a programmable dest table can
                 # encode but a fixed-function traversal cannot.
                 def entry(child):
-                    child_span = ray_aabb_intersect(ray, child.bounds)
+                    child_span = ray_aabb_intersect(ray, boxes[child])
                     if child_span is None:
                         return (1e30, 0.0)
-                    return (child_span[0], -child.bounds.surface_area())
+                    return (child_span[0], -boxes[child].surface_area())
 
-                children = sorted((node.left, node.right), key=entry,
+                children = sorted((left[i], right[i]), key=entry,
                                   reverse=True)
                 # Stack: push the later-entered child first so the
                 # earlier-entered one pops first.

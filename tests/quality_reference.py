@@ -4,6 +4,8 @@ These are the node-at-a-time ``bvh_quality``, ``rtree_quality``,
 ``BVH.refit`` and R-Tree refit from before they moved to array columns,
 kept verbatim as the oracles the array passes must match: quality
 dicts by ``float.hex``, node bounds bit for bit, touched counts equal.
+The BVH ones walk a :class:`tests.bvh_reference.ReferenceBVH` (for a
+served tree, ``ReferenceBVH.of(bvh)``), whose nodes hold their boxes.
 """
 
 import math
@@ -106,8 +108,7 @@ def bvh_refit(bvh) -> int:
     """Recompute exact bounds bottom-up without restructuring.
 
     Leaf boxes are rebuilt from their (live) primitives, inner boxes
-    from their children.  Returns the number of nodes touched.  The
-    tree's SoA memo is dropped, as the epoch bump did before.
+    from their children.  Returns the number of nodes touched.
     """
     def rec(node) -> int:
         if node.is_leaf:
@@ -118,10 +119,7 @@ def bvh_refit(bvh) -> int:
         node.bounds = node.left.bounds.union(node.right.bounds)
         return touched + 1
 
-    touched = rec(bvh.root)
-    bvh.mutation_epoch += 1
-    bvh._soa = None
-    return touched
+    return rec(bvh.root)
 
 
 def rtree_refit(tree) -> int:
@@ -129,5 +127,4 @@ def rtree_refit(tree) -> int:
     nodes = tree.nodes()
     for node in reversed(nodes):
         node.recompute_mbr()
-    tree.mutation_epoch = getattr(tree, "mutation_epoch", 0) + 1
     return len(nodes)

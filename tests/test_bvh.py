@@ -14,7 +14,8 @@ from repro.geometry.sphere import ray_sphere_intersect
 from repro.geometry.triangle import ray_triangle_intersect
 from repro.memsys.memory_image import AddressSpace
 from repro.trees import BVH, Instance, TwoLevelBVH
-from tests.bvh_reference import ReferenceBVH
+from tests.bvh_reference import (ReferenceBVH, node_box, node_prims,
+                                 node_slice)
 
 
 def random_triangles(n, seed=0, span=10.0):
@@ -72,7 +73,7 @@ class TestBVHBuild:
 
         def collect(node):
             if node.is_leaf:
-                found.update(p.prim_id for p in bvh.leaf_prims(node))
+                found.update(p.prim_id for p in node_prims(bvh, node))
             else:
                 collect(node.left)
                 collect(node.right)
@@ -85,14 +86,15 @@ class TestBVHBuild:
         bvh = BVH(random_triangles(100, seed=3), method=method)
 
         def check(node):
+            box = node_box(bvh, node)
             if not node.is_leaf:
-                assert node.bounds.contains_box(node.left.bounds)
-                assert node.bounds.contains_box(node.right.bounds)
+                assert box.contains_box(node_box(bvh, node.left))
+                assert box.contains_box(node_box(bvh, node.right))
                 check(node.left)
                 check(node.right)
             else:
-                for prim in bvh.leaf_prims(node):
-                    assert node.bounds.contains_box(prim.bounds())
+                for prim in node_prims(bvh, node):
+                    assert box.contains_box(prim.bounds())
 
         check(bvh.root)
 
@@ -100,7 +102,7 @@ class TestBVHBuild:
         bvh = BVH(random_triangles(200, seed=4), max_leaf_size=4)
         for node in bvh.nodes():
             if node.is_leaf:
-                assert node.prim_count <= 4
+                assert node_slice(bvh, node)[1] <= 4
 
     def test_node_count_matches_nodes_list(self):
         bvh = BVH(random_triangles(77, seed=5))
@@ -248,10 +250,10 @@ def _node_records(bvh):
     """Per node in DFS order: bound bits (signed zeros included) and slice."""
     records = []
     for node in bvh.nodes():
-        b = node.bounds
+        b = node_box(bvh, node)
         records.append((struct.pack("<6d", b.lo.x, b.lo.y, b.lo.z,
                                     b.hi.x, b.hi.y, b.hi.z),
-                        node.is_leaf, node.first_prim, node.prim_count))
+                        node.is_leaf, *node_slice(bvh, node)))
     return records
 
 
@@ -260,8 +262,8 @@ def _image_bytes(bvh):
     image = AddressSpace().place_tree(bvh.nodes())
     out = bytearray()
     for node in image.nodes:
-        b = node.bounds
-        links = ((node.first_prim, node.prim_count) if node.is_leaf
+        b = node_box(bvh, node)
+        links = (node_slice(bvh, node) if node.is_leaf
                  else (node.left.address, node.right.address))
         out += struct.pack("<q6d2q", node.address, b.lo.x, b.lo.y, b.lo.z,
                            b.hi.x, b.hi.y, b.hi.z, *links)

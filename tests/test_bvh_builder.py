@@ -22,7 +22,7 @@ import pytest
 from repro.geometry import Sphere, Triangle, Vec3
 from repro.geometry.aabb import AABB
 from repro.trees import BVH
-from tests.bvh_reference import RecursiveBVH
+from tests.bvh_reference import RecursiveBVH, node_box, tree_records
 
 
 class _Box:
@@ -79,24 +79,9 @@ def _prims(kind, n, rng):
     return prims
 
 
-def _tree(bvh):
-    """Pre-order records: box bits, slice and child positions."""
-    records, index = [], {}
-    for node in bvh.nodes():
-        index[id(node)] = len(index)
-    for node in bvh.nodes():
-        b = node.bounds
-        children = (None if node.is_leaf
-                    else (index[id(node.left)], index[id(node.right)]))
-        records.append((tuple(v.hex() for v in (b.lo.x, b.lo.y, b.lo.z,
-                                                 b.hi.x, b.hi.y, b.hi.z)),
-                        node.first_prim, node.prim_count, children))
-    return records
-
-
 def assert_same_build(fast, ref):
     assert fast.node_count == ref.node_count == len(ref.nodes())
-    assert _tree(fast) == _tree(ref)
+    assert tree_records(fast) == tree_records(ref)
     assert fast._prim_order == ref._prim_order
     assert all(type(i) is int for i in fast._prim_order)
 
@@ -153,8 +138,8 @@ def test_nan_split_costs_never_win(n_low):
     assert_same_build(fast, RecursiveBVH(prims, max_leaf_size=1,
                                          method="sah"))
     # The root splits the low boxes from the high ones.
-    assert fast.root.left.bounds.hi.x == -1e308
-    assert fast.root.right.bounds.lo.x == 1e308
+    assert node_box(fast, fast.root.left).hi.x == -1e308
+    assert node_box(fast, fast.root.right).lo.x == 1e308
 
 
 class _Opaque:
@@ -176,6 +161,7 @@ def _bits(column):
 
 def assert_same_bounds(packed, per_prim):
     assert_same_build(packed, per_prim)
+    assert packed.soa().prim_id_list == per_prim.soa().prim_id_list
     for name in ("prim_lo", "prim_hi"):
         assert _bits(getattr(packed.soa(), name)) == \
             _bits(getattr(per_prim.soa(), name))
@@ -185,8 +171,9 @@ def assert_same_bounds(packed, per_prim):
 @pytest.mark.parametrize("method", ["median", "sah"])
 def test_sphere_columns_match_per_primitive_bounds(method):
     """Sphere trees packed from ``center ± radius`` columns equal trees
-    packed from each primitive's ``bounds()``, node for node, and stay
-    equal through inserts, updates, deletes, refits and a fork."""
+    packed from each primitive's ``bounds()``, node for node and column
+    for column, and stay equal through inserts, updates, deletes,
+    refits and a fork."""
     rng = random.Random(f"bvh-sphere-columns-{method}")
     for n in _sizes(rng, 24):
         spheres = _prims("sphere", n, rng)
@@ -194,7 +181,8 @@ def test_sphere_columns_match_per_primitive_bounds(method):
         packed = BVH(spheres, max_leaf_size=leaf, method=method)
         per_prim = BVH([_Opaque(s) for s in spheres], max_leaf_size=leaf,
                        method=method)
-        assert packed._bounds is None  # no per-primitive box was built
+        assert packed.soa().prim_kind == "sphere"
+        assert per_prim.soa().prim_kind is None
         assert_same_bounds(packed, per_prim)
         for step in range(rng.randint(1, 12)):
             roll = rng.random()
@@ -218,5 +206,3 @@ def test_sphere_columns_match_per_primitive_bounds(method):
             else:
                 packed, per_prim = packed.fork({}), per_prim.fork({})
             assert_same_bounds(packed, per_prim)
-        assert [(b.lo, b.hi) for b in packed._prim_bounds] == \
-            [(b.lo, b.hi) for b in per_prim._prim_bounds]

@@ -24,6 +24,7 @@ from repro.serve import LoadProfile, build_resident_index, run_loadtest
 from repro.serve.backends import LaunchBackend
 from repro.serve.loadtest import run_qps_sweep
 from repro.trees import BPlusTree
+from tests.bvh_reference import tree_records
 from tests.test_mutation import TINY
 
 FLAVORS = ("tta", "ttaplus")
@@ -76,7 +77,7 @@ def containers(index):
     if index.query_class == "knn":
         return [wl.tree.points, wl.tree._deleted]
     return [wl.points, wl._dead_points, wl.bvh.primitives,
-            wl.bvh._prim_bounds, wl.bvh._prim_order]
+            wl.bvh._prim_order]
 
 
 def tree_nodes(index):
@@ -107,6 +108,9 @@ def snapshot(index):
     return {
         "quality": make_mutator(index.query_class, wl).quality(),
         "nodes": [node_state(node) for node in tree_nodes(index)],
+        # A BVH's boxes and slices live in its view, not its nodes.
+        "view": (tree_records(wl.bvh) if index.query_class == "radius"
+                 else None),
         "image_bytes": wl.image.size_bytes,
         "addresses": [node.address for node in wl.image.nodes],
         "written": [copy.copy(c) for c in containers(index)],

@@ -283,7 +283,6 @@ class TestMutators:
         mutator.refit()
         refresh_workload_image(query_class, index.workload)
         index._lowered.clear()
-        index.mutation_epoch = getattr(index, "mutation_epoch", 0) + 1
         backend = LaunchBackend(platform, max_verify=10**9)
         qids = list(range(index.n_canonical))
         launch = backend.launch(index, qids, now=0.0)
@@ -408,7 +407,7 @@ class TestMutableResidentIndex:
             refit_threshold=4,
             policy=RebuildPolicy(mode="writes", write_threshold=4))
         rng = random.Random(0)
-        epoch_before = getattr(index, "mutation_epoch", 0)
+        image_before = index.workload.image
         for i in range(4):
             mut.apply(self.event(i * 1e-4, seq=i), rng)
         assert mut._rebuild_ready_at is not None
@@ -421,7 +420,8 @@ class TestMutableResidentIndex:
         installed = [e for e in mut.maintenance_events
                      if e["kind"] == "rebuild_installed"]
         assert installed and installed[0]["log_replayed"] == 3.0
-        assert index.mutation_epoch > epoch_before
+        assert index.workload.image is not image_before, \
+            "the rebuilt tree is placed again"
         # Post-install the tree is equivalent to a fresh build.
         got = mutated_results_for_oracle("point", index.workload)
         assert got == oracle_results("point", index.workload, mut.mutator)
@@ -432,12 +432,14 @@ class TestMutableResidentIndex:
         jobs_before = wl.jobs("tta")
         assert wl._jobs_cache
         index._lowered[("tta", 0)] = ([], True)
+        image_before = wl.image
         rng = random.Random(0)
         mut.apply(self.event(0.0), rng)
         mut.ensure_ready(1e-3)
         assert not wl._jobs_cache or wl.jobs("tta") is not jobs_before
         assert not index._lowered
-        assert wl.mutation_epoch >= 1
+        assert wl.image is not image_before
+        assert wl.image.nodes == wl.tree.nodes()
 
     def test_counters_shape(self):
         _, mut = self.make()
@@ -460,13 +462,15 @@ class TestStalenessContracts:
         params = dict(TINY["point"], seed=0)
         index = build_resident_index("point", params)
         pristine = len(index.workload.tree)
+        pristine_image = index.workload.image
+        pristine_bytes = pristine_image.size_bytes
         mutator = make_mutator("point", index.workload)
         churn(mutator, 40, seed=0)
         refresh_workload_image("point", index.workload)
-        assert index.workload.mutation_epoch >= 1
+        assert index.workload.image is not pristine_image
         fresh = build_resident_index("point", params)
         assert fresh.workload is not index.workload
-        assert fresh.workload.mutation_epoch == 0
+        assert fresh.workload.image.size_bytes == pristine_bytes
         assert len(fresh.workload.tree) == pristine
         assert len(fresh.workload.tree) == len(index.workload.tree) - \
             (mutator.live_size - pristine)
@@ -486,6 +490,7 @@ class TestStalenessContracts:
         assert bvh.soa() is fresh, "epoch-stable soa stays memoized"
 
     def test_backend_config_tracks_mutation_epoch(self):
+        """The backend config follows the current image."""
         index = tiny_index("point")
         backend = LaunchBackend("tta")
         from repro.harness.runner import scaled_config_for
@@ -493,9 +498,10 @@ class TestStalenessContracts:
         assert backend.config_for(index) == scaled_config_for(
             index.workload.image.size_bytes)
         mutator = make_mutator("point", index.workload)
+        image_before = index.workload.image
         churn(mutator, 30, seed=0)
         refresh_workload_image("point", index.workload)
-        index.mutation_epoch = getattr(index, "mutation_epoch", 0) + 1
+        assert index.workload.image is not image_before
         # Derived from the re-placed image on every call: no memo that
         # could go stale.
         assert backend.config_for(index) == scaled_config_for(
@@ -566,6 +572,8 @@ class TestLoadtestMutation:
         """With mutation, every (platform, qps) leg deep-copies the
         indexes: the same leg re-run alone gives identical results."""
         indexes = {"point": tiny_index("point")}
+        pristine = indexes["point"].workload
+        image, size = pristine.image, len(pristine.tree)
         sweep = run_qps_sweep(["tta"], [400.0, 800.0], indexes,
                               self.PROFILE, mutation=self.MUTATION)
         alone = run_qps_sweep(["tta"], [800.0],
@@ -577,7 +585,8 @@ class TestLoadtestMutation:
         assert row_swept["latency_ms"] == row_alone["latency_ms"]
         assert sweep["mutation"]["rebuild_policy"] == "writes:48"
         # The originals were never mutated.
-        assert getattr(indexes["point"].workload, "mutation_epoch", 0) == 0
+        assert indexes["point"].workload is pristine
+        assert pristine.image is image and len(pristine.tree) == size
 
     @pytest.mark.parametrize("platform", PLATFORMS)
     def test_all_platforms_survive_mixed_traffic(self, platform):
@@ -592,9 +601,11 @@ class TestLoadtestMutation:
 class TestChurnAxis:
     def test_apply_churn_pre_decays_a_build(self):
         index = tiny_index("range")
+        image_before = index.workload.image
         mutator = apply_churn(index.workload, "range",
                               "insert=2,delete=1@120", seed=3)
-        assert index.workload.mutation_epoch == 1
+        assert index.workload.image is not image_before
+        assert index.workload.image.nodes == index.workload.tree.nodes()
         assert mutator.live_size == len(index.workload.tree)
         for w in index.workload.windows[:8]:
             assert tuple(sorted(index.workload.tree.range_query(w).ids)) \
@@ -611,7 +622,13 @@ class TestChurnAxis:
         }[kind]
         wl = build_workload(kind, dict(params, seed=0,
                                        churn="insert=3,delete=2@64"))
-        assert wl.mutation_epoch == 1
+        pristine = build_workload(kind, dict(params, seed=0))
+        query_class = CHURN_KINDS[kind]
+        assert make_mutator(query_class, wl).live_size != \
+            make_mutator(query_class, pristine).live_size
+        # The image was placed again over the churned tree.
+        tree = wl.bvh if query_class == "radius" else wl.tree
+        assert wl.image.nodes == tree.nodes()
 
     def test_campaign_validates_churn_axis(self):
         from repro.campaign import CampaignSpec

@@ -9,14 +9,14 @@ refits and the array quality scores.
   compares the array passes with the scalar references in
   :mod:`tests.quality_reference` after every op: quality dicts by
   ``float.hex``, node bounds bit for bit, touched counts, and the BVH
-  SoA view each write derives against a fresh pack of the tree.
+  SoA view each write derives against a :class:`tests.bvh_reference.
+  ReferenceBVH` taking the same writes.
 """
 
 import copy
 import math
 import random
 
-import numpy as np
 import pytest
 
 from repro.geometry.aabb import AABB
@@ -27,9 +27,11 @@ from repro.kernels.radius_search import radius_query
 from repro.mutation import make_mutator
 from repro.mutation.quality import bvh_quality, kdtree_quality, rtree_quality
 from repro.serve import build_resident_index
-from repro.trees.bvh import BVH, BVHArrays
+from repro.trees.bvh import BVH
 from repro.trees.rtree import RectEntry, RTree, make_rect
 from tests import quality_reference as ref
+from tests.bvh_reference import (ReferenceBVH, assert_matches, node_box,
+                                 node_prims, node_slice, tree_records)
 
 
 def _hex(values):
@@ -50,16 +52,17 @@ def _slices_in_order(bvh: BVH) -> None:
     at = 0
     for node in bvh.nodes():
         if node.is_leaf:
-            assert node.first_prim == at, "leaf slices out of order"
-            at += node.prim_count
+            first, count = node_slice(bvh, node)
+            assert first == at, "leaf slices out of order"
+            at += count
     assert at == len(bvh._prim_order)
 
 
 def _inside_ancestors(bvh: BVH) -> None:
     def walk(node, ancestors):
-        ancestors = ancestors + [node.bounds]
+        ancestors = ancestors + [node_box(bvh, node)]
         if node.is_leaf:
-            for prim in bvh.leaf_prims(node):
+            for prim in node_prims(bvh, node):
                 for box in ancestors:
                     assert box.contains_box(prim.bounds()), \
                         f"prim {prim.prim_id} outside an ancestor box"
@@ -125,8 +128,8 @@ class TestOnlineWritesKeepStructure:
         bvh.insert(Sphere(Vec3(10.0, 0.0, 0.0), 0.1, prim_id=2))
         _slices_in_order(bvh)
         left, right = bvh.root.left, bvh.root.right
-        assert (left.first_prim, left.prim_count) == (0, 0)
-        assert (right.first_prim, right.prim_count) == (0, 1)
+        assert node_slice(bvh, left) == (0, 0)
+        assert node_slice(bvh, right) == (0, 1)
 
 
 # -- differential fuzz against the scalar references ------------------------------
@@ -162,36 +165,21 @@ def _make_prim(rng: random.Random, pid: int, kind: str):
     return Sphere(_point(rng), 0.5, prim_id=pid)
 
 
-def _same_view(got: BVHArrays, want: BVHArrays) -> None:
-    for name in BVHArrays.__slots__:
-        a, b = getattr(got, name), getattr(want, name)
-        if name == "nodes":
-            assert len(a) == len(b) and all(x is y for x, y in zip(a, b))
-        elif name == "levels":
-            assert len(a) == len(b)
-            assert all(np.array_equal(x, y) for x, y in zip(a, b))
-        elif isinstance(b, np.ndarray):
-            assert a.dtype == b.dtype and a.shape == b.shape, name
-            assert a.tobytes() == b.tobytes(), name
-        else:
-            assert a == b, name
-
-
 def _same_bounds(tree_nodes, twin_nodes, attr: str) -> None:
     for a, b in zip(tree_nodes, twin_nodes, strict=True):
         assert _box_hex(getattr(a, attr)) == _box_hex(getattr(b, attr))
 
 
 class TestBVHMatchesScalarReference:
-    def _check(self, bvh: BVH) -> None:
-        _same_view(bvh.soa(), BVHArrays(bvh))
-        assert _quality_hex(bvh_quality(bvh)) == \
-            _quality_hex(ref.bvh_quality(bvh))
+    """Each write, refit and quality score of a :class:`BVH` against a
+    :class:`ReferenceBVH` built from the same primitives and taking the
+    same writes."""
 
-    def _refit(self, bvh: BVH) -> None:
-        twin = copy.deepcopy(bvh)
-        assert bvh.refit() == ref.bvh_refit(twin)
-        _same_bounds(bvh.nodes(), twin.nodes(), "bounds")
+    @staticmethod
+    def _check(bvh: BVH, twin: ReferenceBVH) -> None:
+        assert_matches(bvh, twin)
+        assert _quality_hex(bvh_quality(bvh)) == \
+            _quality_hex(ref.bvh_quality(twin))
 
     @pytest.mark.parametrize("kind", ["spheres", "triangles", "boxes"])
     def test_seeded_churn(self, kind):
@@ -200,36 +188,41 @@ class TestBVHMatchesScalarReference:
             rng = random.Random(seed)
             n = rng.randint(2, 24)
             prims = {pid: _make_prim(rng, pid, kind) for pid in range(n)}
-            bvh = BVH(list(prims.values()),
-                      max_leaf_size=rng.randint(1, 3), method="sah")
-            self._check(bvh)
+            leaf = rng.randint(1, 3)
+            bvh = BVH(list(prims.values()), max_leaf_size=leaf,
+                      method="sah")
+            twin = ReferenceBVH(list(prims.values()), max_leaf_size=leaf,
+                                method="sah")
+            self._check(bvh, twin)
             next_id = n
             for _ in range(30):
                 op = rng.random()
                 if op < 0.35 or not prims:
                     prims[next_id] = _make_prim(rng, next_id, kind)
-                    bvh.insert(prims[next_id])
+                    assert bvh.insert(prims[next_id]) == \
+                        twin.insert(prims[next_id])
                     next_id += 1
                 elif op < 0.65:
                     # May empty leaves and, at the end, the whole tree.
                     pid = rng.choice(sorted(prims))
                     del prims[pid]
-                    bvh.remove(pid)
+                    assert bvh.remove(pid) == twin.remove(pid)
                 elif op < 0.85:
                     pid = rng.choice(sorted(prims))
                     prims[pid] = _make_prim(rng, pid, kind)
-                    bvh.update(pid, prims[pid])
+                    assert bvh.update(pid, prims[pid]) == \
+                        twin.update(pid, prims[pid])
                 else:
-                    self._refit(bvh)
-                self._check(bvh)
-            emptied += any(node.is_leaf and not node.prim_count
+                    assert bvh.refit() == twin.refit()
+                self._check(bvh, twin)
+            emptied += any(node.is_leaf and not node_slice(bvh, node)[1]
                            for node in bvh.nodes())
-            self._refit(bvh)
-            self._check(bvh)
+            assert bvh.refit() == twin.refit()
+            self._check(bvh, twin)
             for node in bvh.nodes():
+                box = node_box(bvh, node)
                 zero_signs.update(math.copysign(1.0, v) for v in
-                                  (*node.bounds.lo, *node.bounds.hi)
-                                  if v == 0.0)
+                                  (*box.lo, *box.hi) if v == 0.0)
         assert emptied, "fuzz must refit trees with emptied leaves"
         if kind != "spheres":
             assert zero_signs == {1.0, -1.0}, "fuzz must reach signed zeros"
@@ -239,11 +232,11 @@ class TestBVHMatchesScalarReference:
         bvh = BVH(prims, max_leaf_size=1)
         for i in range(5):
             bvh.remove(i)
-        twin = copy.deepcopy(bvh)
-        assert bvh.refit() == ref.bvh_refit(twin)
-        _same_bounds(bvh.nodes(), twin.nodes(), "bounds")
-        assert bvh.root.bounds.is_empty()
-        self._check(bvh)
+        twin = ReferenceBVH.of(bvh)
+        assert bvh.refit() == twin.refit()
+        assert tree_records(bvh) == tree_records(twin)
+        assert node_box(bvh, bvh.root).is_empty()
+        self._check(bvh, twin)
 
 
 class TestRTreeMatchesScalarReference:
@@ -299,7 +292,7 @@ _REFERENCE = {
     # reference, and the refit touches every node.
     "knn": (lambda wl: kdtree_quality(wl.tree),
             lambda wl: len(wl.tree.nodes())),
-    "radius": (lambda wl: ref.bvh_quality(wl.bvh),
+    "radius": (lambda wl: ref.bvh_quality(ReferenceBVH.of(wl.bvh)),
                lambda wl: ref.bvh_refit(wl.bvh)),
 }
 
@@ -316,10 +309,12 @@ def test_mutator_churn_matches_reference(query_class):
     for step in range(36):
         if step % 4 == 3:
             twin = copy.deepcopy(index.workload)
+            if query_class == "radius":
+                twin.bvh = ReferenceBVH.of(twin.bvh)
             assert mutator.refit() == refit_ref(twin)
             if query_class == "radius":
-                _same_bounds(index.workload.bvh.nodes(), twin.bvh.nodes(),
-                             "bounds")
+                assert tree_records(index.workload.bvh) == \
+                    tree_records(twin.bvh)
             elif query_class == "range":
                 _same_bounds(index.workload.tree.nodes(),
                              twin.tree.nodes(), "mbr")
@@ -329,4 +324,4 @@ def test_mutator_churn_matches_reference(query_class):
             _quality_hex(quality_ref(index.workload))
         if query_class == "radius":
             bvh = index.workload.bvh
-            _same_view(bvh.soa(), BVHArrays(bvh))
+            assert_matches(bvh, ReferenceBVH.of(bvh))
