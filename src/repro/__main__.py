@@ -20,12 +20,12 @@ Examples::
 
 ``run`` and ``sweep`` route every simulation point through the
 execution service (:mod:`repro.exec`): with ``--jobs N`` independent
-points fan out over a worker-process pool, and completed points are
-memoized in a content-addressed on-disk cache (``$REPRO_CACHE_DIR`` or
-``~/.cache/repro``) so re-running a figure or resuming an interrupted
-sweep only executes the missing points.  Each command prints a manifest
-line (``[exec] total=.. executed=.. cached=..``) accounting for every
-point.
+points drain as a campaign table over N local worker processes, and
+completed points are memoized in a content-addressed on-disk cache
+(``$REPRO_CACHE_DIR`` or ``~/.cache/repro``) so re-running a figure or
+resuming an interrupted sweep only executes the missing points.  Each
+command prints a manifest line (``[exec] total=.. executed=..
+cached=..``) accounting for every point.
 """
 
 import argparse
@@ -55,8 +55,6 @@ def _add_exec_options(parser: argparse.ArgumentParser) -> None:
                              "worker processes (default: 1, serial)")
     parser.add_argument("--no-cache", action="store_true",
                         help="do not read or write the on-disk result cache")
-    parser.add_argument("--timeout", type=float, default=None, metavar="SEC",
-                        help="per-point timeout in seconds (parallel runs)")
     _add_guard_options(parser)
 
 
@@ -441,13 +439,12 @@ def _validate_serve_args(args):
     return None
 
 
-def _configure_service(jobs: int, no_cache: bool, timeout, guard=None,
+def _configure_service(jobs: int, no_cache: bool, guard=None,
                        tracer=None):
     from repro import exec as exec_mod
 
     return exec_mod.configure(jobs=jobs, cache_enabled=not no_cache,
-                              timeout=timeout, progress=jobs > 1,
-                              guard=guard, tracer=tracer)
+                              progress=jobs > 1, guard=guard, tracer=tracer)
 
 
 def _write_table(name: str, table, csv_dir, json_dir) -> None:
@@ -511,7 +508,7 @@ def _hotspot_summary(profiler, limit: int = 10) -> str:
 
 
 def cmd_run(names, scale: str, csv_dir, plot: bool = False,
-            jobs: int = 1, no_cache: bool = False, timeout=None,
+            jobs: int = 1, no_cache: bool = False,
             json_dir=None, json_out: bool = False,
             profile: bool = False, profile_out=None,
             trace=None, tracer=None, metrics_out=None, guard=None) -> int:
@@ -531,7 +528,7 @@ def cmd_run(names, scale: str, csv_dir, plot: bool = False,
     if tracer is not None and (jobs > 1 or not no_cache):
         # The traced service runs serially without the result cache.
         print("[obs] --trace forces --jobs 1 --no-cache", file=sys.stderr)
-    service = _configure_service(jobs, no_cache, timeout, guard, tracer)
+    service = _configure_service(jobs, no_cache, guard, tracer)
     # With --json, stdout must stay parseable (repro run fig --json |
     # jq): the claims, manifest, timing and trace chatter go to stderr.
     chatter = sys.stderr if json_out else sys.stdout
@@ -648,7 +645,7 @@ def _parse_param(text: str):
 
 def cmd_sweep(kind: str, platforms, params, csv_dir=None, json_dir=None,
               json_out: bool = False, jobs: int = 1, no_cache: bool = False,
-              timeout=None, guard=None) -> int:
+              guard=None) -> int:
     from repro.exec import make_spec
     from repro.harness.results import Table
 
@@ -672,7 +669,7 @@ def cmd_sweep(kind: str, platforms, params, csv_dir=None, json_dir=None,
               for values in itertools.product(*(grid[k] for k in keys))] \
         if keys else [{}]
 
-    service = _configure_service(jobs, no_cache, timeout, guard)
+    service = _configure_service(jobs, no_cache, guard)
     specs = [make_spec(kind, combo, platform,
                        config=experiments.default_config_policy(kind))
              for combo in combos for platform in chosen]
@@ -1097,8 +1094,7 @@ def main(argv=None) -> int:
         return cmd_sweep(args.kind, args.platforms, args.param,
                          csv_dir=args.csv_dir, json_dir=args.json_dir,
                          json_out=args.json, jobs=args.jobs,
-                         no_cache=args.no_cache, timeout=args.timeout,
-                         guard=guard)
+                         no_cache=args.no_cache, guard=guard)
     if args.command == "campaign":
         return cmd_campaign(args, guard)
     if args.command == "serve":
@@ -1117,8 +1113,8 @@ def main(argv=None) -> int:
                        metrics_out=args.metrics_out, guard=guard)
     return cmd_run(args.experiments, args.scale, args.csv_dir,
                    plot=args.plot, jobs=args.jobs,
-                   no_cache=args.no_cache, timeout=args.timeout,
-                   json_dir=args.json_dir, json_out=args.json,
+                   no_cache=args.no_cache, json_dir=args.json_dir,
+                   json_out=args.json,
                    profile=args.profile, profile_out=args.profile_out,
                    trace=args.trace,
                    tracer=_make_tracer() if args.trace is not None else None,

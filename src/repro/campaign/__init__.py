@@ -12,8 +12,11 @@ The sweep engine on top of :mod:`repro.exec`:
   points;
 * :class:`~repro.campaign.worker.CampaignWorker` /
   :func:`~repro.campaign.worker.run_worker` — the drain loop;
-* :func:`~repro.campaign.orchestrator.run_campaign` — local fan-out +
-  manifest finalization;
+* :func:`~repro.campaign.orchestrator.drain` — the local fan-out
+  (forked workers plus the caller as ``w0``) behind both ``repro
+  campaign run --workers N`` and ``repro run``/``sweep --jobs N``;
+* :func:`~repro.campaign.orchestrator.run_campaign` — a campaign
+  document's init, drain and manifest finalization;
 
 Interrupted campaigns are resumable for free: completion state *is* the
 exec cache plus the per-point record files, so re-running a campaign
@@ -28,8 +31,10 @@ from repro.campaign.leases import (
 from repro.campaign.orchestrator import (
     CAMPAIGNS_SUBDIR,
     campaign_dir_for,
+    drain,
     finalize,
     init_campaign,
+    load_records,
     result_fingerprint,
     run_campaign,
     status,
@@ -60,8 +65,10 @@ __all__ = [
     "MANIFEST_FILE",
     "WorkerReport",
     "campaign_dir_for",
+    "drain",
     "finalize",
     "init_campaign",
+    "load_records",
     "result_fingerprint",
     "run_campaign",
     "run_worker",

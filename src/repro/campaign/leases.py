@@ -216,13 +216,13 @@ def sweep_campaigns(campaigns_root, prune: bool = False) -> Dict[str, int]:
         if not (directory / LEASES_DIR).is_dir():
             continue
         board = LeaseBoard(directory / LEASES_DIR, "cache-maintenance",
-                           ttl_s=_campaign_ttl(directory))
+                           ttl_s=campaign_ttl(directory))
         for name, count in board.sweep(prune).items():
             totals[name] += count
     return totals
 
 
-def _campaign_ttl(directory: pathlib.Path) -> float:
+def campaign_ttl(directory: pathlib.Path) -> float:
     """The lease TTL a campaign directory's run table declares (the
     default when the table is missing or unreadable)."""
     from repro.campaign.spec import CampaignSpec

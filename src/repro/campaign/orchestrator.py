@@ -1,11 +1,14 @@
 """Campaign orchestration: init, local worker fan-out, manifest.
 
 ``run_campaign`` is deliberately thin: it materializes the campaign
-directory (the *only* shared state), spawns N local worker processes,
-and finalizes the manifest once the table is drained.  Workers on other
-hosts join the very same directory with ``repro campaign worker --join``
-— the orchestrator neither knows nor cares, because completion is
-defined by records + cache entries, not by which processes it spawned.
+directory (the *only* shared state), hands the expanded table to
+:func:`drain`, and finalizes the manifest once the table is drained.
+:func:`drain` is the one local fan-out path: ``repro campaign run
+--workers N`` and ``ExecutionService.run_many`` (``repro run``/``sweep
+--jobs N``) both use it.  Workers on other hosts join the very same
+directory with ``repro campaign worker --join`` — the orchestrator
+neither knows nor cares, because completion is defined by records +
+cache entries, not by which processes it spawned.
 
 The **manifest** is the campaign's durable output: per-point axes,
 status, error, wall time, peak RSS, cache hit/miss and lease-steal
@@ -84,16 +87,67 @@ def init_campaign(spec: CampaignSpec,
 
 
 # -- local fan-out --------------------------------------------------------------
-def _worker_entry(directory: str, worker_id: str,
-                  cache_root: Optional[str], quiet: bool, guard) -> None:
-    """Top-level target for spawned local worker processes."""
-    cache = ResultCache(pathlib.Path(cache_root)) \
-        if cache_root is not None else ResultCache()
-    report = run_worker(directory, worker_id=worker_id, cache=cache,
-                        quiet=quiet, guard=guard)
+def _worker_entry(directory: str, worker_id: str, cache_root: str,
+                  quiet: bool, guard, points: List[CampaignPoint]) -> None:
+    """Top-level target for forked local worker processes."""
+    report = run_worker(directory, worker_id=worker_id,
+                        cache=ResultCache(pathlib.Path(cache_root)),
+                        quiet=quiet, guard=guard, points=points)
     # Worker processes communicate through the filesystem like remote
     # joiners do; the exit code only says "I did not crash".
     sys.exit(1 if report.errors and not report.resolved else 0)
+
+
+def _start_workers(directory: pathlib.Path, points: List[CampaignPoint],
+                   n: int, cache: ResultCache, guard,
+                   quiet: bool) -> List[Any]:
+    """Start workers ``w1`` … ``wn`` as local processes."""
+    import multiprocessing
+
+    ctx = multiprocessing.get_context(
+        "fork" if sys.platform != "win32" else None)
+    procs = []
+    for i in range(n):
+        proc = ctx.Process(
+            target=_worker_entry,
+            args=(str(directory), f"w{i + 1}", str(cache.base), quiet,
+                  guard, points))
+        proc.start()
+        procs.append(proc)
+    return procs
+
+
+def drain(directory: pathlib.Path, points: List[CampaignPoint],
+          workers: int, cache: ResultCache, guard=None,
+          quiet: bool = False) -> int:
+    """Resolve every point with ``workers`` local workers; returns how
+    many worker processes were started.
+
+    Workers ``w1`` … are forked processes; the caller is worker ``w0``
+    and drains in-process rather than just waiting, so ``workers=N``
+    really is N simulating processes.  ``workers=1`` (or a sandbox
+    without multiprocessing) starts none and ``w0`` drains the table
+    alone.  ``w0`` waits for every point to be recorded, which doubles
+    as crash recovery: a point whose forked worker died mid-run is
+    stolen at once (its reaped pid is provably dead).  Results land in
+    ``cache`` and each point's record under ``directory``.  ``guard``
+    (a :class:`~repro.guard.GuardConfig`, or None for the
+    ``$REPRO_GUARD`` default) is handed to every worker.
+    """
+    procs: List[Any] = []
+    if workers > 1:
+        try:
+            procs = _start_workers(directory, points, workers - 1, cache,
+                                   guard, quiet)
+        except Exception as exc:  # constrained sandboxes
+            print(f"[campaign] worker processes unavailable "
+                  f"({type(exc).__name__}: {exc}); draining in-process",
+                  file=sys.stderr)
+    run_worker(directory, worker_id="w0", cache=cache, quiet=quiet,
+               guard=guard, points=points)
+    for proc in procs:
+        proc.join()
+    return len(procs)
 
 
 def run_campaign(spec: CampaignSpec, workers: int = 1,
@@ -102,14 +156,8 @@ def run_campaign(spec: CampaignSpec, workers: int = 1,
                  quiet: bool = False, guard=None) -> Dict[str, Any]:
     """Drain the whole run table with ``workers`` local processes.
 
-    Returns the finalized manifest.  ``workers=1`` (or a sandbox
-    without multiprocessing) runs the single worker in-process; either
-    way the campaign completes.  ``guard`` (a
-    :class:`~repro.guard.GuardConfig`, or None for the ``$REPRO_GUARD``
-    default) is handed to every local worker.
-    The parent always finishes with an in-process sweep, which doubles
-    as crash recovery: points whose spawned worker died mid-run are
-    stolen once their lease expires (dead local pids immediately).
+    Returns the finalized manifest; :func:`drain` says how the workers
+    share the table, and ``guard`` rides along to each of them.
     """
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
@@ -117,33 +165,8 @@ def run_campaign(spec: CampaignSpec, workers: int = 1,
     directory = init_campaign(spec, directory, cache)
     started = time.monotonic()
     started_unix = time.time()
-
-    procs: List[Any] = []
-    if workers > 1:
-        try:
-            import multiprocessing
-            ctx = multiprocessing.get_context(
-                "fork" if sys.platform != "win32" else None)
-            for i in range(workers - 1):
-                proc = ctx.Process(
-                    target=_worker_entry,
-                    args=(str(directory), f"w{i + 1}", str(cache.base),
-                          quiet, guard))
-                proc.start()
-                procs.append(proc)
-        except Exception as exc:  # pragma: no cover - constrained sandboxes
-            print(f"[campaign] worker processes unavailable "
-                  f"({type(exc).__name__}: {exc}); draining in-process",
-                  file=sys.stderr)
-            procs = []
-
-    # The parent is worker 0; it participates rather than just waiting,
-    # so workers=N really is N simulating processes.
-    run_worker(directory, worker_id="w0", cache=cache, quiet=quiet,
-               guard=guard)
-    for proc in procs:
-        proc.join()
-
+    drain(directory, spec.expand(), workers=workers, cache=cache,
+          guard=guard, quiet=quiet)
     manifest = finalize(directory, cache=cache,
                         wall_seconds=time.monotonic() - started,
                         workers=workers)
@@ -175,7 +198,7 @@ def _invocation_summary(directory: pathlib.Path,
 
 
 # -- manifest -------------------------------------------------------------------
-def _load_records(directory: pathlib.Path) -> List[Dict[str, Any]]:
+def load_records(directory: pathlib.Path) -> List[Dict[str, Any]]:
     records = []
     for path in sorted((directory / RECORDS_DIR).glob("*.json")):
         try:
@@ -213,7 +236,7 @@ def finalize(directory: pathlib.Path,
     spec = CampaignSpec.from_file(directory / CAMPAIGN_FILE)
     points = spec.expand()
     by_key = {p.key: p for p in points}
-    records = [r for r in _load_records(directory) if r.get("key") in by_key]
+    records = [r for r in load_records(directory) if r.get("key") in by_key]
     recorded = {r["key"] for r in records}
 
     reg = MetricsRegistry()
@@ -271,7 +294,7 @@ def status(directory: pathlib.Path,
     directory = pathlib.Path(directory)
     spec = CampaignSpec.from_file(directory / CAMPAIGN_FILE)
     points = spec.expand()
-    records = _load_records(directory)
+    records = load_records(directory)
     statuses: Dict[str, int] = {}
     for record in records:
         key = record.get("status", "unknown")

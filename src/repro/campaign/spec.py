@@ -63,6 +63,14 @@ class CampaignPoint:
     axes: Dict[str, Any]
     spec: RunSpec
 
+    @classmethod
+    def of(cls, spec: RunSpec) -> "CampaignPoint":
+        """The one-cell point of a bare spec (``run_many``'s tables)."""
+        axes = {"kind": spec.kind, "params": spec.workload,
+                "platform": spec.platform,
+                "config": _config_label(spec.config)[0], "rep": 0}
+        return cls(axes=axes, spec=spec)
+
     @property
     def key(self) -> str:
         return self.spec.key

@@ -1,9 +1,11 @@
 """The campaign worker: drain the shared run table until it is empty.
 
-A worker is a plain process (spawned locally by the orchestrator, or
-joined from another host with ``repro campaign worker --join <dir>``)
-that expands the campaign document *itself*, walks the table in its own
-id-derived order, and for each unresolved point either
+A worker is a plain process (forked locally by
+:func:`~repro.campaign.orchestrator.drain`, or joined from another host
+with ``repro campaign worker --join <dir>``) that expands the campaign
+document *itself* (a local worker may be handed the points instead:
+``run_many``'s one-off tables have no document), walks the table in
+its own id-derived order, and for each unresolved point either
 
 * observes a **record** (someone finished it — skip),
 * observes a **cache hit** (a previous campaign or a sibling already
@@ -17,10 +19,12 @@ id-derived order, and for each unresolved point either
 When a full pass over the table resolves nothing and unresolved points
 remain, the worker sleeps briefly and retries: either a sibling will
 finish the leased points, or their leases will expire and this worker
-steals them.  A crashed worker therefore costs at most one lease TTL of
-latency, never lost work — its completed points are already in the
-cache, and its in-flight point is re-run from scratch (deterministic,
-so the result is identical).
+steals them.  The idle wait also reaps this process's exited children,
+so a forked sibling that died mid-point reads as dead (not as a zombie)
+and its lease is stolen at once.  A crashed worker on another host
+costs at most one lease TTL of latency, never lost work — its
+completed points are already in the cache, and its in-flight point is
+re-run from scratch (deterministic, so the result is identical).
 
 Every resolution writes an atomic per-point **record** under
 ``<campaign_dir>/records/`` carrying the run's resource metrics: wall
@@ -35,14 +39,14 @@ record names a different guard.
 
 import dataclasses
 import json
+import multiprocessing
 import os
 import pathlib
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
-from repro.errors import GuardError
 from repro.exec.cache import ResultCache
 from repro.exec.service import (
     STATUS_CACHED,
@@ -50,7 +54,7 @@ from repro.exec.service import (
     STATUS_FAILED,
     ExecutionService,
 )
-from repro.campaign.leases import LEASES_DIR, LeaseBoard
+from repro.campaign.leases import LEASES_DIR, LeaseBoard, campaign_ttl
 from repro.campaign.spec import CampaignPoint, CampaignSpec, worker_order
 
 #: File names inside a campaign directory.
@@ -123,9 +127,12 @@ class CampaignWorker:
                  cache: Optional[ResultCache] = None,
                  max_points: Optional[int] = None,
                  max_wait_s: Optional[float] = None,
-                 quiet: bool = False, guard=None) -> None:
+                 quiet: bool = False, guard=None,
+                 points: Optional[Sequence[CampaignPoint]] = None) -> None:
         self.dir = pathlib.Path(campaign_dir)
-        self.spec = CampaignSpec.from_file(self.dir / CAMPAIGN_FILE)
+        if points is None:
+            points = CampaignSpec.from_file(self.dir / CAMPAIGN_FILE).expand()
+        self.points = list(points)
         self.worker_id = worker_id or f"w{os.getpid()}"
         self.cache = cache if cache is not None else ResultCache()
         self.max_points = max_points
@@ -135,7 +142,7 @@ class CampaignWorker:
         self.records_dir.mkdir(parents=True, exist_ok=True)
         (self.dir / WORKERS_DIR).mkdir(parents=True, exist_ok=True)
         self.board = LeaseBoard(self.dir / LEASES_DIR, self.worker_id,
-                                ttl_s=self.spec.lease_ttl_s)
+                                ttl_s=campaign_ttl(self.dir))
         # jobs=1: the *campaign* is the parallelism layer; each worker
         # simulates one point at a time in-process.
         self.service = ExecutionService(jobs=1, cache=self.cache,
@@ -186,14 +193,7 @@ class CampaignWorker:
                  stolen: bool) -> None:
         """Run (or cache-hit) one claimed point and write its record."""
         started = time.monotonic()
-        error: Optional[str] = None
-        try:
-            self.service.run(point.spec)
-        except GuardError:
-            # The manifest's error names the diagnostic bundle.
-            error = self.service.manifest.records[point.key].error
-        except Exception as exc:  # noqa: BLE001 — one cell, not the sweep
-            error = f"{type(exc).__name__}: {exc}"
+        error = self.service.settle(point.spec)
         wall = time.monotonic() - started
         record = self.service.manifest.records.get(point.key)
         if error is not None:
@@ -218,7 +218,7 @@ class CampaignWorker:
     def run(self) -> WorkerReport:
         report = WorkerReport(self.worker_id)
         started = time.monotonic()
-        points = worker_order(self.spec.expand(), self.worker_id)
+        points = worker_order(self.points, self.worker_id)
         resolved_keys = set()
         try:
             while True:
@@ -259,6 +259,9 @@ class CampaignWorker:
                             time.monotonic() - started > self.max_wait_s:
                         report.partial = True
                         return report
+                    # Reap exited children: a zombie's pid still
+                    # answers kill(pid, 0), which keeps its lease live.
+                    multiprocessing.active_children()
                     time.sleep(_POLL_S)
         finally:
             report.wall_seconds = time.monotonic() - started
@@ -272,8 +275,10 @@ def run_worker(campaign_dir, worker_id: Optional[str] = None,
                cache: Optional[ResultCache] = None,
                max_points: Optional[int] = None,
                max_wait_s: Optional[float] = None,
-               quiet: bool = False, guard=None) -> WorkerReport:
+               quiet: bool = False, guard=None,
+               points: Optional[Sequence[CampaignPoint]] = None
+               ) -> WorkerReport:
     """Convenience wrapper: build a :class:`CampaignWorker` and run it."""
     return CampaignWorker(campaign_dir, worker_id=worker_id, cache=cache,
                           max_points=max_points, max_wait_s=max_wait_s,
-                          quiet=quiet, guard=guard).run()
+                          quiet=quiet, guard=guard, points=points).run()

@@ -1,4 +1,4 @@
-"""repro.exec — parallel experiment execution with a persistent cache.
+"""repro.exec — experiment execution with a persistent cache.
 
 Public surface:
 
@@ -7,16 +7,18 @@ Public surface:
 * :class:`~repro.exec.cache.ResultCache` — on-disk memo of completed
   runs, keyed by spec SHA-256 (run results only: nothing else is
   persisted here);
-* :class:`~repro.exec.service.ExecutionService` — memo + cache + worker
-  pool; executes figure point sets with ``--jobs N`` parallelism and a
-  structured :class:`~repro.exec.service.RunManifest`;
+* :class:`~repro.exec.service.ExecutionService` — memo + cache +
+  execution; runs figure point sets with ``--jobs N`` parallelism (a
+  batch drains as a campaign table over N local workers, see
+  :func:`repro.campaign.drain`) and a structured
+  :class:`~repro.exec.service.RunManifest`;
 * :func:`get_service` / :func:`configure` — the process-global service
   instance the harness routes every figure point through.
 
 The default (unconfigured) service is serial and memory-only, so
 figure functions called from tests and library code simulate in
 process; the CLI calls :func:`configure` to switch on the disk cache
-and the worker pool.
+and parallel workers.
 """
 
 from typing import Optional
@@ -26,7 +28,6 @@ from repro.exec.cache import (
     ResultCache,
     default_cache_dir,
 )
-from repro.exec.pool import Outcome, ParallelRunner, run_serial
 from repro.exec.service import (
     ExecutionService,
     RunManifest,
@@ -39,8 +40,6 @@ __all__ = [
     "CACHE_DIR_ENV",
     "ExecutionService",
     "KINDS",
-    "Outcome",
-    "ParallelRunner",
     "ResultCache",
     "RunManifest",
     "RunRecord",
@@ -52,7 +51,6 @@ __all__ = [
     "get_service",
     "make_spec",
     "reset",
-    "run_serial",
 ]
 
 _service: Optional[ExecutionService] = None
@@ -67,14 +65,12 @@ def get_service() -> ExecutionService:
 
 
 def configure(jobs: int = 1, cache_enabled: bool = True,
-              cache_dir=None, timeout: Optional[float] = None,
-              retries: int = 1, progress: bool = False,
+              cache_dir=None, progress: bool = False,
               guard=None, tracer=None) -> ExecutionService:
     """Install a freshly configured global service and return it."""
     global _service
     cache = ResultCache(cache_dir) if cache_enabled else None
-    _service = ExecutionService(jobs=jobs, cache=cache, timeout=timeout,
-                                retries=retries, progress=progress,
+    _service = ExecutionService(jobs=jobs, cache=cache, progress=progress,
                                 guard=guard, tracer=tracer)
     return _service
 

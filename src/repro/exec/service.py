@@ -1,20 +1,21 @@
 """The experiment execution service.
 
-:class:`ExecutionService` owns three layers:
+:class:`ExecutionService` resolves each point through three layers:
 
 1. an **in-memory memo** (spec key → RunResult) — repeated points
    inside one process are free;
 2. the **content-addressed disk cache** (:mod:`repro.exec.cache`) —
    repeated points across processes only unpickle;
-3. the **worker pool** (:mod:`repro.exec.pool`) — missing points fan
-   out over a ``ProcessPoolExecutor``, degrading gracefully to serial
-   in-process execution when multiprocessing is unavailable.
+3. **execution** — in this process, or, for a batch with ``jobs > 1``,
+   as a one-off campaign table that ``jobs`` local workers drain
+   (:func:`repro.campaign.drain`, the fan-out ``repro campaign run``
+   uses too) into the disk cache.
 
 Figures parallelize via **record/replay**: the figure function runs
 once in *recording* mode, where every :meth:`ExecutionService.run` call
 logs its spec and returns a numeric stub (figure bodies only ever do
 arithmetic on results, never branch on which runs exist); the deduped
-spec list then executes through the pool into the caches; finally the
+spec list then drains as a campaign table into the caches; finally the
 figure function runs again for real, with every point a cache hit.
 Serial and parallel runs therefore assemble tables from *identical*
 RunResult objects — the acceptance property ``fig12 --jobs 4 ==
@@ -22,9 +23,8 @@ serial`` holds by construction, and ``tests/test_exec.py`` checks it
 anyway.
 
 Every batch also fills a :class:`RunManifest` — structured counters
-(executed / cached / failed, attempts, wall time) that the CLI prints
-and resume tooling can assert on ("second invocation executed 0
-simulations").
+(executed / cached / failed, wall time) that the CLI prints and resume
+tooling can assert on ("second invocation executed 0 simulations").
 
 **Guard aborts** (``repro.guard`` integration): a spec whose run
 aborts with a guard error — the watchdog detected a stall, or a
@@ -36,7 +36,7 @@ the error naming the bundle.  Nothing reaches the result cache.
 rest of the sweep, so one poisoned config can no longer hang or kill a
 whole figure.  The service's ``guard`` (a
 :class:`~repro.guard.GuardConfig`, or None for the ``$REPRO_GUARD``
-default) rides along to every launch, in this process and in pool
+default) rides along to every launch, in this process and in campaign
 workers alike.  The result cache does not key on the guard, so a
 service with an explicit guard reads no cached result (the guard never
 checked it) but still writes the results it runs.
@@ -46,40 +46,31 @@ checked it) but still writes the results it runs.
 launches in this process can record into it, so such a service runs
 serially and uses no result cache: it reads no cached result (that
 launch would not be traced) and writes none (a traced result also
-carries trace-only metrics).  The tracer never reaches the pool.
+carries trace-only metrics).  The tracer never reaches a worker.
 """
 
-import functools
+import contextlib
 import json
+import pathlib
 import sys
+import tempfile
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.errors import ConfigurationError, GuardError
 from repro.exec.cache import ResultCache
-from repro.exec.pool import (
-    Outcome,
-    ParallelRunner,
-    run_serial,
-)
 from repro.exec.spec import RunSpec
 
-#: Exception type names classified as guard verdicts (matched by name
-#: because pool failures cross a pickling boundary).
-GUARD_FAILURE_TYPES = ("SimulationStallError", "InvariantViolation")
 
-
-# -- worker entry point -----------------------------------------------------------
+# -- execution entry point --------------------------------------------------------
 def execute_payload(payload: str, guard=None, tracer=None):
-    """Top-level worker function: JSON spec in, RunResult out.
+    """Execute one point: JSON spec in, RunResult out.
 
     ``guard`` (a :class:`~repro.guard.GuardConfig` or None) and
     ``tracer`` (in-process only) are passed to every launch of the
-    run.  Imports happen inside so that
-    forked/spawned workers pay the import cost once per process, and so
-    that importing :mod:`repro.exec.pool` never drags the whole
-    simulator in.
+    run.  The runner is imported here so that importing
+    :mod:`repro.exec` never drags the whole simulator in.
     """
     from repro.harness.runner import execute_spec
 
@@ -248,52 +239,12 @@ class StubResult:
         return 1.0
 
 
-# -- progress reporting ---------------------------------------------------------------
-class _ProgressPrinter:
-    """Rate-limited ``[exec] i/n`` lines with a crude ETA on stderr."""
-
-    def __init__(self, total: int, stream=None, min_interval: float = 0.5):
-        self.total = total
-        self.done = 0
-        self.executed = 0
-        self.stream = stream if stream is not None else sys.stderr
-        self.min_interval = min_interval
-        self.started = time.monotonic()
-        self._last = 0.0
-
-    def cached(self, n: int = 1) -> None:
-        self.done += n
-        self._emit()
-
-    def __call__(self, outcome: Outcome) -> None:
-        self.done += 1
-        self.executed += 1
-        self._emit(force=self.done == self.total)
-
-    def _emit(self, force: bool = False) -> None:
-        now = time.monotonic()
-        if not force and now - self._last < self.min_interval:
-            return
-        self._last = now
-        elapsed = now - self.started
-        remaining = self.total - self.done
-        if self.executed and remaining > 0:
-            eta = f", eta {elapsed / max(1, self.done) * remaining:.0f}s"
-        else:
-            eta = ""
-        print(f"[exec] {self.done}/{self.total} points "
-              f"({self.executed} simulated), {elapsed:.1f}s elapsed{eta}",
-              file=self.stream)
-
-
 # -- the service -----------------------------------------------------------------------
 class ExecutionService:
-    """Runs :class:`RunSpec` points through memo, cache and pool."""
+    """Runs :class:`RunSpec` points through memo, cache and workers."""
 
     def __init__(self, jobs: int = 1,
                  cache: Optional[ResultCache] = None,
-                 timeout: Optional[float] = None,
-                 retries: int = 1,
                  progress: bool = False,
                  guard=None, tracer=None) -> None:
         if jobs < 1:
@@ -302,8 +253,7 @@ class ExecutionService:
             jobs, cache = 1, None
         self.jobs = jobs
         self.cache = cache
-        self.timeout = timeout
-        self.retries = retries
+        #: Whether batch workers print their ``[campaign]`` lines.
         self.progress = progress
         self.guard = guard
         self.tracer = tracer
@@ -400,9 +350,26 @@ class ExecutionService:
         self._memory[key] = result
         return result
 
+    def settle(self, spec: RunSpec) -> Optional[str]:
+        """:meth:`run` that records a failure instead of raising it;
+        returns the failure's one-line error, or None."""
+        started = time.monotonic()
+        try:
+            self.run(spec)
+        except GuardError:
+            # run() recorded the abort, naming the diagnostic bundle.
+            return self.manifest.records[spec.key].error
+        except Exception as exc:  # noqa: BLE001 — one point, not the batch
+            error = f"{type(exc).__name__}: {exc}"
+            self._record(spec, STATUS_FAILED,
+                         seconds=time.monotonic() - started, error=error)
+            return error
+        return None
+
     # -- batches -------------------------------------------------------------------
     def run_many(self, specs: Sequence[RunSpec]) -> None:
-        """Resolve a batch, fanning misses out over the worker pool.
+        """Resolve a batch; with ``jobs > 1`` the misses drain as a
+        campaign table over ``jobs`` local workers.
 
         Results land in the memo/cache; failures are recorded in the
         manifest and re-raised lazily when (if) the failing point is
@@ -413,7 +380,6 @@ class ExecutionService:
         for spec in specs:
             unique.setdefault(spec.key, spec)
         missing: List[RunSpec] = []
-        cached_hits = 0
         for key, spec in unique.items():
             if key in self._memory:
                 continue
@@ -421,70 +387,75 @@ class ExecutionService:
             if result is not None:
                 self._memory[key] = result
                 self._record(spec, STATUS_CACHED)
-                cached_hits += 1
             else:
                 missing.append(spec)
 
-        reporter = None
-        if self.progress and unique:
-            reporter = _ProgressPrinter(len(unique))
-            if cached_hits:
-                reporter.cached(cached_hits)
-
-        if missing:
-            outcomes, mode = self._dispatch(missing, reporter)
-            self.manifest.mode = mode
-            for outcome in outcomes:
-                spec = missing[outcome.index]
-                if outcome.ok:
-                    self._memory[spec.key] = outcome.value
-                    self._record(spec, STATUS_EXECUTED,
-                                 attempts=outcome.attempts,
-                                 seconds=outcome.seconds)
-                    if self.cache is not None:
-                        self.cache.put(spec, outcome.value,
-                                       seconds=outcome.seconds)
-                else:
-                    failure = outcome.failure or {}
-                    if failure.get("type") in GUARD_FAILURE_TYPES:
-                        self._quarantine(
-                            spec, failure["type"],
-                            failure.get("diagnostics"),
-                            attempts=outcome.attempts,
-                            seconds=outcome.seconds)
-                    else:
-                        self._record(spec, STATUS_FAILED,
-                                     attempts=outcome.attempts,
-                                     seconds=outcome.seconds,
-                                     error=outcome.error)
+        if self.jobs > 1 and len(missing) > 1:
+            self.manifest.mode = self._drain(missing)
+        elif missing:
+            self.manifest.mode = "serial"
+            for spec in missing:
+                self.settle(spec)
         self.manifest.jobs = self.jobs
         self.manifest.wall_seconds += time.monotonic() - started
 
-    def _dispatch(self, missing, reporter):
-        """Run the missing specs; returns (outcomes, mode string)."""
-        payloads = [spec.to_json() for spec in missing]
-        # A partial of a top-level function pickles to pool workers; a
-        # traced service has jobs == 1, so its tracer stays in-process.
-        execute = functools.partial(execute_payload, guard=self.guard,
-                                    tracer=self.tracer)
-        if self.jobs > 1 and len(missing) > 1:
-            try:
-                runner = ParallelRunner(self.jobs, timeout=self.timeout,
-                                        retries=self.retries)
-            except Exception as exc:  # no multiprocessing here
-                print(f"[exec] worker pool unavailable "
-                      f"({type(exc).__name__}: {exc}); running serially",
-                      file=sys.stderr)
-                return (run_serial(execute, payloads,
-                                   retries=self.retries, progress=reporter),
-                        "serial-fallback")
-            with runner:
-                return (runner.map(execute, payloads,
-                                   progress=reporter),
-                        "parallel")
-        return (run_serial(execute, payloads, retries=self.retries,
-                           progress=reporter),
-                "serial")
+    def _drain(self, missing: List[RunSpec]) -> str:
+        """Drain ``missing`` as a one-off campaign table; returns the
+        manifest mode.
+
+        The table lives in a fresh directory under the cache's
+        ``campaigns/`` and goes when the batch is done, so a failed
+        point is attempted again by the next batch.  A service without
+        a cache drains into a temporary one that goes with it.
+        """
+        from repro.campaign import (
+            CAMPAIGNS_SUBDIR,
+            CampaignPoint,
+            drain,
+            load_records,
+        )
+
+        with contextlib.ExitStack() as stack:
+            cache = self.cache
+            if cache is None:
+                cache = ResultCache(stack.enter_context(
+                    tempfile.TemporaryDirectory(prefix="repro-drain-")))
+            root = cache.base / CAMPAIGNS_SUBDIR
+            root.mkdir(parents=True, exist_ok=True)
+            directory = pathlib.Path(stack.enter_context(
+                tempfile.TemporaryDirectory(prefix="run-", dir=root)))
+            points = [CampaignPoint.of(spec) for spec in missing]
+            forked = drain(directory, points, workers=self.jobs,
+                           cache=cache, guard=self.guard,
+                           quiet=not self.progress)
+            # drain() returns once every point has a record.
+            records = {r["key"]: r for r in load_records(directory)}
+            for spec in missing:
+                self._fold_record(spec, records[spec.key], cache)
+        return "parallel" if forked else "serial-fallback"
+
+    def _fold_record(self, spec: RunSpec, record: Dict[str, Any],
+                     cache: ResultCache) -> None:
+        """Fold one drained point's record (and result) into the
+        manifest and the memo."""
+        seconds = record["wall_s"]
+        if record["status"] == STATUS_FAILED:
+            error = record["error"]
+            if self.cache is None:
+                # The temporary cache goes with the batch, and so does
+                # any diagnostic bundle a worker wrote into it.
+                error = error.split("; bundle at ")[0]
+            self._record(spec, STATUS_FAILED, seconds=seconds, error=error)
+            return
+        result = cache.get(spec)
+        if result is None:
+            # The entry went bad after its worker wrote it (get()
+            # quarantined it).
+            self._record(spec, STATUS_FAILED, seconds=seconds,
+                         error="result cache miss")
+            return
+        self._memory[spec.key] = result
+        self._record(spec, record["status"], seconds=seconds)
 
     # -- figures ---------------------------------------------------------------------
     def collect(self, fn: Callable, *args) -> List[RunSpec]:

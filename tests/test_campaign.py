@@ -368,6 +368,34 @@ class TestCampaignRuns:
         assert manifest["totals"]["stolen_leases"] == 1
         assert manifest["totals"]["unresolved"] == 0
 
+    def test_killed_forked_worker_is_reaped_and_stolen(
+            self, cache, tmp_path, monkeypatch):
+        """A forked worker that dies mid-point must not hold its lease
+        for the TTL: the parent reaps it, so its pid reads as dead."""
+        marker = tmp_path / "w1-died"
+        resolve = CampaignWorker._resolve
+
+        def dying(self, point, report, stolen):
+            if self.worker_id == "w1":
+                marker.touch()
+                os._exit(1)
+            # w0 starts only once w1 has claimed a point and died.
+            deadline = time.monotonic() + 10.0
+            while not marker.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            resolve(self, point, report, stolen)
+
+        monkeypatch.setattr(CampaignWorker, "_resolve", dying)
+        spec = tiny_table(n_keys=(256, 512), platforms=("gpu", "tta"))
+        assert spec.lease_ttl_s == campaign.DEFAULT_LEASE_TTL_S
+        started = time.monotonic()
+        manifest = run_campaign(spec, workers=2, cache=cache, quiet=True)
+        assert time.monotonic() - started < 30
+        assert marker.exists()
+        assert manifest["totals"]["executed"] == 4
+        assert manifest["totals"]["stolen_leases"] == 1
+        assert manifest["totals"]["unresolved"] == 0
+
     def test_multi_worker_matches_serial_fingerprint(self, cache,
                                                      tmp_path):
         spec = tiny_table(n_keys=(256, 512), platforms=("gpu", "tta"),

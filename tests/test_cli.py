@@ -59,9 +59,11 @@ class TestParser:
 
     def test_exec_options(self):
         args = build_parser().parse_args(
-            ["run", "fig12", "--jobs", "4", "--no-cache",
-             "--timeout", "30"])
-        assert args.jobs == 4 and args.no_cache and args.timeout == 30.0
+            ["run", "fig12", "--jobs", "4", "--no-cache"])
+        assert args.jobs == 4 and args.no_cache
+        # No per-point timeout option: the guard's watchdog and
+        # --max-cycles are what stop a hung simulation.
+        assert not hasattr(args, "timeout")
 
     def test_sweep_and_cache_commands_parse(self):
         args = build_parser().parse_args(
@@ -618,7 +620,7 @@ class TestNoEnvironmentWrites:
 
     def test_sweep_cycle_budget_reaches_pool_workers(self, monkeypatch,
                                                      capsys):
-        # Two points over two workers: the limit is a pool payload
+        # Two points over two campaign workers: the limit is a worker
         # argument, not an inherited environment variable.
         assert self._main_frozen(monkeypatch, [
             "sweep", "btree", "--param", "n_keys=512",

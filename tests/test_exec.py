@@ -5,7 +5,10 @@ Covers the acceptance properties of the subsystem:
 * spec keys are stable, and change with any parameter or code version;
 * the disk cache round-trips results byte-identically, survives
   corruption, and invalidates on spec/version change;
-* the worker pool retries, times out, and degrades to serial execution;
+* ``jobs > 1`` batches drain as campaign tables: a worker killed
+  mid-point or a point that raises leaves the same manifest counts as
+  a serial run, the batch degrades to in-process draining when no
+  worker process can start, and nothing is left under the cache;
 * ``fig12`` at smoke scale produces identical tables serially and with
   ``jobs=2``, and a repeat invocation executes zero simulations.
 """
@@ -18,41 +21,14 @@ import time
 import pytest
 
 import repro.exec as exec_mod
+from repro.campaign import CAMPAIGNS_SUBDIR
 from repro.exec import (
     ExecutionService,
     ResultCache,
     RunSpec,
     make_spec,
 )
-from repro.exec.pool import ParallelRunner, run_serial
 from repro.exec.service import execute_payload
-
-
-# -- top-level worker functions (must be picklable) ---------------------------------
-def _square(x):
-    return x * x
-
-
-def _boom(_):
-    raise RuntimeError("intentional failure")
-
-
-def _fail_once(path):
-    """Fails on the first call for ``path``, succeeds afterwards."""
-    if os.path.exists(path):
-        return "recovered"
-    with open(path, "w") as fh:
-        fh.write("attempted")
-    raise RuntimeError("first attempt fails")
-
-
-def _sleep(seconds):
-    time.sleep(seconds)
-    return seconds
-
-
-def _die(_):
-    os._exit(13)
 
 
 def _tiny_btree_spec(platform="gpu", n_keys=256, version=None, **kw):
@@ -64,6 +40,34 @@ def _tiny_btree_spec(platform="gpu", n_keys=256, version=None, **kw):
         run_kwargs=kw or None,
         version=version,
     )
+
+
+def _bad_platform_spec():
+    """A point that raises: wknd only runs on rta/ttaplus(/opt)."""
+    return make_spec("wknd",
+                     dict(width=4, height=4, n_spheres=8, bounces=1),
+                     "gpu", config={"policy": "default"})
+
+
+def _kill_w1_mid_point(monkeypatch, marker):
+    """Make campaign worker ``w1`` die (``os._exit``) holding the lease
+    of the first point it claims; every other worker waits for that
+    death before it resolves anything, so the lease is really left
+    behind by a forked process that is gone."""
+    from repro.campaign.worker import CampaignWorker
+
+    resolve = CampaignWorker._resolve
+
+    def dying(self, point, report, stolen):
+        if self.worker_id == "w1":
+            marker.touch()
+            os._exit(1)
+        deadline = time.monotonic() + 10.0
+        while not marker.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        resolve(self, point, report, stolen)
+
+    monkeypatch.setattr(CampaignWorker, "_resolve", dying)
 
 
 # -- RunSpec ------------------------------------------------------------------------
@@ -137,56 +141,6 @@ class TestResultCache:
         assert cache.stats()["entries"] == 0
 
 
-# -- pool ----------------------------------------------------------------------------
-class TestPool:
-    def test_run_serial_ok_and_error(self):
-        outcomes = run_serial(_square, [1, 2, 3])
-        assert [o.value for o in outcomes] == [1, 4, 9]
-        assert all(o.ok and o.attempts == 1 for o in outcomes)
-        failed = run_serial(_boom, [None], retries=2)[0]
-        assert not failed.ok and failed.attempts == 3
-        assert "intentional failure" in failed.error
-
-    def test_run_serial_retry_recovers(self, tmp_path):
-        outcome = run_serial(_fail_once, [str(tmp_path / "s")], retries=1)[0]
-        assert outcome.ok and outcome.value == "recovered"
-        assert outcome.attempts == 2
-
-    def test_parallel_map(self):
-        with ParallelRunner(jobs=2) as runner:
-            outcomes = runner.map(_square, list(range(8)))
-        assert [o.value for o in outcomes] == [n * n for n in range(8)]
-
-    def test_parallel_retry_recovers(self, tmp_path):
-        with ParallelRunner(jobs=2, retries=1) as runner:
-            outcomes = runner.map(
-                _fail_once, [str(tmp_path / f"p{i}") for i in range(3)])
-        assert all(o.ok and o.value == "recovered" and o.attempts == 2
-                   for o in outcomes)
-
-    def test_parallel_exhausted_retries_reports_error(self):
-        with ParallelRunner(jobs=2, retries=1) as runner:
-            outcome = runner.map(_boom, [None])[0]
-        assert outcome.status == "error" and outcome.attempts == 2
-
-    def test_timeout_kills_stuck_runs(self):
-        started = time.monotonic()
-        with ParallelRunner(jobs=2, timeout=0.5, retries=0) as runner:
-            outcomes = runner.map(_sleep, [30, 0.01])
-        elapsed = time.monotonic() - started
-        assert outcomes[0].status == "timeout"
-        assert outcomes[1].ok and outcomes[1].value == 0.01
-        assert elapsed < 20, f"timeout did not bite ({elapsed:.1f}s)"
-
-    def test_broken_worker_does_not_sink_siblings(self):
-        with ParallelRunner(jobs=2, retries=0) as runner:
-            outcomes = runner.map(_die, [None])
-        assert outcomes[0].status == "error"
-        with ParallelRunner(jobs=2, retries=0) as runner:
-            outcomes = runner.map(_square, [5])
-        assert outcomes[0].ok and outcomes[0].value == 25
-
-
 # -- service -------------------------------------------------------------------------
 def _assert_same_run(a, b):
     assert a.workload == b.workload and a.platform == b.platform
@@ -234,7 +188,8 @@ class TestExecutionService:
         def broken(*a, **kw):
             raise OSError("no multiprocessing in this sandbox")
 
-        monkeypatch.setattr("repro.exec.service.ParallelRunner", broken)
+        monkeypatch.setattr("repro.campaign.orchestrator._start_workers",
+                            broken)
         service = ExecutionService(jobs=4, cache=ResultCache(tmp_path))
         specs = [_tiny_btree_spec(), _tiny_btree_spec(platform="tta")]
         service.run_many(specs)
@@ -244,30 +199,123 @@ class TestExecutionService:
             assert service.run(spec).cycles > 0
 
     def test_one_job_runs_in_process(self, tmp_path, monkeypatch):
-        # jobs=1 (--jobs 1, --workers 1) is the serial path: no pool.
-        def no_pool(*a, **kw):
-            raise AssertionError("jobs=1 built a worker pool")
+        # jobs=1 (--jobs 1, --workers 1) is the serial path: no worker
+        # process, and no campaign table (no lease or record files).
+        def no_workers(*a, **kw):
+            raise AssertionError("jobs=1 started a worker process")
 
-        monkeypatch.setattr("repro.exec.service.ParallelRunner", no_pool)
+        monkeypatch.setattr("repro.campaign.orchestrator._start_workers",
+                            no_workers)
         service = ExecutionService(jobs=1, cache=ResultCache(tmp_path))
         specs = [_tiny_btree_spec(), _tiny_btree_spec(platform="tta")]
         service.run_many(specs)
         assert service.manifest.mode == "serial"
         assert service.manifest.executed == 2
+        assert not (tmp_path / CAMPAIGNS_SUBDIR).exists()
 
     def test_failed_point_is_recorded_then_raised_on_demand(self, tmp_path):
         # n_queries=64 but an invalid variant never reaches a worker-side
         # assert — use a platform the runner rejects instead.
-        spec = make_spec("wknd",
-                         dict(width=4, height=4, n_spheres=8, bounces=1),
-                         "gpu",  # wknd only runs on rta/ttaplus(/opt)
-                         config={"policy": "default"})
+        spec = _bad_platform_spec()
         service = ExecutionService(jobs=2, cache=ResultCache(tmp_path))
         service.run_many([spec, _tiny_btree_spec()])
         assert service.manifest.failed == 1
         assert service.manifest.executed == 1
         with pytest.raises(Exception):
             service.run(spec)
+
+
+# -- batches under --jobs 2 ------------------------------------------------------------
+def _counts(service):
+    manifest = service.manifest
+    return (manifest.total, manifest.executed, manifest.cached,
+            manifest.failed)
+
+
+class TestDrainFaults:
+    """Fault injection under ``jobs=2``: each batch finishes with the
+    manifest counts of ``jobs=1``."""
+
+    def test_killed_worker_point_is_stolen(self, tmp_path, monkeypatch):
+        specs = [_tiny_btree_spec(platform=p, n_keys=n)
+                 for p in ("gpu", "tta") for n in (256, 512)]
+        serial = ExecutionService(jobs=1, cache=ResultCache(tmp_path / "s"))
+        serial.run_many(specs)
+
+        _kill_w1_mid_point(monkeypatch, tmp_path / "w1-died")
+        started = time.monotonic()
+        parallel = ExecutionService(jobs=2,
+                                    cache=ResultCache(tmp_path / "p"))
+        parallel.run_many(specs)
+        # The default lease TTL is 300 s: the orphaned lease must be
+        # stolen because its owner is reaped, not because it expired.
+        assert time.monotonic() - started < 30
+        assert (tmp_path / "w1-died").exists()
+        assert _counts(parallel) == _counts(serial) == (4, 4, 0, 0)
+        for spec in specs:
+            assert parallel.run(spec).cycles == serial.run(spec).cycles
+
+    def test_raising_point_fails_alone(self, tmp_path):
+        specs = [_bad_platform_spec(), _tiny_btree_spec(),
+                 _tiny_btree_spec(platform="tta")]
+        counts = []
+        for jobs in (1, 2):
+            service = ExecutionService(
+                jobs=jobs, cache=ResultCache(tmp_path / str(jobs)))
+            service.run_many(specs)
+            counts.append(_counts(service))
+            error = service.manifest.records[specs[0].key].error
+            assert error.startswith("ConfigurationError: ")
+            assert "\n" not in error
+        assert counts[0] == counts[1] == (3, 2, 0, 1)
+
+    def test_drain_leaves_no_campaign_directory(self, tmp_path):
+        from repro.campaign import sweep_campaigns
+
+        specs = [_bad_platform_spec(), _tiny_btree_spec(),
+                 _tiny_btree_spec(platform="tta")]
+        service = ExecutionService(jobs=2, cache=ResultCache(tmp_path))
+        service.run_many(specs)
+        assert service.manifest.mode == "parallel"
+        assert list((tmp_path / CAMPAIGNS_SUBDIR).iterdir()) == []
+        assert sweep_campaigns(tmp_path / CAMPAIGNS_SUBDIR)["campaigns"] == 0
+        # The failed point's record went with its table: the next batch
+        # attempts it again.
+        again = ExecutionService(jobs=2, cache=ResultCache(tmp_path))
+        again.run_many(specs)
+        assert _counts(again) == (3, 0, 2, 1)
+
+    def test_no_cache_jobs_2_writes_nothing(self, tmp_path, monkeypatch,
+                                            capsys):
+        import tempfile
+
+        from repro.__main__ import main
+
+        cache_dir = tmp_path / "cache"
+        cache_dir.mkdir()
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(cache_dir))
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        argv = ["sweep", "btree", "--param", "n_keys=256,512",
+                "--param", "n_queries=64", "--platforms", "gpu,tta",
+                "--jobs", "2", "--no-cache"]
+        assert main(argv) == 0
+        assert "executed=4 cached=0 failed=0 mode=parallel" in \
+            capsys.readouterr().out
+        assert list(cache_dir.iterdir()) == []
+        assert list(scratch.iterdir()) == []
+        # Guard aborts keep no bundle: the temporary cache is gone, so
+        # the failures name none.
+        assert main(argv + ["--max-cycles", "100"]) == 1
+        captured = capsys.readouterr()
+        assert "failed=4 mode=parallel" in captured.out
+        failures = [line for line in captured.err.splitlines()
+                    if line.startswith("[exec] FAILED")]
+        assert len(failures) == 4
+        assert not any("bundle at" in line for line in failures)
+        assert list(cache_dir.iterdir()) == []
+        assert list(scratch.iterdir()) == []
 
 
 # -- figure-level equivalence ---------------------------------------------------------

@@ -253,57 +253,6 @@ class TestCacheQuarantine:
         assert cache.get(spec) is not None
 
 
-# -- pool restart limiting ---------------------------------------------------------
-def _crash_or_echo(payload):
-    if payload == "boom":
-        os._exit(13)
-    # Keep siblings in flight long enough that the crash reliably finds
-    # them pending (the fallback re-runs them in one-shot isolation
-    # workers, where the sleep repeats — kept short).
-    import time
-    time.sleep(0.3)
-    return payload * 2
-
-
-class TestPoolRestartLimit:
-    def test_restart_budget_exhaustion_falls_back_to_serial(self, capsys):
-        from repro.exec.pool import ParallelRunner
-
-        try:
-            runner = ParallelRunner(jobs=2, retries=0, max_restarts=0,
-                                    backoff_base=0.0)
-        except Exception:
-            pytest.skip("no multiprocessing in this environment")
-        with runner:
-            outcomes = runner.map(_crash_or_echo,
-                                  ["boom", "a", "b", "c"])
-        by_payload = {p: outcomes[i]
-                      for i, p in enumerate(["boom", "a", "b", "c"])}
-        assert not by_payload["boom"].ok
-        assert "restart limit" in by_payload["boom"].error
-        # The isolation worker pinpoints the crasher by its exit code.
-        assert "exit code 13" in by_payload["boom"].error
-        for payload in ("a", "b", "c"):
-            assert by_payload[payload].ok
-            assert by_payload[payload].value == payload * 2
-        captured = capsys.readouterr()
-        assert "restart limit" in captured.err
-
-    def test_deterministic_failures_not_retried(self):
-        from repro.exec.pool import run_serial
-
-        calls = []
-
-        def fn(payload):
-            calls.append(payload)
-            raise InvariantViolation("broken", {"reason": "test"})
-
-        outcomes = run_serial(fn, ["x"], retries=3)
-        assert len(calls) == 1  # no retry: the verdict is deterministic
-        assert outcomes[0].failure["type"] == "InvariantViolation"
-        assert outcomes[0].failure["diagnostics"] == {"reason": "test"}
-
-
 # -- exec quarantine: a guard abort fails the point ---------------------------------
 #: One point of this sweep is poisoned: query 40 only exists in the
 #: 64-query spec.
@@ -374,6 +323,33 @@ class TestExecQuarantine:
             service.run(specs[1])
         assert not cache.contains(specs[1])
         assert cache.contains(specs[0])
+
+    def test_two_jobs_quarantine_like_one(self, tmp_path, monkeypatch):
+        """Under ``jobs=2`` the sweep drains as a campaign table; the
+        abort is caught in a worker, which writes the bundle, and the
+        manifest counts match ``jobs=1``."""
+        from repro.exec.cache import ResultCache
+        from repro.exec.service import ExecutionService, STATUS_FAILED
+
+        _poison(monkeypatch, _SWEEP_FAULT)
+        specs = [_btree_spec(16), _btree_spec(64), _btree_spec(32)]
+        counts = []
+        for jobs in (1, 2):
+            cache = ResultCache(tmp_path / str(jobs))
+            service = ExecutionService(jobs=jobs, cache=cache,
+                                       guard=_POISON_GUARD)
+            service.run_many(specs)
+            manifest = service.manifest
+            counts.append((manifest.total, manifest.executed,
+                           manifest.cached, manifest.failed))
+            poisoned = manifest.records[specs[1].key]
+            assert poisoned.status == STATUS_FAILED
+            assert "SimulationStallError" in poisoned.error
+            bundle_path = cache.base / "quarantine" / f"{specs[1].key}.json"
+            assert bundle_path.exists()
+            assert str(bundle_path) in poisoned.error
+            assert not cache.contains(specs[1])
+        assert counts[0] == counts[1] == (3, 2, 0, 1)
 
     def test_run_single_point_quarantines(self, tmp_path, monkeypatch):
         from repro.exec.cache import ResultCache
