@@ -338,7 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
     cache.add_argument("action", choices=("stats", "prune", "clear"))
     cache.add_argument("--stale-leases", action="store_true",
                        help="with prune: also remove expired campaign "
-                            "lease files (crashed workers' claims)")
+                            "lease files (crashed workers' claims) and "
+                            "the drain tables a killed --jobs run left")
     return parser
 
 
@@ -717,13 +718,16 @@ def cmd_cache(action: str, stale_leases: bool = False) -> int:
         print(f"campaigns:  {leases['campaigns']} "
               f"(leases: {leases['live'] + leases['expired']}, "
               f"stale: {leases['expired']})")
+        print(f"orphans:    {leases['orphans']} --jobs drain table(s) "
+              f"idle past their lease TTL")
         print(f"quarantine: {stats['quarantine']} guard bundles")
     elif action == "prune":
         bundles = cache.prune_quarantine()
         line = f"pruned {bundles} quarantine/corrupt file(s)"
         if stale_leases:
-            pruned = sweep_campaigns(campaigns, prune=True)["expired"]
-            line += f", {pruned} stale campaign lease(s)"
+            pruned = sweep_campaigns(campaigns, prune=True)
+            line += (f", {pruned['expired']} stale campaign lease(s), "
+                     f"{pruned['orphans']} orphaned drain table(s)")
         print(f"{line} from {cache.base}")
     else:
         removed = cache.clear()

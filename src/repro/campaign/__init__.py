@@ -25,6 +25,7 @@ only executes the missing points, and a second full run executes none.
 
 from repro.campaign.leases import (
     DEFAULT_LEASE_TTL_S,
+    DRAIN_PREFIX,
     LeaseBoard,
     sweep_campaigns,
 )
@@ -56,6 +57,7 @@ from repro.campaign.worker import (
 __all__ = [
     "CAMPAIGNS_SUBDIR",
     "CAMPAIGN_FILE",
+    "DRAIN_PREFIX",
     "CampaignPoint",
     "CampaignSpec",
     "CampaignWorker",

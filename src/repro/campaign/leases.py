@@ -32,12 +32,14 @@ Expiry uses each writer's own clock plus the file mtime (whichever is
 later), so multi-host stealing only assumes clocks agree to within the
 TTL, not to the millisecond.  Cache maintenance (``repro cache stats``,
 ``repro cache prune --stale-leases``) applies this same rule through
-:func:`sweep_campaigns`.
+:func:`sweep_campaigns`, which also finds the one-off drain tables of
+``--jobs N`` batches that a killed run left behind.
 """
 
 import json
 import os
 import pathlib
+import shutil
 import socket
 import time
 import uuid
@@ -51,6 +53,10 @@ DEFAULT_LEASE_TTL_S = 300.0
 
 #: A campaign directory's lease subdirectory.
 LEASES_DIR = "leases"
+
+#: Name prefix of the one-off drain tables that ``repro run``/``sweep
+#: --jobs N`` batches create under the cache's ``campaigns/``.
+DRAIN_PREFIX = "run-"
 
 #: Lease sidecars end in .json; everything else in the directory is a
 #: writer's temp file and can be ignored.
@@ -204,8 +210,11 @@ def sweep_campaigns(campaigns_root, prune: bool = False) -> Dict[str, int]:
     Pruning is safe against live sweeps: a worker that was merely slow
     re-acquires through the same claim/steal protocol, and running a
     deterministic point twice yields the same bytes.
+
+    ``orphans`` counts orphaned drain tables (see
+    :func:`_orphaned_drain`); ``prune`` removes them whole.
     """
-    totals = {"campaigns": 0, "live": 0, "expired": 0}
+    totals = {"campaigns": 0, "live": 0, "expired": 0, "orphans": 0}
     root = pathlib.Path(campaigns_root)
     if not root.is_dir():
         return totals
@@ -213,13 +222,54 @@ def sweep_campaigns(campaigns_root, prune: bool = False) -> Dict[str, int]:
         if not directory.is_dir():
             continue
         totals["campaigns"] += 1
-        if not (directory / LEASES_DIR).is_dir():
-            continue
-        board = LeaseBoard(directory / LEASES_DIR, "cache-maintenance",
-                           ttl_s=campaign_ttl(directory))
-        for name, count in board.sweep(prune).items():
+        ttl = campaign_ttl(directory)
+        # Judged before pruning, which touches the lease directory.
+        orphaned = _orphaned_drain(directory, ttl)
+        counts = {"live": 0, "expired": 0}
+        if (directory / LEASES_DIR).is_dir():
+            board = LeaseBoard(directory / LEASES_DIR, "cache-maintenance",
+                               ttl_s=ttl)
+            counts = board.sweep(prune)
+        for name, count in counts.items():
             totals[name] += count
+        if orphaned and not counts["live"]:
+            totals["orphans"] += 1
+            if prune:
+                shutil.rmtree(directory, ignore_errors=True)
     return totals
+
+
+def _orphaned_drain(directory: pathlib.Path, ttl_s: float) -> bool:
+    """Whether ``directory`` is a drain table nothing works on any more.
+
+    A drain table is a ``run-`` directory without a run-table file
+    (every user campaign has one).  It is orphaned when its lease
+    board has seen no claim or release for ``ttl_s`` and no process of
+    this host holds a lease on it; the caller also requires that no
+    lease is live.  A running batch between two claims, or one running
+    a point for longer than the TTL, is therefore never taken.
+    """
+    from repro.campaign.worker import CAMPAIGN_FILE
+
+    if not directory.name.startswith(DRAIN_PREFIX) \
+            or (directory / CAMPAIGN_FILE).exists():
+        return False
+    leases = directory / LEASES_DIR
+    try:
+        touched = max(path.stat().st_mtime for path in (directory, leases)
+                      if path.exists())
+    except (OSError, ValueError):
+        return False
+    if time.time() - touched <= ttl_s:
+        return False
+    host = socket.gethostname()
+    for path in leases.glob(f"*{_SUFFIX}"):
+        lease = LeaseBoard._read(path) or {}
+        pid = lease.get("pid")
+        if lease.get("host") == host and isinstance(pid, int) and pid > 0 \
+                and _pid_alive(pid):
+            return False
+    return True
 
 
 def campaign_ttl(directory: pathlib.Path) -> float:

@@ -58,7 +58,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from repro.errors import ConfigurationError, GuardError
+from repro import errors
+from repro.errors import ConfigurationError, GuardError, SimulationError
 from repro.exec.cache import ResultCache
 from repro.exec.spec import RunSpec
 
@@ -82,6 +83,8 @@ def execute_payload(payload: str, guard=None, tracer=None):
 STATUS_EXECUTED = "executed"
 STATUS_CACHED = "cached"
 STATUS_FAILED = "failed"
+#: How a guard abort's record error starts.
+_GUARD_ABORT = "guard abort: "
 
 
 @dataclass
@@ -148,6 +151,19 @@ class RunManifest:
             "failed": self.failed,
             "runs": [vars(r) for r in self.records.values()],
         }
+
+
+def _recorded_failure(spec: RunSpec, error: str) -> Exception:
+    """The exception a failed record stands for: a guard abort as its
+    own :class:`GuardError` class (named at the start of the error),
+    anything else as a :class:`SimulationError` naming the point."""
+    if not error.startswith(_GUARD_ABORT):
+        return SimulationError(f"{spec.label}: {error}")
+    name = error[len(_GUARD_ABORT):].split(":", 1)[0]
+    cls = getattr(errors, name, GuardError)
+    if not (isinstance(cls, type) and issubclass(cls, GuardError)):
+        cls = GuardError
+    return cls(error)
 
 
 # -- recording stubs ----------------------------------------------------------------
@@ -312,7 +328,7 @@ class ExecutionService:
         print(f"[exec] guard aborted {spec.label}: {error}{where}",
               file=sys.stderr)
         self._record(spec, STATUS_FAILED, attempts=attempts,
-                     seconds=seconds, error=f"guard abort: {error}{where}")
+                     seconds=seconds, error=f"{_GUARD_ABORT}{error}{where}")
 
     # -- single point ------------------------------------------------------------
     def run(self, spec: RunSpec):
@@ -323,6 +339,11 @@ class ExecutionService:
         key = spec.key
         if key in self._memory:
             return self._memory[key]
+        failed = self.manifest.records.get(key)
+        if failed is not None and failed.status == STATUS_FAILED:
+            # run_many already ran this point in this batch and it
+            # failed: raise that failure instead of simulating again.
+            raise _recorded_failure(spec, failed.error or "failed")
         if self._reads_cache:
             result = self.cache.get(spec)
             if result is not None:
@@ -372,8 +393,8 @@ class ExecutionService:
         campaign table over ``jobs`` local workers.
 
         Results land in the memo/cache; failures are recorded in the
-        manifest and re-raised lazily when (if) the failing point is
-        actually requested via :meth:`run`.
+        manifest and raised when (if) the failing point is requested
+        via :meth:`run`, which does not simulate it again.
         """
         started = time.monotonic()
         unique: Dict[str, RunSpec] = {}
@@ -410,6 +431,7 @@ class ExecutionService:
         """
         from repro.campaign import (
             CAMPAIGNS_SUBDIR,
+            DRAIN_PREFIX,
             CampaignPoint,
             drain,
             load_records,
@@ -423,7 +445,7 @@ class ExecutionService:
             root = cache.base / CAMPAIGNS_SUBDIR
             root.mkdir(parents=True, exist_ok=True)
             directory = pathlib.Path(stack.enter_context(
-                tempfile.TemporaryDirectory(prefix="run-", dir=root)))
+                tempfile.TemporaryDirectory(prefix=DRAIN_PREFIX, dir=root)))
             points = [CampaignPoint.of(spec) for spec in missing]
             forked = drain(directory, points, workers=self.jobs,
                            cache=cache, guard=self.guard,

@@ -164,17 +164,20 @@ class GPU:
             for i in range(cfg.n_sms)
         ]
 
-        # Value-independent kernels over a workload that carries a stream
-        # cache run from cached warp traces (see gpu/replay.py): a trace
-        # is the list of steps Warp.schedule yields, timed by the same
-        # SM loop, so every cycle and statistic matches a live warp.
+        # Warp-builder kernels, and value-independent kernels over a
+        # workload that carries a stream cache, run from warp traces
+        # (see gpu/replay.py): a trace is the list of steps
+        # Warp.schedule yields, timed by the same SM loop, so every
+        # cycle and statistic matches a live warp.
         stream_cache = (getattr(args, "stream_cache", None)
                         if getattr(kernel, "value_independent", False)
                         else None)
+        traced = (stream_cache is not None
+                  or getattr(kernel, "builds_warps", False))
         for warp_id in range(n_warps):
             first = warp_id * cfg.warp_size
             thread_ids = range(first, min(first + cfg.warp_size, n_threads))
-            if stream_cache is not None:
+            if traced:
                 trace = warp_trace(kernel, thread_ids, args, stream_cache,
                                    cfg.sector_size)
                 for tid, value in trace.writes:

@@ -7,7 +7,9 @@ step the live threads are bucketed by tag and the lowest tag issues
 first, reproducing SIMT-stack serialization and reconvergence for the
 structured control flow of tree traversals.  A kernel may also yield a
 tuple of Compute/Load/Store descriptors, an *op run*, which issues as
-if its ops were yielded one by one (see :mod:`repro.gpu.warp`).
+if its ops were yielded one by one (see :mod:`repro.gpu.warp`).  A
+warp-builder kernel (:func:`repro.gpu.replay.warp_builder`) runs no
+generators: it emits the macro steps its ops would schedule to.
 
 ``Compute.kind`` feeds the Fig. 20 dynamic-instruction breakdown
 ("alu", "control", "sfu"); loads/stores count as "mem" and accelerator

@@ -1,27 +1,38 @@
 """Warp-trace and launch-level replay for deterministic kernels.
 
-The software-traversal (baseline GPU) kernels are *pure* generators:
-their op stream is a function of ``(tid, args)`` alone — they never use
-the value sent back into a ``yield`` and never read simulator state.
-So a warp's :meth:`~repro.gpu.warp.Warp.schedule` is fixed too, and a
-:class:`WarpTrace` is simply that schedule's macro steps, drained once
-and cached (:func:`warp_trace`).  The SM times a trace with the same
-loop it uses for a live warp, so cycles and statistics are identical,
-but repeat runs (parameter sweeps, figure reruns, benchmark reps) skip
-the kernel body, the regrouping and the coalescing.
+The software-traversal (baseline GPU) kernels are *pure*: their op
+stream is a function of ``(tid, args)`` alone — they never use the
+value sent back into a ``yield`` and never read simulator state.  So a
+warp's :meth:`~repro.gpu.warp.Warp.schedule` is fixed too, and a
+:class:`WarpTrace` is simply that schedule's macro steps plus the
+results the warp writes.  The SM times a trace with the same loop it
+uses for a live warp, so cycles and statistics are identical.
 
-Kernels opt in with the :func:`value_independent` decorator; workloads
-opt in by passing a persistent ``stream_cache`` dict through their
-kernel-args object.  Kernels that bind a yield result (the ``AccelCall``
-kernels) must never be marked: building a trace sends ``None`` into
-every yield and rejects an ``AccelCall``.  Launch-level replay (below)
-covers every kernel marked :func:`launch_replayable`, accelerated ones
-included.
+A trace comes from one of two places (:func:`warp_trace`):
+
+* a **warp builder** — a kernel marked :func:`warp_builder` *is* a
+  function ``(thread_ids, args, sector_size) -> WarpTrace`` that emits
+  the schedule's steps directly from the traversal's data (the B-Tree
+  search paths, the N-Body union walks), with no per-lane generator at
+  all.  ``GPU.launch`` always runs such a kernel from traces.
+  ``tests/kernel_reference.py`` keeps the per-lane generator bodies
+  these builders replaced; ``tests/test_warp_builders.py`` checks that
+  both give equal traces warp for warp;
+* a **drained schedule** — a generator kernel marked
+  :func:`value_independent` has its warp's schedule drained once.
+
+Either way a workload that passes a persistent ``stream_cache`` dict
+through its kernel-args object keeps each trace, so repeat runs
+(parameter sweeps, figure reruns, benchmark reps) reuse it.  Kernels
+that bind a yield result (the ``AccelCall`` kernels) must never be
+marked: draining a trace sends ``None`` into every yield and rejects an
+``AccelCall``.  Launch-level replay (below) covers every kernel marked
+:func:`launch_replayable`, accelerated ones included.
 """
 
 import dataclasses
 import pickle
-from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError
 from repro.gpu.warp import Warp
@@ -33,6 +44,18 @@ def value_independent(kernel: Callable) -> Callable:
     """Mark ``kernel`` as ignoring values sent into its yields."""
     kernel.value_independent = True
     return kernel
+
+
+def warp_builder(build: Callable) -> Callable:
+    """Mark ``build(thread_ids, args, sector_size) -> WarpTrace`` as a
+    kernel whose warps are built directly, not run lane by lane.
+
+    Its trace must equal what :meth:`~repro.gpu.warp.Warp.schedule`
+    yields for those lanes of the per-thread kernel it stands for, and
+    ``writes`` what those lanes would store in ``args.results``.
+    """
+    build.builds_warps = True
+    return value_independent(build)
 
 
 class WarpTrace:
@@ -52,19 +75,25 @@ class WarpTrace:
         self.writes = writes
 
 
-def warp_trace(kernel: Callable[[int, Any], Generator],
-               thread_ids: Sequence[int], args: Any,
-               cache: Dict[Any, Any], sector_size: int) -> WarpTrace:
-    """Build (or fetch) the macro-step trace of one warp.
+def warp_trace(kernel: Callable, thread_ids: Sequence[int], args: Any,
+               cache: Optional[Dict[Any, Any]],
+               sector_size: int) -> WarpTrace:
+    """Build (or fetch from ``cache``) the macro-step trace of one warp.
 
-    Keyed on the sector size because the coalesced load/store groups
-    depend on it.  A build that raises caches nothing.
+    A :func:`warp_builder` kernel builds it, any other kernel has its
+    lanes' schedule drained.  Keyed on the sector size because the
+    coalesced load/store groups depend on it; ``cache=None`` builds
+    without keeping.  A build that raises caches nothing.
     """
     key = ("__warp__", thread_ids[0], thread_ids[-1], sector_size)
-    trace = cache.get(key)
+    trace = cache.get(key) if cache is not None else None
     if trace is None:
-        trace = cache[key] = _build_trace(kernel, thread_ids, args,
-                                          sector_size)
+        if getattr(kernel, "builds_warps", False):
+            trace = kernel(thread_ids, args, sector_size)
+        else:
+            trace = _build_trace(kernel, thread_ids, args, sector_size)
+        if cache is not None:
+            cache[key] = trace
     return trace
 
 

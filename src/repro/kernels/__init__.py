@@ -5,7 +5,9 @@ the SIMT cores, instruction by instruction) with an *accelerated*
 kernel (setup + a single ``traverseTreeTTA``/``traceRay`` AccelCall +
 result writeback).  Both replay the same functional traversal, so the
 speedups measured between them isolate exactly the three RTA advantages
-the paper identifies.
+the paper identifies.  The B-Tree and N-Body baselines are warp
+builders (:func:`repro.gpu.replay.warp_builder`): they emit each warp's
+schedule directly instead of running one generator per thread.
 """
 
 from repro.kernels.btree_search import (

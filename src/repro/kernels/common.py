@@ -8,9 +8,11 @@ order used by the SIMT divergence model; kinds feed the Fig. 20
 breakdown.
 """
 
-from typing import Iterator
+from functools import lru_cache
+from typing import Iterable, Iterator, Sequence
 
 from repro.gpu.isa import Compute, Load, Store
+from repro.memsys.coalescer import coalesce_sectors
 from repro.rta.traversal import Step
 
 # -- program-order tags (shared skeleton across kernels) -----------------------
@@ -57,6 +59,50 @@ def epilogue(result_addr: int) -> Iterator:
     """Result writeback."""
     yield Compute(EPILOGUE_ALU, TAG_EPILOGUE, kind="alu")
     yield Store(result_addr, 4, TAG_EPILOGUE)
+
+
+# -- warp-builder steps -------------------------------------------------------------
+# Warp builders (gpu/replay.py) emit Warp.schedule's macro steps
+# directly; these are the steps of the ops above when a group of
+# ``active`` lanes issues them together.
+@lru_cache(maxsize=4096)
+def _compute_step(n: int, kind: str, active: int) -> tuple:
+    # Interned: a kernel's Compute ops times the warp's lane counts
+    # give a few hundred distinct steps, and every warp trace of every
+    # launch shares them instead of holding its own copies.
+    return (0, active, n, kind, n)
+
+
+def compute_steps(ops: Iterable[Compute], active: int) -> tuple:
+    """The steps of Compute ``ops`` issued in turn by ``active`` lanes
+    that all hold the same op (one shared object per distinct step)."""
+    return tuple(_compute_step(op.n, op.kind, active) for op in ops)
+
+
+def load_step(active: int, requests: Iterable[tuple],
+              sector_size: int) -> tuple:
+    """The step of a Load group of ``active`` lanes that request the
+    ``(address, size)`` pairs ``requests`` (duplicates may be dropped:
+    they coalesce into the same sectors)."""
+    return (1, active, tuple(coalesce_sectors(requests, sector_size)))
+
+
+def prologue_steps(query_addrs: Sequence[int], sector_size: int,
+                   setup_alu: int = 4) -> tuple:
+    """:func:`prologue` issued by one lane per query address."""
+    active = len(query_addrs)
+    return (compute_steps((Compute(setup_alu, TAG_SETUP),), active)
+            + (load_step(active, [(addr, 4) for addr in query_addrs],
+                         sector_size),))
+
+
+def epilogue_steps(result_addrs: Sequence[int], sector_size: int) -> tuple:
+    """:func:`epilogue` issued by one lane per result address."""
+    active = len(result_addrs)
+    sectors = coalesce_sectors([(addr, 4) for addr in result_addrs],
+                               sector_size)
+    return (compute_steps((Compute(EPILOGUE_ALU, TAG_EPILOGUE),), active)
+            + ((2, active, len(sectors)),))
 
 
 class StepTable(dict):

@@ -17,24 +17,32 @@ per-ray control flow, advantage (2) of §II-C):
   whole walk on the accelerator at the price of µop overheads (the
   "particularly sensitive to TTA+ overheads" point of §V-A).
 
-Both lowerings read the tree's array walks: the baseline's per-warp op
-tuples come from :meth:`~repro.trees.BarnesHutTree.union_walk` and are
-shared by the warp's lanes; the accelerated jobs and every kernel's
-functional result come from the visit CSR and accelerations of
+Both lowerings read the tree's array walks: the baseline's warp traces
+are built from :meth:`~repro.trees.BarnesHutTree.union_walk` (one walk
+per warp, issued by all of its lanes); the accelerated jobs and every
+kernel's functional result come from the visit CSR and accelerations of
 :meth:`~repro.trees.BarnesHutTree.body_walk`.
 """
 
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Any, List
+from typing import Any, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from repro.errors import ConfigurationError
-from repro.gpu.isa import AccelCall, Compute, Load
-from repro.gpu.replay import launch_replayable, value_independent
+from repro.errors import ConfigurationError, SimulationError
+from repro.gpu.isa import AccelCall, Compute
+from repro.gpu.replay import WarpTrace, launch_replayable, warp_builder
 from repro.kernels import common
-from repro.kernels.common import LOOP_HEAD, epilogue, prologue
+from repro.kernels.common import (
+    LOOP_HEAD,
+    compute_steps,
+    epilogue,
+    epilogue_steps,
+    load_step,
+    prologue,
+    prologue_steps,
+)
 from repro.rta.traversal import Step, TraversalJob
 from repro.trees.layout import NODE_STRIDE
 
@@ -58,6 +66,26 @@ _LEAF = (Compute(_FORCE_ALU, common.TAG_LEAF, kind="alu"),
          Compute(_FORCE_SFU, common.TAG_LEAF, kind="sfu"))
 
 
+#: Per-visit tails by visit kind: 0 an opened cell, 1 an approximated
+#: cell, 2 a leaf.
+_TAILS = (_INNER_OPEN, _INNER_CLOSED, _LEAF)
+
+
+class UnionWalk(NamedTuple):
+    """The baseline's warp-voting walks, one per warp of bodies.
+
+    Warp ``w`` (bodies ``w * warp_size`` onwards) makes the visits
+    ``visits[offsets[w]:offsets[w + 1]]``; a visit is ``node * 3 +
+    kind`` (the :data:`_TAILS` index) and ``address[node]`` is the
+    node's fetch address.
+    """
+
+    warp_size: int
+    offsets: List[int]
+    visits: np.ndarray
+    address: List[int]
+
+
 @dataclass
 class NBodyKernelArgs:
     """One launch of the force-computation kernel (one thread per body)."""
@@ -65,8 +93,8 @@ class NBodyKernelArgs:
     tree: Any
     body_buf: int
     accel_buf: int
-    #: per-warp union-walk op tuples for the baseline (warp-voting walk)
-    warp_traces: List[tuple] = field(default_factory=list)
+    #: the baseline's union walks (None for accelerated launches)
+    union_walk: Optional[UnionWalk] = None
     jobs: List[TraversalJob] = field(default_factory=list)
     #: per-body interaction counts for the TTA post-traversal force block
     interactions: List[int] = field(default_factory=list)
@@ -74,23 +102,54 @@ class NBodyKernelArgs:
     #: extra post-processing instructions fused into the kernel (the
     #: kernel-merging optimization of §V-A); 0 = separate kernels
     fused_post_insts: int = 0
-    warp_size: int = 32
     #: workload-owned recording cache for gpu/replay.py
     stream_cache: dict = None
 
 
 @launch_replayable
-@value_independent
-def nbody_baseline_kernel(tid: int, args: NBodyKernelArgs):
-    """Warp-voting union walk: converged control flow, predicated lanes."""
-    yield from prologue(args.body_buf + tid * 16, setup_alu=6)
-    yield args.warp_traces[tid // args.warp_size]  # one op run
+@warp_builder
+def nbody_baseline_kernel(thread_ids: Sequence[int], args: NBodyKernelArgs,
+                          sector_size: int) -> WarpTrace:
+    """Warp-voting union walk: converged control flow, predicated lanes.
+
+    Every lane of a warp runs the prologue, then each visit of the
+    warp's union walk (loop head, node fetch, the inner or leaf tail),
+    the fused post-processing block if any and the epilogue.  The lanes
+    never diverge, so each op is one group of the whole warp; a visited
+    node's steps are built once per warp.
+    """
+    walk = args.union_walk
+    warp = thread_ids[0] // walk.warp_size
+    if thread_ids[-1] // walk.warp_size != warp:
+        raise SimulationError(
+            f"lanes {thread_ids[0]}-{thread_ids[-1]} span two union walks "
+            f"of {walk.warp_size} bodies; the launch's warp size must "
+            "not exceed the walks'"
+        )
+    active = len(thread_ids)
+    head = compute_steps(LOOP_HEAD, active)
+    tails = [compute_steps(tail, active) for tail in _TAILS]
+    visits = walk.visits[walk.offsets[warp]:walk.offsets[warp + 1]].tolist()
+    segments = {}
+    for visit in set(visits):
+        node, kind = divmod(visit, 3)
+        fetch = load_step(active, ((walk.address[node], NODE_STRIDE),),
+                          sector_size)
+        segments[visit] = head + (fetch,) + tails[kind]
+    steps = list(prologue_steps([args.body_buf + 16 * tid
+                                 for tid in thread_ids], sector_size,
+                                setup_alu=6))
+    steps.extend(chain.from_iterable(map(segments.__getitem__, visits)))
     if args.fused_post_insts:
-        yield Compute(args.fused_post_insts, common.TAG_EPILOGUE - 1,
-                      kind="alu")
-    yield from epilogue(args.accel_buf + tid * 12)
-    # Functional result from the body's own (exact) walk.
-    args.results[tid] = args.tree.body_walk().accelerations[tid]
+        steps += compute_steps((Compute(args.fused_post_insts,
+                                        common.TAG_EPILOGUE - 1,
+                                        kind="alu"),), active)
+    steps += epilogue_steps([args.accel_buf + 12 * tid
+                             for tid in thread_ids], sector_size)
+    # Functional results from each body's own (exact) walk.
+    accelerations = args.tree.body_walk().accelerations
+    return WarpTrace(steps, tuple((tid, accelerations[tid])
+                                  for tid in thread_ids))
 
 
 @launch_replayable
@@ -111,26 +170,12 @@ def nbody_accel_kernel(tid: int, args: NBodyKernelArgs):
     args.results[tid] = acceleration
 
 
-def build_warp_traces(tree, warp_size: int = 32) -> List[tuple]:
-    """Union (warp-voting) walks as op runs, one tuple per warp.
-
-    Warp ``w`` covers bodies ``w * warp_size`` onwards; each visit is
-    the loop head, the node fetch and the inner or leaf tail.  All of a
-    warp's lanes yield the same tuple, so the warp issues it in lockstep
-    (see :mod:`repro.gpu.warp`).
-    """
+def build_union_walk(tree, warp_size: int = 32) -> UnionWalk:
+    """The tree's union (warp-voting) walks for the baseline kernel."""
     walk = tree.union_walk(warp_size)
-    segments = []
-    for address in tree.flat().address.tolist():
-        head = LOOP_HEAD + (Load(address, NODE_STRIDE, common.TAG_LOAD_NODE),)
-        segments.append((head + _INNER_OPEN, head + _INNER_CLOSED,
-                         head + _LEAF))
-    kind = np.where(walk.leaf, 2, np.where(walk.opened, 0, 1)).tolist()
-    visits = list(zip(walk.node.tolist(), kind))
-    offsets = walk.offsets.tolist()
-    return [tuple(chain.from_iterable(segments[node][k]
-                                      for node, k in visits[lo:hi]))
-            for lo, hi in zip(offsets, offsets[1:])]
+    kind = np.where(walk.leaf, 2, np.where(walk.opened, 0, 1))
+    return UnionWalk(warp_size, walk.offsets.tolist(), walk.node * 3 + kind,
+                     tree.flat().address.tolist())
 
 
 def build_nbody_jobs(tree, flavor: str = "tta"):

@@ -25,8 +25,8 @@ def coalesce_sectors(requests: Iterable[Tuple[int, int]],
     for addr, size in requests:
         if size <= 0:
             raise ValueError(f"request size must be positive, got {size}")
-        first = addr - (addr % sector_size)
-        last = (addr + size - 1) - ((addr + size - 1) % sector_size)
-        for base in range(first, last + sector_size, sector_size):
-            sectors.add(base)
+        # Every aligned base from the first byte's sector up to the
+        # last byte's.
+        sectors.update(range(addr - addr % sector_size, addr + size,
+                             sector_size))
     return sorted(sectors)

@@ -16,8 +16,9 @@ from repro.errors import ConfigurationError
 from repro.geometry.vec import Vec3
 from repro.kernels.nbody_walk import (
     NBodyKernelArgs,
+    UnionWalk,
     build_nbody_jobs,
-    build_warp_traces,
+    build_union_walk,
 )
 from repro.memsys.memory_image import AddressSpace
 from repro.rta.traversal import TraversalJob
@@ -64,9 +65,9 @@ class NBodyWorkload:
     body_buf: int
     accel_buf: int
     # Lowering is pure per (tree, flavor); cache it across repeated runs
-    # of the same workload object (the warp op tuples are immutable, so
-    # sharing one list across args instances is safe).
-    _warp_traces: Optional[List[tuple]] = field(
+    # of the same workload object (the union walk is never written, so
+    # sharing it across args instances is safe).
+    _union_walk: Optional[UnionWalk] = field(
         default=None, init=False, repr=False, compare=False)
     _jobs_cache: Dict[str, tuple] = field(
         default_factory=dict, init=False, repr=False, compare=False)
@@ -83,16 +84,13 @@ class NBodyWorkload:
         Only the baseline kernel (no jobs) reads the warp union walks,
         so accelerated launches never build them.
         """
-        warp_traces: List[tuple] = []
-        if not jobs:
-            if self._warp_traces is None:
-                self._warp_traces = build_warp_traces(self.tree)
-            warp_traces = self._warp_traces
+        if not jobs and self._union_walk is None:
+            self._union_walk = build_union_walk(self.tree)
         return NBodyKernelArgs(
             tree=self.tree,
             body_buf=self.body_buf,
             accel_buf=self.accel_buf,
-            warp_traces=warp_traces,
+            union_walk=None if jobs else self._union_walk,
             jobs=list(jobs),
             interactions=list(interactions),
             fused_post_insts=fused_post_insts,

@@ -458,6 +458,65 @@ class TestCacheMaintenance:
         assert not stale.exists()
         assert board._path("fresh").exists()
 
+    def _aged_lease(self, directory, key, host):
+        """A lease held by pid 1 on ``host``, acquired long ago, with
+        the campaign directory untouched since."""
+        board = LeaseBoard(directory / "leases", "w1", ttl_s=300.0)
+        board.claim(key)
+        path = board._path(key)
+        lease = json.loads(path.read_text())
+        lease.update(host=host, pid=1, acquired=time.time() - 9999)
+        path.write_text(json.dumps(lease))
+        for touched in (path, path.parent, directory):
+            os.utime(touched, (time.time() - 9999, time.time() - 9999))
+        return path
+
+    def test_prune_removes_only_orphaned_drain_tables(self, cache):
+        root = cache.base / CAMPAIGNS_SUBDIR
+        # A killed --jobs run's table: its one lease expired long ago.
+        dead = root / f"{campaign.DRAIN_PREFIX}killed"
+        (dead / "records").mkdir(parents=True)
+        self._aged_lease(dead, "point", host="elsewhere")
+        # A running batch's table: a fresh lease on it.
+        running = root / f"{campaign.DRAIN_PREFIX}running"
+        LeaseBoard(running / "leases", "w0", ttl_s=300.0).claim("point")
+        # A user campaign, aged the same way as the dead table, and one
+        # whose name happens to start like a drain table.
+        users = [campaign.init_campaign(tiny_table(), cache=cache),
+                 campaign.init_campaign(
+                     tiny_table(), root / f"{campaign.DRAIN_PREFIX}mine",
+                     cache=cache)]
+        stale = [self._aged_lease(user, "point", host="elsewhere")
+                 for user in users]
+
+        stats = campaign.sweep_campaigns(root)
+        assert stats == {"campaigns": 4, "live": 1, "expired": 3,
+                         "orphans": 1}
+        pruned = campaign.sweep_campaigns(root, prune=True)
+        assert pruned["orphans"] == 1 and pruned["expired"] == 3
+        assert not dead.exists()
+        assert (running / "leases" / "point.json").exists()
+        for user, lease in zip(users, stale):
+            assert (user / campaign.CAMPAIGN_FILE).exists()
+            assert not lease.exists()  # only its stale lease went
+        assert campaign.sweep_campaigns(root)["campaigns"] == 3
+
+    def test_drain_table_of_a_live_holder_is_kept(self, cache):
+        # A batch running one point for longer than the TTL: the lease
+        # has expired, but its holder is a live process of this host.
+        import socket
+
+        table = cache.base / CAMPAIGNS_SUBDIR / \
+            f"{campaign.DRAIN_PREFIX}slow"
+        path = self._aged_lease(table, "point", host=socket.gethostname())
+        lease = json.loads(path.read_text())
+        lease["pid"] = os.getpid()
+        path.write_text(json.dumps(lease))
+        os.utime(path, (time.time() - 9999, time.time() - 9999))
+        os.utime(table, (time.time() - 9999, time.time() - 9999))
+        os.utime(path.parent, (time.time() - 9999, time.time() - 9999))
+        assert campaign.sweep_campaigns(table.parent)["orphans"] == 0
+
     def test_prune_quarantine(self, cache):
         qdir = cache.base / "quarantine"
         qdir.mkdir(parents=True)

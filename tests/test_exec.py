@@ -21,7 +21,9 @@ import time
 import pytest
 
 import repro.exec as exec_mod
+import repro.exec.service as service_mod
 from repro.campaign import CAMPAIGNS_SUBDIR
+from repro.errors import SimulationError, SimulationStallError
 from repro.exec import (
     ExecutionService,
     ResultCache,
@@ -223,6 +225,33 @@ class TestExecutionService:
         assert service.manifest.executed == 1
         with pytest.raises(Exception):
             service.run(spec)
+
+    @pytest.mark.parametrize("error", [SimulationStallError, RuntimeError])
+    def test_recorded_failure_is_raised_without_rerunning(
+            self, tmp_path, monkeypatch, error):
+        calls = []
+
+        def counting_runner(payload, guard=None, tracer=None):
+            calls.append(RunSpec.from_json(payload).key)
+            raise error("boom")
+
+        monkeypatch.setattr(service_mod, "execute_payload", counting_runner)
+        spec = _tiny_btree_spec()
+        service = ExecutionService(jobs=1, cache=ResultCache(tmp_path))
+        service.run_many([spec])
+        assert service.manifest.failed == 1 and calls == [spec.key]
+        # The figure pass asks for the point again: the batch's failure
+        # is raised as what it was, and the point is not simulated twice.
+        with pytest.raises(SimulationStallError if error is not RuntimeError
+                           else SimulationError, match="boom"):
+            service.run(spec)
+        assert calls == [spec.key]
+        assert service.manifest.failed == 1
+        # A new batch tries the point again.
+        service.reset_manifest()
+        with pytest.raises(error):
+            service.run(spec)
+        assert calls == [spec.key] * 2
 
 
 # -- batches under --jobs 2 ------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.gpu import GPU, GPUConfig
-from repro.gpu.isa import Compute, Load
+from repro.gpu.isa import Compute
 from repro.kernels import common
 from repro.kernels.btree_search import build_btree_jobs, btree_baseline_kernel
 from repro.kernels.nbody_walk import (
@@ -15,7 +15,7 @@ from repro.kernels.nbody_walk import (
     _FORCE_SFU,
     _OPEN_CONTROL,
     build_nbody_jobs,
-    build_warp_traces,
+    build_union_walk,
     nbody_baseline_kernel,
 )
 from repro.kernels.radius_search import build_radius_jobs, radius_query
@@ -103,14 +103,13 @@ class TestBTreeKernel:
 class TestNBodyKernel:
     def test_warp_traces_are_union_walks(self):
         wl = make_nbody_workload(n_bodies=128, dims=2, seed=8)
-        traces = build_warp_traces(wl.tree, warp_size=32)
-        assert len(traces) == 4
+        walk = build_union_walk(wl.tree, warp_size=32)
+        assert len(walk.offsets) == 4 + 1
         # The union walk must visit at least as many nodes as any lane:
         # a warp's node fetches cover every lane's own visits.
-        for w, trace in enumerate(traces):
-            union_addrs = {op.addr for op in trace
-                           if isinstance(op, Load)
-                           and op.tag == common.TAG_LOAD_NODE}
+        for w, (lo, hi) in enumerate(zip(walk.offsets, walk.offsets[1:])):
+            union_addrs = {walk.address[visit // 3]
+                           for visit in walk.visits[lo:hi].tolist()}
             for body in wl.tree.bodies[w * 32:(w + 1) * 32]:
                 lane_addrs = {e.node.address
                               for e in wl.tree.force_on(body).visits}

@@ -25,10 +25,11 @@ Contract families:
   warps' lanes (warps create their generators when an SM slot starts
   them), and a B-Tree baseline warp trace holds one object per distinct
   Compute step.
-* **Static op sequences** — an N-Body warp trace build resumes each
-  lane's generator a bounded number of times however long the union
-  walk is (the walk is one op run), and a TTA+ launch constructs OP
-  units only for the unit types its programs use.
+* **Static op sequences** — B-Tree and N-Body ``gpu`` launches (and a
+  serve point launch, which has no stream cache) resume no kernel
+  generator at all: their warp traces are built from the search paths
+  and union walks.  A TTA+ launch constructs OP units only for the
+  unit types its programs use.
 * **Tracing overhead** — with tracing off a launch makes no
   ``Tracer.emit`` call at all, and sampled tracing at rate N keeps at
   most one emitted event in N plus the launch markers.
@@ -47,7 +48,6 @@ override, so they hold on every CI leg.
 
 import collections
 import copy
-import dataclasses
 import gc
 import math
 import pathlib
@@ -67,15 +67,15 @@ from repro.core.ttaplus import program_named
 from repro.gpu import GPU, GPUConfig
 from repro.gpu.device import KernelStats
 from repro.gpu.isa import Compute, Load
-from repro.gpu.replay import launch_replay_enabled, value_independent
+from repro.gpu.replay import launch_replay_enabled
 from repro.gpu.sm import SM
+from repro.gpu.warp import Warp
 from repro.harness.runner import (
     run_btree,
     run_nbody,
     run_rtnn,
     scaled_config_for,
 )
-from repro.kernels.nbody_walk import nbody_baseline_kernel
 from repro.kernels.radius_search import radius_query, radius_query_scalar
 from repro.memsys.hierarchy import MemoryHierarchy
 from repro.mutation import MutableResidentIndex, RebuildPolicy
@@ -371,34 +371,29 @@ class TestNBodyWalkCost:
 
 # -- static op sequences -------------------------------------------------------
 class TestStaticOpSequenceCost:
-    @pytest.mark.parametrize("n_bodies", [64, 384])
-    def test_nbody_trace_build_resumes_lanes_a_bounded_number_of_times(
-            self, n_bodies):
-        wl = make_nbody_workload(n_bodies=n_bodies, dims=3, seed=2)
-        resumes = collections.Counter()
+    def test_btree_nbody_gpu_runs_no_generators(self, monkeypatch):
+        primed = [0]
+        prime = Warp.prime
 
-        @value_independent
-        def counting_kernel(tid, args):
-            thread = nbody_baseline_kernel(tid, args)
-            value = None
-            while True:
-                resumes[tid] += 1
-                try:
-                    op = thread.send(value)
-                except StopIteration:
-                    return
-                value = yield op
+        def counting_prime(self):
+            primed[0] += 1
+            prime(self)
 
-        args = dataclasses.replace(wl.kernel_args(fused_post_insts=4),
-                                   results={}, stream_cache={})
-        GPU(scaled_config_for(wl.image.size_bytes)).launch(
-            counting_kernel, wl.n_bodies, args=args)
-        assert len(resumes) == wl.n_bodies
-        # Prologue (2), the union walk (1), the fused block (1), the
-        # epilogue (2) and the final return.  Resuming per op costs one
-        # resume per op of the walk.
-        assert max(resumes.values()) <= 7
-        assert min(len(trace) for trace in args.warp_traces) > 100
+        monkeypatch.setattr(Warp, "prime", counting_prime)
+        btree = make_btree_workload("btree", n_keys=512, n_queries=100,
+                                    seed=9)
+        run_btree(btree, "gpu")
+        nbody = make_nbody_workload(n_bodies=100, dims=3, seed=2)
+        run_nbody(nbody, "gpu", fused_post_insts=4)
+        # A serve point launch carries no stream cache.
+        index = build_resident_index("point", SERVE_SCALES["smoke"]["point"])
+        launch = LaunchBackend("gpu").launch(index, list(range(40)))
+        assert not launch.failed
+        # The warp builders emit every warp's trace from the search
+        # paths and union walks: no lane's generator is ever resumed.
+        assert primed[0] == 0
+        run_btree(btree, "tta")
+        assert primed[0] == math.ceil(100 / 32)  # the control
 
     def test_btree_ttaplus_launch_builds_only_used_op_units(self,
                                                            monkeypatch):

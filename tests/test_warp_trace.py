@@ -2,7 +2,10 @@
 
 Every ``@value_independent`` baseline kernel is launched three ways and
 compared, stat for stat and result for result, against a live launch
-(no stream cache) at the same GPU config:
+(no stream cache) at the same GPU config.  The warp-builder kernels
+(B-Tree, N-Body) run from traces in every launch, so for them this
+checks the stream cache; ``tests/test_warp_builders.py`` compares them
+with the per-lane generators they replaced.
 
 * **trace-build** — a fresh stream cache: each warp's schedule is
   drained into a :class:`~repro.gpu.replay.WarpTrace` at launch;

@@ -84,9 +84,9 @@ class TestNBodyWorkload:
     def test_accelerated_launches_skip_union_walks(self):
         wl = make_nbody_workload(n_bodies=64, dims=3, seed=4)
         args = wl.kernel_args(*wl.jobs("tta"))
-        assert args.warp_traces == []
-        assert wl._warp_traces is None
-        assert len(wl.kernel_args().warp_traces) == 2
+        assert args.union_walk is None
+        assert wl._union_walk is None
+        assert len(wl.kernel_args().union_walk.offsets) == 2 + 1
 
 
 class TestPointCloud:
